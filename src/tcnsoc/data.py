@@ -9,6 +9,7 @@ Sign convention: positive current discharges the cell.
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Iterator, NamedTuple
@@ -21,6 +22,10 @@ CSV_COLUMNS = ["time_s", "voltage_v", "current_a", "temperature_c", "soc"]
 
 # Input channel order used everywhere: voltage, current, temperature, past SOC.
 CHANNEL_NAMES = ["voltage", "current", "temperature", "soc"]
+
+# Accepted range of SOC labels: [0, 1] plus a margin for integration and
+# sensor drift, both in loaded CSVs and in coulomb-counted labels.
+SOC_LABEL_BAND = (-0.01, 1.01)
 
 
 class DriveCycleRecord(NamedTuple):
@@ -93,7 +98,8 @@ class DriveCycle:
 
 
 def load_csv(path) -> DriveCycle:
-    """Parse one drive cycle, validating the header and monotone timestamps."""
+    """Parse one drive cycle, validating the header, finite fields, the SOC
+    label band and monotone timestamps."""
     path = Path(path)
     with path.open(newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
@@ -112,7 +118,7 @@ def load_csv(path) -> DriveCycle:
                 f"{CSV_COLUMNS} (soc optional)"
             )
         n_cols = 5 if has_soc else 4
-        rows = []
+        rows, linenos = [], []
         for lineno, row in enumerate(reader, start=2):
             if not row:
                 continue
@@ -121,9 +127,19 @@ def load_csv(path) -> DriveCycle:
                     f"{path}: line {lineno}: expected {n_cols} fields, got {len(row)}"
                 )
             try:
-                rows.append([float(v) for v in row])
+                values = [float(v) for v in row]
             except ValueError:
                 raise ValueError(f"{path}: line {lineno}: unparsable row {row!r}") from None
+            for name, value in zip(CSV_COLUMNS, values):
+                if not math.isfinite(value):
+                    raise ValueError(f"{path}: line {lineno}: {name} is not finite ({value})")
+            if has_soc and not SOC_LABEL_BAND[0] <= values[4] <= SOC_LABEL_BAND[1]:
+                raise ValueError(
+                    f"{path}: line {lineno}: soc {values[4]!r} outside "
+                    f"[{SOC_LABEL_BAND[0]}, {SOC_LABEL_BAND[1]}]"
+                )
+            rows.append(values)
+            linenos.append(lineno)
     if not rows:
         raise ValueError(f"{path}: no data rows")
     cols = np.asarray(rows, dtype=np.float64).T
@@ -131,7 +147,7 @@ def load_csv(path) -> DriveCycle:
     bad = np.nonzero(np.diff(time_s) <= 0.0)[0]
     if bad.size:
         raise ValueError(
-            f"{path}: line {int(bad[0]) + 3}: time_s not strictly increasing"
+            f"{path}: line {linenos[bad[0] + 1]}: time_s not strictly increasing"
         )
     return DriveCycle(
         time_s=time_s,
@@ -179,9 +195,10 @@ def coulomb_count(
     )
     soc = initial_soc - charge / spec.capacity_as
     lo, hi = float(soc.min()), float(soc.max())
-    if lo < -0.01 or hi > 1.01:
+    if lo < SOC_LABEL_BAND[0] or hi > SOC_LABEL_BAND[1]:
         raise ValueError(
-            f"coulomb counting left [-0.01, 1.01] (range [{lo:.4f}, {hi:.4f}]): "
+            f"coulomb counting left [{SOC_LABEL_BAND[0]}, {SOC_LABEL_BAND[1]}] "
+            f"(range [{lo:.4f}, {hi:.4f}]): "
             f"inconsistent capacity or initial SOC"
         )
     return replace(cycle, soc=soc)

@@ -62,12 +62,25 @@ class TcnConfig:
             )
 
 
-def _block_specs(config: TcnConfig):
-    """Yield (in_channels, out_channels, dilation) per block in model order."""
+def _layout(config: TcnConfig):
+    """The parameter layout: the one place that knows shapes and order.
+
+    Yields one list of (out_channels, in_channels, kernel_size, dilation)
+    convolution shapes per residual block in model order (conv1, conv2,
+    and a 1x1 downsample where the channel count changes), then the head
+    as a single (1, filters, 1) convolution. Each convolution is stored as
+    its weights, then its bias.
+    """
+    k, f = config.kernel_size, config.filters
     for s in range(config.stacks):
         for i in range(config.blocks_per_stack):
-            in_ch = config.input_features if (s == 0 and i == 0) else config.filters
-            yield in_ch, config.filters, config.dilation_base ** i
+            in_ch = config.input_features if (s == 0 and i == 0) else f
+            dilation = config.dilation_base ** i
+            convs = [(f, in_ch, k, dilation), (f, f, k, dilation)]
+            if in_ch != f:
+                convs.append((f, in_ch, 1, 1))
+            yield convs
+    yield [(1, f, 1, 1)]
 
 
 @dataclass
@@ -83,30 +96,50 @@ class ResidualBlock:
     conv2: ConvParams
     downsample: ConvParams | None = None
 
-    def param_arrays(self) -> list[np.ndarray]:
-        arrays = [self.conv1.weights, self.conv1.bias,
-                  self.conv2.weights, self.conv2.bias]
-        if self.downsample is not None:
-            arrays += [self.downsample.weights, self.downsample.bias]
-        return arrays
-
 
 @dataclass
 class TcnModel:
+    """A TCN whose trainable scalars all live in one float64 vector.
+
+    ``theta`` holds them in parameter order (see ``_layout``); every
+    ``ConvParams`` array in ``blocks``, ``head_weights`` and ``head_bias``
+    is a view into it, so weights must be changed in place.
+    """
+
     config: TcnConfig
-    blocks: list[ResidualBlock]
-    head_weights: np.ndarray
-    head_bias: np.ndarray  # shape (1,) so the optimizer can update in place
+    theta: np.ndarray
     norm: NormalizationParams | None = None
     seed: int = 0
+    # every convolution in parameter order, the head last as a (1, F, 1) conv
+    layers: list[ConvParams] = field(init=False, repr=False)
+    blocks: list[ResidualBlock] = field(init=False, repr=False)
+    head_weights: np.ndarray = field(init=False, repr=False)
+    head_bias: np.ndarray = field(init=False, repr=False)  # shape (1,)
+
+    def __post_init__(self):
+        theta = self.theta
+        if theta.dtype != np.float64 or theta.shape != (parameter_count(self.config),):
+            raise ValueError(f"theta is {theta.dtype} {theta.shape}, expected float64 "
+                             f"({parameter_count(self.config)},)")
+        groups, pos = [], 0
+        for shapes in _layout(self.config):
+            group = []
+            for out_ch, in_ch, k, dilation in shapes:
+                end = pos + out_ch * in_ch * k
+                group.append(ConvParams(theta[pos:end].reshape(out_ch, in_ch, k),
+                                        theta[end:end + out_ch], dilation))
+                pos = end + out_ch
+            groups.append(group)
+        *block_groups, (head,) = groups
+        self.layers = [conv for group in groups for conv in group]
+        self.blocks = [ResidualBlock(*group) for group in block_groups]
+        self.head_weights = head.weights.reshape(-1)
+        self.head_bias = head.bias
 
     def parameters(self) -> list[np.ndarray]:
-        """All trainable arrays in serialization order (blocks, then head)."""
-        arrays: list[np.ndarray] = []
-        for block in self.blocks:
-            arrays += block.param_arrays()
-        arrays += [self.head_weights, self.head_bias]
-        return arrays
+        """Views of every trainable array in parameter order (blocks, then head)."""
+        arrays = [a for conv in self.layers[:-1] for a in (conv.weights, conv.bias)]
+        return arrays + [self.head_weights, self.head_bias]
 
 
 def build_model(config: TcnConfig, seed: int, norm: NormalizationParams | None = None) -> TcnModel:
@@ -116,20 +149,14 @@ def build_model(config: TcnConfig, seed: int, norm: NormalizationParams | None =
     uniform weights then bias in [-1/sqrt(fan_in), +1/sqrt(fan_in)].
     """
     config.validate()
+    model = TcnModel(config, np.empty(parameter_count(config)), norm=norm, seed=seed)
     parent = SplitMix64(seed)
-    blocks = []
-    for in_ch, out_ch, dilation in _block_specs(config):
-        conv1 = init_conv_params(out_ch, in_ch, config.kernel_size, dilation, parent.spawn())
-        conv2 = init_conv_params(out_ch, out_ch, config.kernel_size, dilation, parent.spawn())
-        downsample = None
-        if in_ch != out_ch:
-            downsample = init_conv_params(out_ch, in_ch, 1, 1, parent.spawn())
-        blocks.append(ResidualBlock(conv1, conv2, downsample))
-    head_rng = parent.spawn()
-    bound = 1.0 / np.sqrt(config.filters)
-    head_weights = head_rng.uniform(-bound, bound, (config.filters,))
-    head_bias = head_rng.uniform(-bound, bound, (1,))
-    return TcnModel(config, blocks, head_weights, head_bias, norm=norm, seed=seed)
+    for conv in model.layers:
+        init = init_conv_params(conv.out_channels, conv.in_channels, conv.kernel_size,
+                                conv.dilation, parent.spawn())
+        conv.weights[...] = init.weights
+        conv.bias[...] = init.bias
+    return model
 
 
 @dataclass
@@ -231,10 +258,5 @@ def receptive_field(config: TcnConfig) -> int:
 
 def parameter_count(config: TcnConfig) -> int:
     """Exact number of trainable scalars, downsample layers and head included."""
-    total = 0
-    for in_ch, out_ch, _ in _block_specs(config):
-        total += out_ch * in_ch * config.kernel_size + out_ch
-        total += out_ch * out_ch * config.kernel_size + out_ch
-        if in_ch != out_ch:
-            total += out_ch * in_ch + out_ch
-    return total + config.filters + 1
+    return sum(out_ch * in_ch * k + out_ch
+               for shapes in _layout(config) for out_ch, in_ch, k, _ in shapes)

@@ -7,19 +7,19 @@ Layout (all integers little-endian):
     bytes 8-11   u32 header length H
     H bytes      UTF-8 ``key=value`` lines: config fields, normalization
                  ranges, creation seed, writer tag
-    4*P bytes    weight payload, float32, one value per trainable scalar in
-                 model order (per block: conv1 weights, conv1 bias, conv2
-                 weights, conv2 bias, downsample weights+bias if present;
-                 finally head weights, head bias)
+    4*P bytes    weight payload: the model's parameter vector ``theta`` as
+                 float32, in the parameter order of ``model._layout``
     4 bytes      u32 CRC32 of the payload
 
 Floats in the header use Python's shortest round-trip repr, so a
 serialize/deserialize/serialize cycle is byte-identical. The header carries
-no timestamps: identical models produce identical files.
+no timestamps: identical models produce identical files. Non-finite weights
+and non-finite or empty normalization ranges are rejected.
 """
 
 from __future__ import annotations
 
+import math
 import struct
 import zlib
 from pathlib import Path
@@ -27,8 +27,7 @@ from pathlib import Path
 import numpy as np
 
 from .data import CHANNEL_NAMES, NormalizationParams
-from .model import TcnConfig, TcnModel, _block_specs, parameter_count
-from .kernels import ConvParams
+from .model import TcnConfig, TcnModel, parameter_count
 
 MAGIC = b"TCN1"
 FORMAT_VERSION = 1
@@ -83,6 +82,7 @@ def _parse_header(text: str, path: Path) -> tuple[TcnConfig, NormalizationParams
             **{name: int(fields[name]) for name in _CONFIG_INT_FIELDS},
             p_keep=float(fields["p_keep"]),
         )
+        cfg.validate()
         seed = int(fields["seed"])
         norm = NormalizationParams(**{
             f"{name}_{end}": float(fields[f"norm_{name}_{end}"])
@@ -93,18 +93,30 @@ def _parse_header(text: str, path: Path) -> tuple[TcnConfig, NormalizationParams
         raise ModelFormatError(f"{path}: header is missing key {exc}") from None
     except ValueError as exc:
         raise ModelFormatError(f"{path}: bad header value ({exc})") from None
+    for key, value in norm.as_dict().items():
+        if not math.isfinite(value):
+            raise ModelFormatError(f"{path}: header norm_{key}={value!r} is not finite")
+    for name in CHANNEL_NAMES:
+        lo, hi = norm.bounds(name)
+        if not lo < hi:
+            raise ModelFormatError(
+                f"{path}: header norm_{name}_max={hi!r} is not above norm_{name}_min={lo!r}"
+            )
     return cfg, norm, seed
 
 
-def _payload_bytes(model: TcnModel) -> bytes:
-    parts = [np.ascontiguousarray(arr, dtype="<f4").tobytes() for arr in model.parameters()]
-    return b"".join(parts)
+def _check_finite(values: np.ndarray, path) -> None:
+    bad = np.flatnonzero(~np.isfinite(values))
+    if bad.size:
+        raise ModelFormatError(f"{path}: parameter {bad[0]} is not finite ({values[bad[0]]})")
 
 
 def serialize(model: TcnModel, destination) -> int:
     """Write the model; returns the number of bytes written."""
     header = _header_text(model).encode("utf-8")
-    payload = _payload_bytes(model)
+    values = model.theta.astype("<f4")
+    _check_finite(values, destination)
+    payload = values.tobytes()
     blob = b"".join([
         MAGIC,
         struct.pack("<I", FORMAT_VERSION),
@@ -137,7 +149,6 @@ def deserialize(source) -> TcnModel:
     except UnicodeDecodeError as exc:
         raise ModelFormatError(f"{path}: header is not UTF-8 ({exc})") from None
     cfg, norm, seed = _parse_header(header, path)
-    cfg.validate()
 
     n_params = parameter_count(cfg)
     expected = body_start + 4 * n_params + 4
@@ -157,31 +168,6 @@ def deserialize(source) -> TcnModel:
             f"(stored {stored_crc:#010x}, computed {actual_crc:#010x})"
         )
 
-    values = np.frombuffer(payload, dtype="<f4").astype(np.float64)
-    return _model_from_flat(cfg, norm, seed, values)
-
-
-def _model_from_flat(cfg: TcnConfig, norm: NormalizationParams, seed: int,
-                     values: np.ndarray) -> TcnModel:
-    from .model import ResidualBlock
-
-    pos = 0
-
-    def take(shape) -> np.ndarray:
-        nonlocal pos
-        n = int(np.prod(shape))
-        out = values[pos:pos + n].reshape(shape).copy()
-        pos += n
-        return out
-
-    blocks = []
-    for in_ch, out_ch, dilation in _block_specs(cfg):
-        conv1 = ConvParams(take((out_ch, in_ch, cfg.kernel_size)), take((out_ch,)), dilation)
-        conv2 = ConvParams(take((out_ch, out_ch, cfg.kernel_size)), take((out_ch,)), dilation)
-        downsample = None
-        if in_ch != out_ch:
-            downsample = ConvParams(take((out_ch, in_ch, 1)), take((out_ch,)), 1)
-        blocks.append(ResidualBlock(conv1, conv2, downsample))
-    head_weights = take((cfg.filters,))
-    head_bias = take((1,))
-    return TcnModel(cfg, blocks, head_weights, head_bias, norm=norm, seed=seed)
+    theta = np.frombuffer(payload, dtype="<f4").astype(np.float64)
+    _check_finite(theta, path)
+    return TcnModel(cfg, theta, norm=norm, seed=seed)

@@ -91,13 +91,12 @@ def train(
     x_train, y_train = dataset.x[train_idx], dataset.y[train_idx]
     x_val, y_val = dataset.x[val_idx], dataset.y[val_idx]
 
-    params = model.parameters()
-    state = AdamState.for_params(params, lr=config.learning_rate)
+    state = AdamState.for_params([model.theta], lr=config.learning_rate)
     dropout_rng = rng.spawn()
 
     history: list[EpochStats] = []
     best_val = math.inf
-    best_params = None
+    best_theta = None
     stale = 0
 
     for epoch in range(config.epochs):
@@ -111,7 +110,7 @@ def train(
             grad_y = np.zeros_like(y_full)
             grad_y[:, -1] = grad_pred
             grads = backward(model, cache, grad_y)
-            adam_step(params, grads, state)
+            adam_step([model.theta], [np.concatenate([g.ravel() for g in grads])], state)
             sq_sum += loss * len(batch)
         train_mse = sq_sum / len(train_idx)
 
@@ -123,16 +122,15 @@ def train(
         if config.early_stop_patience and n_val:
             if val_mse < best_val:
                 best_val = val_mse
-                best_params = [p.copy() for p in params]
+                best_theta = model.theta.copy()
                 stale = 0
             else:
                 stale += 1
                 if stale >= config.early_stop_patience:
                     break
 
-    if best_params is not None:
-        for p, best in zip(params, best_params):
-            p[...] = best
+    if best_theta is not None:
+        model.theta[...] = best_theta
     return model, history
 
 

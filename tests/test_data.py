@@ -121,6 +121,50 @@ def test_load_rejects_non_increasing_time(tmp_path):
 # ---------------------------------------------------------------- coulomb
 
 
+@pytest.mark.parametrize("row, message", [
+    ("nan,3.0,1.0,25.0,0.5", "time_s is not finite"),
+    ("1.0,nan,1.0,25.0,0.5", "voltage_v is not finite"),
+    ("1.0,3.0,inf,25.0,0.5", "current_a is not finite"),
+    ("1.0,3.0,1.0,-inf,0.5", "temperature_c is not finite"),
+    ("1.0,3.0,1.0,25.0,nan", "soc is not finite"),
+    ("1.0,3.0,1.0,25.0,1.7", "soc 1.7 outside"),
+    ("1.0,3.0,1.0,25.0,-0.02", "soc -0.02 outside"),
+])
+def test_load_rejects_non_finite_and_out_of_band_values(tmp_path, row, message):
+    path = tmp_path / "bad.csv"
+    path.write_text(
+        "time_s,voltage_v,current_a,temperature_c,soc\n"
+        "0.0,3.0,1.0,25.0,0.5\n"
+        f"{row}\n"
+        "2.0,3.0,1.0,25.0,0.5\n"
+    )
+    with pytest.raises(ValueError, match=f"line 3: {message}"):
+        load_csv(path)
+
+
+def test_load_counts_blank_lines_in_time_error(tmp_path):
+    path = tmp_path / "bad.csv"
+    path.write_text(
+        "time_s,voltage_v,current_a,temperature_c\n"
+        "0.0,3.0,1.0,25.0\n"
+        "\n"
+        "1.0,3.0,1.0,25.0\n"
+        "1.0,3.0,1.0,25.0\n"
+    )
+    with pytest.raises(ValueError, match="line 5: time_s not strictly increasing"):
+        load_csv(path)
+
+
+def test_load_accepts_soc_band_edges(tmp_path):
+    path = tmp_path / "edges.csv"
+    path.write_text(
+        "time_s,voltage_v,current_a,temperature_c,soc\n"
+        "0.0,3.0,1.0,25.0,-0.01\n"
+        "1.0,3.0,1.0,25.0,1.01\n"
+    )
+    assert load_csv(path).soc.tolist() == [-0.01, 1.01]
+
+
 def test_coulomb_full_discharge_anchor():
     # rated current for one hour drains exactly one full charge
     t = np.arange(0.0, 3600.0 + 1.0)

@@ -398,6 +398,22 @@ def test_adam_matches_reference_over_many_steps():
     assert state.step == 25
 
 
+def test_adam_flat_vector_matches_per_array_update():
+    # one update over the concatenated vector is the per-array update, bit for bit
+    rng = SplitMix64(601)
+    shapes = [(3, 2), (4,), (2, 2, 2), (1,)]
+    params = [rng.uniform(-1, 1, s) for s in shapes]
+    flat = np.concatenate([p.ravel() for p in params])
+    per_array = AdamState.for_params(params, lr=0.01)
+    flat_state = AdamState.for_params([flat], lr=0.01)
+    for _ in range(7):
+        grads = [rng.uniform(-1, 1, s) for s in shapes]
+        adam_step(params, grads, per_array)
+        adam_step([flat], [np.concatenate([g.ravel() for g in grads])], flat_state)
+        assert np.array_equal(flat, np.concatenate([p.ravel() for p in params]))
+    assert flat_state.step == per_array.step == 7
+
+
 def test_adam_updates_in_place():
     p = np.ones(4)
     ref = p

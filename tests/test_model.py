@@ -6,6 +6,7 @@ import pytest
 from helpers import conv_oracle, make_positive, model_forward_oracle
 from tcnsoc.model import (
     TcnConfig,
+    TcnModel,
     backward,
     build_model,
     forward,
@@ -14,6 +15,7 @@ from tcnsoc.model import (
     predict,
     receptive_field,
 )
+from tcnsoc.modelio import deserialize, serialize
 from tcnsoc.rng import SplitMix64
 
 
@@ -102,11 +104,27 @@ def test_parameter_count_hand_derived():
     assert sum(a.size for a in m.parameters()) == 49
 
 
-def test_parameter_count_matches_arrays():
+def test_parameter_count_matches_arrays(tmp_path):
     for cfg in (tiny_config(), tiny_config(stacks=3, filters=5, kernel_size=4),
                 TcnConfig(stacks=2, input_window=64)):
         m = build_model(cfg, seed=7)
         assert sum(a.size for a in m.parameters()) == parameter_count(cfg)
+        path = tmp_path / "m.bin"
+        serialize(m, path)
+        for model in (m, deserialize(path)):
+            # every array is a view into the one flat vector, in its order
+            assert model.theta.size == parameter_count(cfg)
+            assert all(np.shares_memory(a, model.theta) for a in model.parameters())
+            assert np.array_equal(
+                np.concatenate([a.ravel() for a in model.parameters()]), model.theta)
+
+
+def test_model_rejects_theta_of_wrong_size_or_dtype():
+    cfg = tiny_config()
+    n = parameter_count(cfg)
+    for theta in (np.zeros(n - 1), np.zeros(n + 1), np.zeros(n, dtype=np.float32)):
+        with pytest.raises(ValueError, match="theta"):
+            TcnModel(cfg, theta)
 
 
 def test_parameter_count_grows_linearly_in_stacks():

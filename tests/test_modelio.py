@@ -246,3 +246,65 @@ def test_many_random_models_round_trip(tmp_path):
         for a, b in zip(m2.parameters(), m3.parameters()):
             assert np.array_equal(a, b)
         assert m2.config == cfg
+
+
+@pytest.mark.parametrize("cfg, crc", [
+    (dict(stacks=2, input_window=100), 0xEC814F28),
+    (dict(stacks=2, input_window=100, filters=8), 0x788A3C7F),
+    (dict(stacks=1, input_window=12, kernel_size=3, filters=3, blocks_per_stack=2),
+     0x3FBAFF1E),
+])
+def test_payload_crc_is_pinned(tmp_path, cfg, crc):
+    # fixed init draws in the fixed parameter order; the last two have downsamples
+    path = tmp_path / "m.bin"
+    serialize(build_model(TcnConfig(**cfg), seed=7), path)
+    assert struct.unpack("<I", path.read_bytes()[-4:])[0] == crc
+
+
+def rewrite_payload_value(path, index, value):
+    """Store one payload float and recompute the CRC, so only the value is wrong."""
+    blob = bytearray(path.read_bytes())
+    header_len = struct.unpack_from("<I", blob, 8)[0]
+    start = 12 + header_len
+    struct.pack_into("<f", blob, start + 4 * index, value)
+    struct.pack_into("<I", blob, len(blob) - 4, zlib.crc32(blob[start:-4]) & 0xFFFFFFFF)
+    path.write_bytes(bytes(blob))
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+def test_non_finite_weight_rejected(tmp_path, value):
+    path = tmp_path / "m.bin"
+    serialize(small_model(seed=4), path)
+    rewrite_payload_value(path, 17, value)
+    with pytest.raises(ModelFormatError, match=r"m\.bin: parameter 17 is not finite"):
+        deserialize(path)
+
+
+def test_serialize_refuses_weights_not_finite_in_float32(tmp_path):
+    model = small_model(seed=4)
+    model.theta[5] = 1e39  # finite in float64, inf in float32
+    with pytest.warns(RuntimeWarning), \
+            pytest.raises(ModelFormatError, match="parameter 5 is not finite"):
+        serialize(model, tmp_path / "m.bin")
+    assert not (tmp_path / "m.bin").exists()
+
+
+@pytest.mark.parametrize("old, new, message", [
+    ("norm_soc_max=1.0", "norm_soc_max=nan", "header norm_soc_max=nan is not finite"),
+    ("norm_voltage_min=3.0", "norm_voltage_min=inf", "header norm_voltage_min=inf is not finite"),
+    ("norm_voltage_min=3.0", "norm_voltage_min=4.2", "header norm_voltage_max=4.2 is not above"),
+    ("norm_voltage_min=3.0", "norm_voltage_min=5.0", "header norm_voltage_max=4.2 is not above"),
+    ("p_keep=0.9", "p_keep=nan", r"bad header value \(config field p_keep"),
+    ("stacks=1", "stacks=0", r"bad header value \(config field stacks"),
+])
+def test_bad_header_value_rejected(tmp_path, old, new, message):
+    path = tmp_path / "m.bin"
+    serialize(small_model(), path)
+    blob = path.read_bytes()
+    header_len = struct.unpack_from("<I", blob, 8)[0]
+    header = blob[12:12 + header_len].decode()
+    assert old in header
+    bad = header.replace(old, new, 1).encode()
+    path.write_bytes(blob[:8] + struct.pack("<I", len(bad)) + bad + blob[12 + header_len:])
+    with pytest.raises(ModelFormatError, match=f"m\\.bin: {message}"):
+        deserialize(path)
