@@ -83,26 +83,25 @@ def _check_input(x: np.ndarray, params: ConvParams) -> None:
 
 
 def _tap_stack(x: np.ndarray, kernel_size: int, dilation: int) -> np.ndarray:
-    """Left-padded tap tensor (batch, channels, kernel, time).
-
-    Tap j at output time t reads input time t - (k-1-j)*d; out-of-range
-    positions are zero, so the output depends only on times <= t.
+    """Causal tap matrix (batch, channels*kernel, time), rows in the order of
+    ``weights.reshape(out_channels, -1)``: row c*k + j at time t holds
+    x[c, t - (k-1-j)*d], or 0 where that time is negative.
     """
-    t = x.shape[2]
-    pad = (kernel_size - 1) * dilation
-    padded = np.pad(x, ((0, 0), (0, 0), (pad, 0)))
-    return np.stack(
-        [padded[:, :, j * dilation : j * dilation + t] for j in range(kernel_size)],
-        axis=2,
-    )
+    b, c, t = x.shape
+    taps = np.zeros((b, c, kernel_size, t))
+    for j in range(kernel_size):
+        s = (kernel_size - 1 - j) * dilation
+        if s < t:
+            taps[:, :, j, s:] = x[:, :, :t - s]
+    return taps.reshape(b, c * kernel_size, t)
 
 
 def causal_conv_forward(x: np.ndarray, params: ConvParams) -> np.ndarray:
     """y[b,o,t] = bias[o] + sum_{c,j} w[o,c,j] * x[b,c,t-(k-1-j)*d]."""
     _check_input(x, params)
     taps = _tap_stack(x, params.kernel_size, params.dilation)
-    out = np.einsum("ocj,bcjt->bot", params.weights, taps, optimize=True)
-    out += params.bias[None, :, None]
+    out = params.weights.reshape(params.out_channels, -1) @ taps
+    out += params.bias[:, None]
     return out
 
 
@@ -111,25 +110,25 @@ def causal_conv_backward(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Exact gradients of sum(grad_out * forward(x)) w.r.t. x, weights, bias."""
     _check_input(x, params)
-    b, _, t = x.shape
+    b, c, t = x.shape
     expected = (b, params.out_channels, t)
     if grad_out.shape != expected:
         raise ValueError(
             f"grad_out shape {grad_out.shape} does not match forward output {expected}"
         )
     k, d = params.kernel_size, params.dilation
-    pad = (k - 1) * d
+    w2d = params.weights.reshape(params.out_channels, -1)
 
     grad_bias = grad_out.sum(axis=(0, 2))
     taps = _tap_stack(x, k, d)
-    grad_weights = np.einsum("bot,bcjt->ocj", grad_out, taps, optimize=True)
-
-    grad_padded = np.zeros((b, params.in_channels, t + pad))
+    grad_weights = (grad_out @ taps.transpose(0, 2, 1)).sum(axis=0).reshape(params.weights.shape)
+    grad_taps = (w2d.T @ grad_out).reshape(b, c, k, t)
+    grad_x = np.zeros_like(x)
     for j in range(k):
-        grad_padded[:, :, j * d : j * d + t] += np.einsum(
-            "oc,bot->bct", params.weights[:, :, j], grad_out, optimize=True
-        )
-    return grad_padded[:, :, pad:], grad_weights, grad_bias
+        s = (k - 1 - j) * d
+        if s < t:
+            grad_x[:, :, :t - s] += grad_taps[:, :, j, s:]
+    return grad_x, grad_weights, grad_bias
 
 
 def relu(x: np.ndarray) -> np.ndarray:
@@ -178,7 +177,7 @@ def linear_head_forward(
             f"head weights shape {weights.shape} does not match "
             f"{x.shape[1]} input channels"
         )
-    return np.einsum("c,bct->bt", weights, x, optimize=True) + bias
+    return weights @ x + bias
 
 
 def linear_head_backward(
@@ -190,7 +189,7 @@ def linear_head_backward(
             f"grad_out shape {grad_out.shape} does not match "
             f"output shape {(x.shape[0], x.shape[2])}"
         )
-    grad_weights = np.einsum("bt,bct->c", grad_out, x, optimize=True)
+    grad_weights = np.tensordot(grad_out, x, axes=([0, 1], [0, 2]))
     grad_bias = float(grad_out.sum())
     grad_x = weights[None, :, None] * grad_out[:, None, :]
     return grad_x, grad_weights, grad_bias

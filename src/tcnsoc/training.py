@@ -164,7 +164,8 @@ def _closed_loop_predictions(model: TcnModel, cycle: DriveCycle) -> np.ndarray:
     """Sequential prediction feeding estimates back into the past-SOC channel.
 
     Ground-truth SOC is read only inside the first window; every later
-    past-SOC value is a normalized fed-back prediction.
+    past-SOC value is a normalized fed-back prediction. A non-finite
+    prediction raises ValueError before it is fed back.
     """
     norm = model.norm
     window = model.config.input_window
@@ -181,6 +182,9 @@ def _closed_loop_predictions(model: TcnModel, cycle: DriveCycle) -> np.ndarray:
         buf[0, 3, 0] = soc_feedback[s]
         buf[0, 3, 1:] = soc_feedback[s:e - 1]
         pred = float(forward(model, buf)[0, -1])
+        if not math.isfinite(pred):
+            raise ValueError(f"closed-loop prediction diverged to {pred} at step {w} "
+                             f"(t={cycle.time_s[e - 1]:g} s) of cycle {cycle.name!r}")
         preds[w] = pred
         soc_feedback[e - 1] = (pred - lo) / (hi - lo)
     return preds

@@ -1,13 +1,14 @@
 """Tests for the convolution/activation/optimizer primitives.
 
-The convolution oracle is a deliberately naive quadruple loop over the
-defining sum; everything vectorized is checked against it.
+The convolution oracle (``helpers.conv_oracle``) is a deliberately naive
+loop over the defining sum; everything vectorized is checked against it.
 """
 
 import math
 
 import numpy as np
 import pytest
+from helpers import conv_oracle
 
 from tcnsoc.kernels import (
     AdamState,
@@ -25,23 +26,6 @@ from tcnsoc.kernels import (
     relu_backward,
 )
 from tcnsoc.rng import SplitMix64
-
-
-def conv_oracle(x: np.ndarray, w: np.ndarray, b: np.ndarray, d: int) -> np.ndarray:
-    batch, channels, steps = x.shape
-    out_ch, _, k = w.shape
-    out = np.zeros((batch, out_ch, steps))
-    for bi in range(batch):
-        for o in range(out_ch):
-            for t in range(steps):
-                acc = b[o]
-                for c in range(channels):
-                    for j in range(k):
-                        ti = t - (k - 1 - j) * d
-                        if ti >= 0:
-                            acc += w[o, c, j] * x[bi, c, ti]
-                out[bi, o, t] = acc
-    return out
 
 
 def random_case(rng, batch, in_ch, out_ch, k, d, steps):
@@ -68,6 +52,27 @@ def test_forward_matches_oracle():
             got = causal_conv_forward(x, params)
             want = conv_oracle(x, params.weights, params.bias, d)
             assert np.allclose(got, want, rtol=0, atol=1e-12), (batch, k, d)
+
+
+# shapes the tap slicing handles separately: (batch, in, out, k, d, steps)
+EDGE_CASES = [
+    pytest.param(2, 2, 3, 4, 5, 5, id="all-but-newest-tap-in-padding"),
+    pytest.param(1, 2, 2, 3, 2, 4, id="oldest-tap-shift-equals-steps"),
+    pytest.param(1, 1, 1, 1, 1, 1, id="one-step-one-tap"),
+    pytest.param(1, 3, 2, 4, 2, 1, id="one-step-many-taps"),
+    pytest.param(2, 4, 8, 8, 1, 30, id="first-layer-4-to-8"),
+    pytest.param(2, 4, 4, 8, 8, 500, id="benchmark-shape"),
+]
+
+
+@pytest.mark.parametrize("batch, in_ch, out_ch, k, d, steps", EDGE_CASES)
+def test_forward_edge_cases_match_oracle(batch, in_ch, out_ch, k, d, steps):
+    rng = SplitMix64(101 + k * d + steps)
+    x, params = random_case(rng, batch, in_ch, out_ch, k, d, steps)
+    got = causal_conv_forward(x, params)
+    assert got.shape == (batch, out_ch, steps)
+    assert np.allclose(got, conv_oracle(x, params.weights, params.bias, d),
+                       rtol=0, atol=1e-12)
 
 
 def test_forward_identity_kernel():
@@ -123,12 +128,13 @@ def test_forward_rejects_bad_shapes():
 # ---------------------------------------------------------------- backward
 
 
-def _fd_grad(f, x, step=1e-6):
-    """Central finite differences of scalar f at array x."""
+def _fd_grad(f, x, step=1e-6, positions=None):
+    """Central finite differences of scalar f at array x; with ``positions``,
+    only at those flat indices (the rest of the result stays 0)."""
     g = np.zeros_like(x)
     flat = x.ravel()
     gflat = g.ravel()
-    for i in range(flat.size):
+    for i in range(flat.size) if positions is None else positions:
         keep = flat[i]
         flat[i] = keep + step
         hi = f()
@@ -156,6 +162,24 @@ def test_backward_matches_finite_differences():
         assert np.allclose(gx, _fd_grad(loss, x), rtol=1e-6, atol=1e-8)
         assert np.allclose(gw, _fd_grad(loss, params.weights), rtol=1e-6, atol=1e-8)
         assert np.allclose(gb, _fd_grad(loss, params.bias), rtol=1e-6, atol=1e-8)
+
+
+@pytest.mark.parametrize("batch, in_ch, out_ch, k, d, steps", EDGE_CASES)
+def test_backward_edge_cases_match_finite_differences(batch, in_ch, out_ch, k, d, steps):
+    rng = SplitMix64(302 + k * d + steps)
+    x, params = random_case(rng, batch, in_ch, out_ch, k, d, steps)
+    r = rng.uniform(-1, 1, (batch, out_ch, steps))
+
+    def loss():
+        return float(np.sum(causal_conv_forward(x, params) * r))
+
+    grads = causal_conv_backward(x, params, r)
+    for grad, arr in zip(grads, (x, params.weights, params.bias)):
+        assert grad.shape == arr.shape
+        # 48 seeded positions keep the 4000-input benchmark shape fast
+        at = np.arange(arr.size) if arr.size <= 48 else rng.permutation(arr.size)[:48]
+        want = _fd_grad(loss, arr, positions=at)
+        assert np.allclose(grad.ravel()[at], want.ravel()[at], rtol=1e-6, atol=1e-8)
 
 
 def test_backward_rejects_bad_grad_shape():

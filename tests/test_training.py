@@ -2,8 +2,11 @@
 
 import math
 
+import re
+
 import numpy as np
 import pytest
+from helpers import make_positive
 
 from tcnsoc.data import (
     DEFAULT_CELL,
@@ -279,6 +282,32 @@ def test_evaluate_closed_loop_matches_teacher_on_first_step():
     _, closed = evaluate(model, probe, mode="closed-loop")
     assert teacher.soc_pred[0] == pytest.approx(closed.soc_pred[0], abs=1e-12)
     assert len(teacher.soc_pred) == len(closed.soc_pred)
+
+
+def test_evaluate_closed_loop_divergence_raises_at_first_non_finite_step():
+    cycles = [sim_cycle(seed=0), sim_cycle(seed=1)]
+    cfg = TcnConfig(stacks=1, input_window=20, kernel_size=3, filters=3,
+                    blocks_per_stack=2)
+    model = build_model(cfg, seed=2, norm=fit_normalization(cycles))
+    make_positive(model)
+    model.head_weights *= 10.0  # every fed-back estimate grows the next one
+    probe = sim_cycle(seed=3)
+    # the overflow on the way to inf is expected; the error is what is tested
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(ValueError, match="diverged") as info:
+            evaluate(model, probe, mode="closed-loop")
+    step = int(re.search(r"step (\d+)", str(info.value)).group(1))
+    assert f"t={probe.time_s[step + 19]:g} s" in str(info.value)
+    assert "urban3" in str(info.value)
+
+    # every earlier step is finite: the cycle cut just before it runs through
+    cut = type(probe)(*(a[:step + 19] for a in (
+        probe.time_s, probe.voltage_v, probe.current_a, probe.temperature_c,
+        probe.soc)), probe.name)
+    with np.errstate(over="ignore"):  # squaring the huge errors in the metrics
+        _, trace = evaluate(model, cut, mode="closed-loop")
+    assert len(trace.soc_pred) == step
+    assert np.isfinite(trace.soc_pred).all()
 
 
 def test_evaluate_errors():
