@@ -15,13 +15,17 @@ from pathlib import Path
 from typing import Iterator, NamedTuple
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .rng import SplitMix64
 
 CSV_COLUMNS = ["time_s", "voltage_v", "current_a", "temperature_c", "soc"]
 
-# Input channel order used everywhere: voltage, current, temperature, past SOC.
-CHANNEL_NAMES = ["voltage", "current", "temperature", "soc"]
+# Input channel order used everywhere: voltage, current, temperature, past
+# SOC, each with the DriveCycle column it is read from.
+_CHANNEL_COLUMNS = {"voltage": "voltage_v", "current": "current_a",
+                    "temperature": "temperature_c", "soc": "soc"}
+CHANNEL_NAMES = list(_CHANNEL_COLUMNS)
 
 # Accepted range of SOC labels: [0, 1] plus a margin for integration and
 # sensor drift, both in loaded CSVs and in coulomb-counted labels.
@@ -237,22 +241,17 @@ def fit_normalization(cycles: list[DriveCycle]) -> NormalizationParams:
     if not cycles:
         raise ValueError("fit_normalization needs at least one cycle")
     values: dict[str, float] = {}
-    columns = {
-        "voltage": "voltage_v",
-        "current": "current_a",
-        "temperature": "temperature_c",
-    }
-    for feature in CHANNEL_NAMES:
-        parts = []
+    for feature, column in _CHANNEL_COLUMNS.items():
+        lows, highs = [], []
         for cycle in cycles:
-            col = cycle.soc if feature == "soc" else getattr(cycle, columns[feature])
+            col = getattr(cycle, column)
             if col is None:
                 raise ValueError(
                     f"cycle {cycle.name!r} has no SOC labels; run coulomb_count first"
                 )
-            parts.append(col)
-        stacked = np.concatenate(parts)
-        lo, hi = float(stacked.min()), float(stacked.max())
+            lows.append(col.min())
+            highs.append(col.max())
+        lo, hi = float(np.min(lows)), float(np.max(highs))
         if hi == lo:
             raise ValueError(f"feature {feature!r} is constant ({lo}); cannot normalize")
         values[f"{feature}_min"] = lo
@@ -267,14 +266,31 @@ def apply_normalization(cycle: DriveCycle, params: NormalizationParams) -> np.nd
     """
     if cycle.soc is None:
         raise ValueError(f"cycle {cycle.name!r} has no SOC labels")
-    rows = []
-    for feature, col in zip(
-        CHANNEL_NAMES,
-        (cycle.voltage_v, cycle.current_a, cycle.temperature_c, cycle.soc),
-    ):
+    features = np.empty((len(CHANNEL_NAMES), len(cycle)))
+    for row, (feature, column) in zip(features, _CHANNEL_COLUMNS.items()):
         lo, hi = params.bounds(feature)
-        rows.append((col - lo) / (hi - lo))
-    return np.stack(rows)
+        row[:] = (getattr(cycle, column) - lo) / (hi - lo)
+    return features
+
+
+def _window_cutter(features: np.ndarray, window: int):
+    """Cut model inputs from a strided view of the (4, n) features: the
+    returned function maps a slice of window starts to a fresh (B, 4, window)
+    array. Channels 0-2 are copied as they are; past SOC is the label shifted
+    one step, its first element padded with the window's own first value.
+    The view reads ``features``, so feedback written there shows in every
+    window cut afterwards."""
+    view = sliding_window_view(features, window, axis=1)  # (4, n - window + 1, window)
+
+    def cut(starts: slice) -> np.ndarray:
+        part = view[:, starts]
+        x = np.empty((part.shape[1], 4, window))
+        x[:, :3] = part[:3].transpose(1, 0, 2)
+        x[:, 3, 0] = part[3, :, 0]
+        x[:, 3, 1:] = part[3, :, :-1]
+        return x
+
+    return cut
 
 
 @dataclass
@@ -309,11 +325,7 @@ def make_windows(
     stride: int = 1,
     source_tag: int = 0,
 ) -> WindowedDataset:
-    """Slice one cycle into normalized windows starting at 0, stride, 2*stride...
-
-    The past-SOC channel inside each window is the normalized label shifted
-    one step; its first element is padded with the window's own first value.
-    """
+    """Slice one cycle into normalized windows starting at 0, stride, 2*stride..."""
     if window < 1 or stride < 1:
         raise ValueError(f"window and stride must be >= 1, got {window}/{stride}")
     n = len(cycle)
@@ -321,16 +333,8 @@ def make_windows(
         raise ValueError(
             f"cycle {cycle.name!r} has {n} samples, shorter than window {window}"
         )
-    features = apply_normalization(cycle, params)
     starts = np.arange(0, n - window + 1, stride)
-    idx = starts[:, None] + np.arange(window)[None, :]
-
-    x = np.empty((len(starts), 4, window))
-    x[:, :3, :] = features[:3][:, idx].transpose(1, 0, 2)
-    soc_norm = features[3]
-    past_idx = idx - 1
-    past_idx[:, 0] = starts  # pad first element with the window's first value
-    x[:, 3, :] = soc_norm[past_idx]
+    x = _window_cutter(apply_normalization(cycle, params), window)(slice(0, None, stride))
 
     y = cycle.soc[starts + window - 1].copy()
     return WindowedDataset(

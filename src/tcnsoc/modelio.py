@@ -5,8 +5,8 @@ Layout (all integers little-endian):
     bytes 0-3    magic ``TCN1``
     bytes 4-7    u32 format version (currently 1)
     bytes 8-11   u32 header length H
-    H bytes      UTF-8 ``key=value`` lines: config fields, normalization
-                 ranges, creation seed, writer tag
+    H bytes      UTF-8 ``key=value`` lines: config fields, creation seed,
+                 normalization ranges (only if trained), writer tag
     4*P bytes    weight payload: the model's parameter vector ``theta`` as
                  float32, in the parameter order of ``model._layout``
     4 bytes      u32 CRC32 of the payload
@@ -59,16 +59,16 @@ class ChecksumError(ModelFormatError):
 
 def _header_text(model: TcnModel) -> str:
     cfg = model.config
-    norm = model.norm if model.norm is not None else NormalizationParams.identity()
     lines = [f"{name}={getattr(cfg, name)}" for name in _CONFIG_INT_FIELDS]
     lines.append(f"p_keep={cfg.p_keep!r}")
     lines.append(f"seed={model.seed}")
-    lines += [f"norm_{key}={value!r}" for key, value in norm.as_dict().items()]
+    if model.norm is not None:  # an untrained model has no norm_* lines
+        lines += [f"norm_{key}={value!r}" for key, value in model.norm.as_dict().items()]
     lines.append(f"writer={_WRITER}")
     return "\n".join(lines) + "\n"
 
 
-def _parse_header(text: str, path: Path) -> tuple[TcnConfig, NormalizationParams, int]:
+def _parse_header(text: str, path: Path) -> tuple[TcnConfig, NormalizationParams | None, int]:
     fields: dict[str, str] = {}
     for line in text.splitlines():
         if not line.strip():
@@ -84,11 +84,10 @@ def _parse_header(text: str, path: Path) -> tuple[TcnConfig, NormalizationParams
         )
         cfg.validate()
         seed = int(fields["seed"])
-        norm = NormalizationParams(**{
-            f"{name}_{end}": float(fields[f"norm_{name}_{end}"])
-            for name in CHANNEL_NAMES
-            for end in ("min", "max")
-        })
+        norm_keys = [f"{name}_{end}" for name in CHANNEL_NAMES for end in ("min", "max")]
+        if not any(f"norm_{key}" in fields for key in norm_keys):
+            return cfg, None, seed
+        norm = NormalizationParams(**{key: float(fields[f"norm_{key}"]) for key in norm_keys})
     except KeyError as exc:
         raise ModelFormatError(f"{path}: header is missing key {exc}") from None
     except ValueError as exc:

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import DriveCycle, WindowedDataset, apply_normalization
+from .data import DriveCycle, WindowedDataset, _window_cutter, apply_normalization
 from .kernels import AdamState, adam_step, mse_loss
 from .model import TcnModel, backward, forward, forward_with_cache
 from .rng import SplitMix64
@@ -55,11 +55,19 @@ class EpochStats:
     val_mse: float  # NaN when there is no validation split
 
 
-def _batched_predictions(model: TcnModel, x: np.ndarray) -> np.ndarray:
-    preds = []
-    for i in range(0, x.shape[0], EVAL_BATCH):
-        preds.append(forward(model, x[i:i + EVAL_BATCH])[:, -1])
-    return np.concatenate(preds)
+def _predictions(model: TcnModel, n: int, cut, feed_back=None) -> np.ndarray:
+    """Final-step predictions for n windows; ``cut(rows)`` returns the windows
+    of the slice ``rows``. They go EVAL_BATCH at a time into one preallocated
+    array, or one at a time when ``feed_back(step, prediction)`` must run
+    before the next window is cut."""
+    preds = np.empty(n)
+    batch = EVAL_BATCH if feed_back is None else 1
+    for i in range(0, n, batch):
+        rows = slice(i, i + batch)
+        preds[rows] = forward(model, cut(rows))[:, -1]
+        if feed_back is not None:
+            feed_back(i, float(preds[i]))
+    return preds
 
 
 def train(
@@ -88,8 +96,7 @@ def train(
     val_idx, train_idx = split[:n_val], split[n_val:]
     if len(train_idx) == 0:
         raise ValueError(f"no training samples left after validation split ({n_val}/{n})")
-    x_train, y_train = dataset.x[train_idx], dataset.y[train_idx]
-    x_val, y_val = dataset.x[val_idx], dataset.y[val_idx]
+    y_val = dataset.y[val_idx]
 
     state = AdamState.for_params([model.theta], lr=config.learning_rate)
     dropout_rng = rng.spawn()
@@ -103,8 +110,8 @@ def train(
         order = rng.permutation(len(train_idx))
         sq_sum = 0.0
         for i in range(0, len(order), config.batch_size):
-            batch = order[i:i + config.batch_size]
-            xb, yb = x_train[batch], y_train[batch]
+            batch = train_idx[order[i:i + config.batch_size]]
+            xb, yb = dataset.x[batch], dataset.y[batch]
             y_full, cache = forward_with_cache(model, xb, train=True, rng=dropout_rng)
             loss, grad_pred = mse_loss(y_full[:, -1], yb)
             grad_y = np.zeros_like(y_full)
@@ -116,7 +123,8 @@ def train(
 
         val_mse = math.nan
         if n_val:
-            val_mse = float(np.mean((_batched_predictions(model, x_val) - y_val) ** 2))
+            val_pred = _predictions(model, n_val, lambda rows: dataset.x[val_idx[rows]])
+            val_mse = float(np.mean((val_pred - y_val) ** 2))
         history.append(EpochStats(epoch, train_mse, val_mse))
 
         if config.early_stop_patience and n_val:
@@ -153,43 +161,6 @@ class PredictionTrace:
     soc_pred: np.ndarray
 
 
-def _teacher_forced_predictions(model: TcnModel, cycle: DriveCycle) -> np.ndarray:
-    from .data import make_windows
-
-    windows = make_windows(cycle, model.norm, model.config.input_window, stride=1)
-    return _batched_predictions(model, windows.x)
-
-
-def _closed_loop_predictions(model: TcnModel, cycle: DriveCycle) -> np.ndarray:
-    """Sequential prediction feeding estimates back into the past-SOC channel.
-
-    Ground-truth SOC is read only inside the first window; every later
-    past-SOC value is a normalized fed-back prediction. A non-finite
-    prediction raises ValueError before it is fed back.
-    """
-    norm = model.norm
-    window = model.config.input_window
-    features = apply_normalization(cycle, norm)
-    n = features.shape[1]
-    lo, hi = norm.bounds("soc")
-
-    soc_feedback = features[3].copy()  # overwritten with predictions from index L-1 on
-    preds = np.empty(n - window + 1)
-    buf = np.empty((1, 4, window))
-    for w, s in enumerate(range(0, n - window + 1)):
-        e = s + window
-        buf[0, :3, :] = features[:3, s:e]
-        buf[0, 3, 0] = soc_feedback[s]
-        buf[0, 3, 1:] = soc_feedback[s:e - 1]
-        pred = float(forward(model, buf)[0, -1])
-        if not math.isfinite(pred):
-            raise ValueError(f"closed-loop prediction diverged to {pred} at step {w} "
-                             f"(t={cycle.time_s[e - 1]:g} s) of cycle {cycle.name!r}")
-        preds[w] = pred
-        soc_feedback[e - 1] = (pred - lo) / (hi - lo)
-    return preds
-
-
 def evaluate(
     model: TcnModel, cycle: DriveCycle, mode: str = "teacher"
 ) -> tuple[EvalMetrics, PredictionTrace]:
@@ -207,10 +178,23 @@ def evaluate(
             f"model window {window}"
         )
 
+    features = apply_normalization(cycle, model.norm)
+    cut = _window_cutter(features, window)
+    n = len(cycle) - window + 1
     if mode == "teacher":
-        preds = _teacher_forced_predictions(model, cycle)
+        preds = _predictions(model, n, cut)
     else:
-        preds = _closed_loop_predictions(model, cycle)
+        lo, hi = model.norm.bounds("soc")
+
+        def feed_back(step: int, pred: float) -> None:
+            # past SOC after the first window is the fed-back prediction, never the label
+            if not math.isfinite(pred):
+                raise ValueError(
+                    f"closed-loop prediction diverged to {pred} at step {step} "
+                    f"(t={cycle.time_s[step + window - 1]:g} s) of cycle {cycle.name!r}")
+            features[3, step + window - 1] = (pred - lo) / (hi - lo)
+
+        preds = _predictions(model, n, cut, feed_back)
 
     truth = cycle.soc[window - 1:]
     trace = PredictionTrace(cycle.time_s[window - 1:].copy(), truth.copy(), preds)
@@ -218,10 +202,15 @@ def evaluate(
 
 
 def compute_metrics(pred: np.ndarray, truth: np.ndarray) -> EvalMetrics:
-    err = pred - truth
-    mae = float(np.mean(np.abs(err)))
+    """Score predictions against labels. A sum or square beyond the float64
+    range reads as inf (finite but huge closed-loop estimates give mse=inf),
+    without a numpy warning."""
+    with np.errstate(over="ignore"):
+        err = pred - truth
+        mae = float(np.mean(np.abs(err)))
+        mse = float(np.mean(err * err))
     return EvalMetrics(
-        mse=float(np.mean(err * err)),
+        mse=mse,
         mae=mae,
         accuracy_percent=100.0 - 100.0 * mae,
         max_error=float(np.max(np.abs(err))),

@@ -324,6 +324,26 @@ def test_make_windows_slicing_oracle():
     assert np.array_equal(ds.start, [0, 3, 6])
 
 
+@pytest.mark.parametrize("stride", [1, 3, 40])
+def test_make_windows_matches_index_gather(stride):
+    # reference: gather every window through explicit index arrays
+    n, window = 50, 12
+    c = toy_cycle(n=n)
+    p = fit_normalization([c])
+    ds = make_windows(c, p, window, stride)
+    feats = apply_normalization(c, p)
+    starts = np.arange(0, n - window + 1, stride)
+    idx = starts[:, None] + np.arange(window)[None, :]
+    past_idx = idx - 1
+    past_idx[:, 0] = starts
+    want = np.concatenate([feats[:3][:, idx].transpose(1, 0, 2),
+                           feats[3][past_idx][:, None, :]], axis=1)
+    assert np.array_equal(ds.x, want)
+    assert np.array_equal(ds.y, c.soc[starts + window - 1])
+    assert np.array_equal(ds.start, starts)
+    assert ds.x.base is None and ds.x.flags.writeable  # a fresh array, not the view
+
+
 def test_make_windows_targets_are_raw_soc():
     c = toy_cycle(n=12)
     p = fit_normalization([c])

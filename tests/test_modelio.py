@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from tcnsoc.data import NormalizationParams
+from tcnsoc.data import DriveCycle, NormalizationParams
 from tcnsoc.model import TcnConfig, build_model, forward, parameter_count
 from tcnsoc.modelio import (
     MAGIC,
@@ -20,6 +20,7 @@ from tcnsoc.modelio import (
     serialize,
 )
 from tcnsoc.rng import SplitMix64
+from tcnsoc.training import evaluate
 
 
 def small_model(seed=0, **cfg_kw):
@@ -68,12 +69,18 @@ def test_round_trip_preserves_metadata(tmp_path):
     assert m2.norm == m.norm
 
 
-def test_none_norm_round_trips_as_identity(tmp_path):
+def test_none_norm_round_trips_as_untrained(tmp_path):
     m = build_model(TcnConfig(stacks=1, input_window=10, kernel_size=2), seed=0)
     assert m.norm is None
     path = tmp_path / "m.bin"
     serialize(m, path)
-    assert deserialize(path).norm == NormalizationParams.identity()
+    assert b"norm_" not in path.read_bytes()
+    loaded = deserialize(path)
+    assert loaded.norm is None
+    t = np.arange(20, dtype=np.float64)
+    cycle = DriveCycle(t, 3.5 + 0.01 * t, np.ones(20), 25.0 + t, np.linspace(0.9, 0.8, 20))
+    with pytest.raises(ValueError, match="train it first"):
+        evaluate(loaded, cycle)
 
 
 def test_serialize_is_deterministic(tmp_path):
@@ -294,6 +301,7 @@ def test_serialize_refuses_weights_not_finite_in_float32(tmp_path):
     ("norm_voltage_min=3.0", "norm_voltage_min=inf", "header norm_voltage_min=inf is not finite"),
     ("norm_voltage_min=3.0", "norm_voltage_min=4.2", "header norm_voltage_max=4.2 is not above"),
     ("norm_voltage_min=3.0", "norm_voltage_min=5.0", "header norm_voltage_max=4.2 is not above"),
+    ("norm_soc_max=1.0\n", "", "header is missing key 'norm_soc_max'"),
     ("p_keep=0.9", "p_keep=nan", r"bad header value \(config field p_keep"),
     ("stacks=1", "stacks=0", r"bad header value \(config field stacks"),
 ])

@@ -1,8 +1,8 @@
 """Tests for the training loop, evaluation modes, and metrics."""
 
 import math
-
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,7 +10,9 @@ from helpers import make_positive
 
 from tcnsoc.data import (
     DEFAULT_CELL,
+    DriveCycle,
     WindowedDataset,
+    apply_normalization,
     build_hybrid,
     fit_normalization,
     make_windows,
@@ -19,6 +21,7 @@ from tcnsoc.model import TcnConfig, build_model, predict
 from tcnsoc.rng import SplitMix64
 from tcnsoc.simulate import EcmConfig, generate_profile, simulate_ecm
 from tcnsoc.training import (
+    EVAL_BATCH,
     TrainConfig,
     compute_metrics,
     evaluate,
@@ -222,6 +225,14 @@ def test_metrics_out_of_range_counts_predictions():
     assert compute_metrics(pred, truth).out_of_range == 2
 
 
+def test_metrics_squared_error_beyond_float64_is_inf():
+    # runs under the suite's RuntimeWarning-as-error filter: no overflow warning
+    m = compute_metrics(np.array([1e200, 0.5]), np.array([0.0, 0.5]))
+    assert m.mse == math.inf
+    assert m.mae == 5e199
+    assert m.max_error == 1e200
+
+
 # ---------------------------------------------------------------- evaluate
 
 
@@ -251,6 +262,56 @@ def test_evaluate_teacher_matches_manual_windows():
     assert np.array_equal(trace.time_s, probe.time_s[19:])
     want_mse = float(np.mean((trace.soc_pred - trace.soc_true) ** 2))
     assert metrics.mse == pytest.approx(want_mse, rel=1e-12)
+
+
+def untrained_model(cycles, window=20):
+    cfg = TcnConfig(stacks=1, input_window=window, kernel_size=3, filters=3,
+                    blocks_per_stack=2)
+    return build_model(cfg, seed=2, norm=fit_normalization(cycles))
+
+
+def test_evaluate_teacher_across_batch_boundaries_matches_predict():
+    model = untrained_model([sim_cycle(seed=0), sim_cycle(seed=1)])
+    probe = sim_cycle(seed=2, duration=320.0)  # 640 samples: 621 windows
+    _, trace = evaluate(model, probe, mode="teacher")
+    windows = make_windows(probe, model.norm, 20, stride=1).x
+    assert len(windows) > 2 * EVAL_BATCH
+    assert np.array_equal(trace.soc_pred, predict(model, windows))
+
+
+def test_evaluate_closed_loop_matches_a_step_by_step_loop():
+    model = untrained_model([sim_cycle(seed=0), sim_cycle(seed=1)])
+    probe = sim_cycle(seed=3)
+    window = model.config.input_window
+    _, trace = evaluate(model, probe, mode="closed-loop")
+
+    feats = apply_normalization(probe, model.norm)
+    lo, hi = model.norm.soc_min, model.norm.soc_max
+    past = list(feats[3])
+    want = []
+    for s in range(len(probe) - window + 1):
+        x = np.empty((1, 4, window))
+        x[0, :3] = feats[:3, s:s + window]
+        x[0, 3] = [past[s]] + past[s:s + window - 1]
+        want.append(predict(model, x)[0])
+        past[s + window - 1] = (want[-1] - lo) / (hi - lo)
+    assert np.array_equal(trace.soc_pred, want)
+
+
+def test_evaluate_teacher_memory_grows_with_the_batch_not_the_cycle():
+    model = untrained_model([sim_cycle(seed=0), sim_cycle(seed=1)], window=200)
+    n, window = 16000, 200
+    t = np.arange(n, dtype=np.float64)
+    probe = DriveCycle(t, 3.7 + 0.1 * np.sin(t / 50), 2.0 * np.cos(t / 70),
+                       25.0 + 0.001 * t, np.linspace(0.9, 0.3, n), "long")
+    tracemalloc.start()
+    try:
+        evaluate(model, probe, mode="teacher")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the whole (n, 4, W) window tensor would be 4x this
+    assert peak < n * window * 8
 
 
 def test_evaluate_closed_loop_never_reads_later_truth():
