@@ -276,21 +276,34 @@ def apply_normalization(cycle: DriveCycle, params: NormalizationParams) -> np.nd
 def _window_cutter(features: np.ndarray, window: int):
     """Cut model inputs from a strided view of the (4, n) features: the
     returned function maps a slice of window starts to a fresh (B, 4, window)
-    array. Channels 0-2 are copied as they are; past SOC is the label shifted
-    one step, its first element padded with the window's own first value.
+    array in the dtype of ``features``. Channels 0-2 are copied as they are;
+    past SOC is the label shifted one step, its first element padded with
+    the window's own first value.
     The view reads ``features``, so feedback written there shows in every
     window cut afterwards."""
     view = sliding_window_view(features, window, axis=1)  # (4, n - window + 1, window)
 
     def cut(starts: slice) -> np.ndarray:
         part = view[:, starts]
-        x = np.empty((part.shape[1], 4, window))
+        x = np.empty((part.shape[1], 4, window), dtype=features.dtype)
         x[:, :3] = part[:3].transpose(1, 0, 2)
         x[:, 3, 0] = part[3, :, 0]
         x[:, 3, 1:] = part[3, :, :-1]
         return x
 
     return cut
+
+
+def _window_starts(cycle: DriveCycle, window: int, stride: int) -> np.ndarray:
+    """Start index of every window ``make_windows`` cuts from the cycle."""
+    if window < 1 or stride < 1:
+        raise ValueError(f"window and stride must be >= 1, got {window}/{stride}")
+    n = len(cycle)
+    if n < window:
+        raise ValueError(
+            f"cycle {cycle.name!r} has {n} samples, shorter than window {window}"
+        )
+    return np.arange(0, n - window + 1, stride)
 
 
 @dataclass
@@ -326,14 +339,7 @@ def make_windows(
     source_tag: int = 0,
 ) -> WindowedDataset:
     """Slice one cycle into normalized windows starting at 0, stride, 2*stride..."""
-    if window < 1 or stride < 1:
-        raise ValueError(f"window and stride must be >= 1, got {window}/{stride}")
-    n = len(cycle)
-    if n < window:
-        raise ValueError(
-            f"cycle {cycle.name!r} has {n} samples, shorter than window {window}"
-        )
-    starts = np.arange(0, n - window + 1, stride)
+    starts = _window_starts(cycle, window, stride)
     x = _window_cutter(apply_normalization(cycle, params), window)(slice(0, None, stride))
 
     y = cycle.soc[starts + window - 1].copy()
@@ -357,26 +363,31 @@ def build_hybrid(
     """Concatenate per-cycle windows and shuffle deterministically.
 
     Windows never span cycle boundaries; each sample keeps its source tag
-    and start index.
+    and start index. Each cycle's windows are written straight into their
+    shuffled rows, so only one cycle's windows exist besides the result.
     """
     if not cycles:
         raise ValueError("build_hybrid needs at least one cycle")
-    parts = [
-        make_windows(c, params, window, stride, source_tag=i)
-        for i, c in enumerate(cycles)
-    ]
-    x = np.concatenate([p.x for p in parts])
-    y = np.concatenate([p.y for p in parts])
-    source = np.concatenate([p.source for p in parts])
-    start = np.concatenate([p.start for p in parts])
-    names = [c.name or f"cycle{i}" for i, c in enumerate(cycles)]
-
-    perm = SplitMix64(seed).permutation(len(y))
+    counts = [len(_window_starts(c, window, stride)) for c in cycles]
+    perm = SplitMix64(seed).permutation(sum(counts))
+    rows = np.empty_like(perm)  # the shuffled row of each window, in cycle order
+    rows[perm] = np.arange(len(perm))
+    x = np.empty((len(perm), 4, window))
+    y = np.empty(len(perm))
+    source = np.empty(len(perm), dtype=np.int64)
+    start = np.empty(len(perm), dtype=np.int64)
+    end = 0
+    for i, (cycle, count) in enumerate(zip(cycles, counts)):
+        part = make_windows(cycle, params, window, stride, source_tag=i)
+        dest = rows[end:end + count]
+        x[dest], y[dest], source[dest], start[dest] = part.x, part.y, part.source, part.start
+        del part  # freed before the next cycle's windows are cut
+        end += count
     return WindowedDataset(
-        x=x[perm],
-        y=y[perm],
-        source=source[perm],
-        start=start[perm],
-        cycle_names=names,
+        x=x,
+        y=y,
+        source=source,
+        start=start,
+        cycle_names=[c.name or f"cycle{i}" for i, c in enumerate(cycles)],
         norm=params,
     )

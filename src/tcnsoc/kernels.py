@@ -2,8 +2,10 @@
 ReLU, inverted dropout, a per-step linear regression head, MSE loss, and
 the Adam optimizer.
 
-All kernels are pure functions of their arguments and operate on float64
-arrays. Sequence tensors are rank-3, shaped (batch, channels, time).
+All kernels are pure functions of their arguments. Forward kernels compute
+in the dtype of their input (float64, or float32 for inference) and refuse
+parameters of another dtype instead of upcasting; backward kernels run in
+float64. Sequence tensors are rank-3, shaped (batch, channels, time).
 """
 
 from __future__ import annotations
@@ -20,6 +22,7 @@ class ConvParams:
     """Weights of one dilated causal convolution layer.
 
     weights: (out_channels, in_channels, kernel_size), bias: (out_channels,).
+    float32 arrays stay float32; anything else is stored as float64.
     """
 
     weights: np.ndarray
@@ -27,8 +30,9 @@ class ConvParams:
     dilation: int = 1
 
     def __post_init__(self):
-        self.weights = np.asarray(self.weights, dtype=np.float64)
-        self.bias = np.asarray(self.bias, dtype=np.float64)
+        dtype = np.float32 if np.asarray(self.weights).dtype == np.float32 else np.float64
+        self.weights = np.asarray(self.weights, dtype=dtype)
+        self.bias = np.asarray(self.bias, dtype=dtype)
         if self.weights.ndim != 3:
             raise ValueError(f"weights must be rank 3, got shape {self.weights.shape}")
         if self.bias.shape != (self.weights.shape[0],):
@@ -72,9 +76,15 @@ def init_conv_params(
     return ConvParams(weights, bias, dilation)
 
 
+def _check_dtype(x: np.ndarray, weights: np.ndarray) -> None:
+    if x.dtype != weights.dtype:
+        raise ValueError(f"input dtype {x.dtype} does not match weights dtype {weights.dtype}")
+
+
 def _check_input(x: np.ndarray, params: ConvParams) -> None:
     if x.ndim != 3:
         raise ValueError(f"input must be (batch, channels, time), got shape {x.shape}")
+    _check_dtype(x, params.weights)
     if x.shape[1] != params.in_channels:
         raise ValueError(
             f"input shape {x.shape} has {x.shape[1]} channels but weights "
@@ -88,7 +98,7 @@ def _tap_stack(x: np.ndarray, kernel_size: int, dilation: int) -> np.ndarray:
     x[c, t - (k-1-j)*d], or 0 where that time is negative.
     """
     b, c, t = x.shape
-    taps = np.zeros((b, c, kernel_size, t))
+    taps = np.zeros((b, c, kernel_size, t), dtype=x.dtype)
     for j in range(kernel_size):
         s = (kernel_size - 1 - j) * dilation
         if s < t:
@@ -177,6 +187,7 @@ def linear_head_forward(
             f"head weights shape {weights.shape} does not match "
             f"{x.shape[1]} input channels"
         )
+    _check_dtype(x, weights)
     return weights @ x + bias
 
 

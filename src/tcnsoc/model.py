@@ -97,6 +97,25 @@ class ResidualBlock:
     downsample: ConvParams | None = None
 
 
+def _views(config: TcnConfig, theta: np.ndarray):
+    """Layer views into a parameter vector, in its dtype: every convolution
+    in parameter order (the head last), the residual blocks, and the head's
+    weights and bias."""
+    groups, pos = [], 0
+    for shapes in _layout(config):
+        group = []
+        for out_ch, in_ch, k, dilation in shapes:
+            end = pos + out_ch * in_ch * k
+            group.append(ConvParams(theta[pos:end].reshape(out_ch, in_ch, k),
+                                    theta[end:end + out_ch], dilation))
+            pos = end + out_ch
+        groups.append(group)
+    *block_groups, (head,) = groups
+    layers = [conv for group in groups for conv in group]
+    return layers, [ResidualBlock(*group) for group in block_groups], \
+        head.weights.reshape(-1), head.bias
+
+
 @dataclass
 class TcnModel:
     """A TCN whose trainable scalars all live in one float64 vector.
@@ -121,20 +140,7 @@ class TcnModel:
         if theta.dtype != np.float64 or theta.shape != (parameter_count(self.config),):
             raise ValueError(f"theta is {theta.dtype} {theta.shape}, expected float64 "
                              f"({parameter_count(self.config)},)")
-        groups, pos = [], 0
-        for shapes in _layout(self.config):
-            group = []
-            for out_ch, in_ch, k, dilation in shapes:
-                end = pos + out_ch * in_ch * k
-                group.append(ConvParams(theta[pos:end].reshape(out_ch, in_ch, k),
-                                        theta[end:end + out_ch], dilation))
-                pos = end + out_ch
-            groups.append(group)
-        *block_groups, (head,) = groups
-        self.layers = [conv for group in groups for conv in group]
-        self.blocks = [ResidualBlock(*group) for group in block_groups]
-        self.head_weights = head.weights.reshape(-1)
-        self.head_bias = head.bias
+        self.layers, self.blocks, self.head_weights, self.head_bias = _views(self.config, theta)
 
     def parameters(self) -> list[np.ndarray]:
         """Views of every trainable array in parameter order (blocks, then head)."""
@@ -210,18 +216,30 @@ def _check_window(model: TcnModel, window: np.ndarray) -> None:
 
 def forward(model: TcnModel, window: np.ndarray, train: bool = False,
             rng: SplitMix64 | None = None) -> np.ndarray:
-    """Per-step regression output (batch, time); dropout active only in train mode."""
+    """Per-step regression output (batch, time); dropout active only in train mode.
+
+    A float32 window runs in float32 throughout, through views of one
+    float32 copy of ``theta``, and gives float32 output; any other window
+    runs in float64.
+    """
     _check_window(model, window)
+    if window.dtype == np.float32:
+        _, blocks, head_weights, head_bias = _views(model.config, model.theta.astype(np.float32))
+    else:
+        window = window.astype(np.float64, copy=False)
+        blocks, head_weights, head_bias = model.blocks, model.head_weights, model.head_bias
     h = window
-    for block in model.blocks:
+    for block in blocks:
         h, _ = _block_forward(block, h, model.config.p_keep, train, rng)
-    return linear_head_forward(h, model.head_weights, float(model.head_bias[0]))
+    return linear_head_forward(h, head_weights, float(head_bias[0]))
 
 
 def forward_with_cache(model: TcnModel, window: np.ndarray, train: bool,
                        rng: SplitMix64 | None):
+    """``forward`` in float64 whatever the window's dtype, keeping what
+    ``backward`` needs."""
     _check_window(model, window)
-    h = window
+    h = window.astype(np.float64, copy=False)
     caches = []
     for block in model.blocks:
         h, cache = _block_forward(block, h, model.config.p_keep, train, rng)
@@ -256,7 +274,12 @@ def receptive_field(config: TcnConfig) -> int:
     return 1 + config.stacks * per_stack
 
 
+def _conv_sizes(config: TcnConfig):
+    """Number of scalars of each convolution (weights and bias), in parameter order."""
+    return (out_ch * in_ch * k + out_ch
+            for shapes in _layout(config) for out_ch, in_ch, k, _ in shapes)
+
+
 def parameter_count(config: TcnConfig) -> int:
     """Exact number of trainable scalars, downsample layers and head included."""
-    return sum(out_ch * in_ch * k + out_ch
-               for shapes in _layout(config) for out_ch, in_ch, k, _ in shapes)
+    return sum(_conv_sizes(config))

@@ -27,7 +27,7 @@ from pathlib import Path
 import numpy as np
 
 from .data import CHANNEL_NAMES, NormalizationParams
-from .model import TcnConfig, TcnModel, parameter_count
+from .model import TcnConfig, TcnModel, _conv_sizes
 
 MAGIC = b"TCN1"
 FORMAT_VERSION = 1
@@ -149,13 +149,17 @@ def deserialize(source) -> TcnModel:
         raise ModelFormatError(f"{path}: header is not UTF-8 ({exc})") from None
     cfg, norm, seed = _parse_header(header, path)
 
-    n_params = parameter_count(cfg)
+    # summed lazily, so a header describing 10**9 stacks is rejected at once
+    room = (len(blob) - body_start - 4) // 4
+    n_params = 0
+    for size in _conv_sizes(cfg):
+        n_params += size
+        if n_params > room:
+            raise TruncatedPayloadError(
+                f"{path}: file has {len(blob)} bytes, room for {max(room, 0)} "
+                f"parameters, but its header describes more"
+            )
     expected = body_start + 4 * n_params + 4
-    if len(blob) < expected:
-        raise TruncatedPayloadError(
-            f"{path}: file has {len(blob)} bytes, expected {expected} "
-            f"for {n_params} parameters"
-        )
     if len(blob) > expected:
         raise ModelFormatError(f"{path}: {len(blob) - expected} trailing bytes")
     payload = blob[body_start:body_start + 4 * n_params]

@@ -3,8 +3,8 @@
 Training is shuffled mini-batch Adam on the MSE of the final-step
 prediction, deterministic for a given seed under single-threaded execution.
 Evaluation slides the model across a labeled cycle at stride 1, either
-teacher-forced (true past SOC in the input) or closed-loop (predictions fed
-back after the first window).
+teacher-forced (true past SOC in the input, computed in float32) or
+closed-loop (predictions fed back after the first window, in float64).
 """
 
 from __future__ import annotations
@@ -179,10 +179,10 @@ def evaluate(
         )
 
     features = apply_normalization(cycle, model.norm)
-    cut = _window_cutter(features, window)
     n = len(cycle) - window + 1
     if mode == "teacher":
-        preds = _predictions(model, n, cut)
+        # float32 windows run the model in float32, the precision it is stored in
+        preds = _predictions(model, n, _window_cutter(features.astype(np.float32), window))
     else:
         lo, hi = model.norm.bounds("soc")
 
@@ -194,7 +194,8 @@ def evaluate(
                     f"(t={cycle.time_s[step + window - 1]:g} s) of cycle {cycle.name!r}")
             features[3, step + window - 1] = (pred - lo) / (hi - lo)
 
-        preds = _predictions(model, n, cut, feed_back)
+        # float64: a float32 rounding error would compound through the feedback
+        preds = _predictions(model, n, _window_cutter(features, window), feed_back)
 
     truth = cycle.soc[window - 1:]
     trace = PredictionTrace(cycle.time_s[window - 1:].copy(), truth.copy(), preds)

@@ -2,6 +2,15 @@
 
 import numpy as np
 
+# float32 inference matches float64 to this fraction of max(1, |output|)
+# (README, "Precision").
+FLOAT32_TOL = 1e-5
+
+
+def float32_tolerance(reference: np.ndarray) -> float:
+    """Absolute bound on |float32 - float64| output for float64 ``reference``."""
+    return FLOAT32_TOL * max(1.0, float(np.max(np.abs(reference))))
+
 
 def conv_oracle(x: np.ndarray, w: np.ndarray, b: np.ndarray, d: int) -> np.ndarray:
     """Defining sum of the left-padded causal convolution, loops only."""

@@ -1,12 +1,14 @@
 """Tests for CSV I/O, coulomb counting, normalization, and windowing."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from tcnsoc.data import (
     DEFAULT_CELL,
+    SOC_LABEL_BAND,
     BatterySpec,
     DriveCycle,
     NormalizationParams,
@@ -163,6 +165,37 @@ def test_load_accepts_soc_band_edges(tmp_path):
         "1.0,3.0,1.0,25.0,1.01\n"
     )
     assert load_csv(path).soc.tolist() == [-0.01, 1.01]
+
+
+def test_fuzzed_csv_loads_valid_or_raises_value_error(tmp_path):
+    """Seeded one-character replacements, insertions and deletions: the file
+    either raises ValueError or loads as a cycle that keeps every guarantee
+    of load_csv (many digit edits give a valid file)."""
+    path = tmp_path / "c.csv"
+    save_csv(toy_cycle(n=12), path)
+    text = path.read_bytes()
+    alphabet = b"0123456789.,-+eE\n\r \"'x_nai\x00\xff;"
+    rng = SplitMix64(77)
+    for case in range(300):
+        data = bytearray(text)
+        at = rng.below(len(data))
+        char = alphabet[rng.below(len(alphabet))]
+        if case % 3 == 0:
+            data[at] = char
+        elif case % 3 == 1:
+            data.insert(at, char)
+        else:
+            del data[at]
+        path.write_bytes(bytes(data))
+        try:
+            cycle = load_csv(path)
+        except ValueError:
+            continue
+        columns = [cycle.time_s, cycle.voltage_v, cycle.current_a, cycle.temperature_c]
+        assert all(np.isfinite(c).all() for c in columns), case
+        assert (np.diff(cycle.time_s) > 0).all(), case
+        if cycle.soc is not None:
+            assert SOC_LABEL_BAND[0] <= cycle.soc.min() <= cycle.soc.max() <= SOC_LABEL_BAND[1]
 
 
 def test_coulomb_full_discharge_anchor():
@@ -409,6 +442,36 @@ def test_build_hybrid_shuffle_is_seeded():
                 and np.array_equal(d1.source, d3.source))
     # shuffled, not in source-major order
     assert not np.array_equal(d1.source, np.sort(d1.source))
+
+
+def test_build_hybrid_equals_concatenate_then_permute():
+    cycles = [toy_cycle(n=30, name="a"), toy_cycle(n=24, name="b"),
+              toy_cycle(n=41, name="c")]
+    p = fit_normalization(cycles)
+    ds = build_hybrid(cycles, p, window=7, stride=2, seed=5)
+    parts = [make_windows(c, p, 7, 2, source_tag=i) for i, c in enumerate(cycles)]
+    perm = SplitMix64(5).permutation(len(ds))
+    for field in ("x", "y", "source", "start"):
+        want = np.concatenate([getattr(part, field) for part in parts])[perm]
+        got = getattr(ds, field)
+        assert got.dtype == want.dtype and np.array_equal(got, want), field
+
+
+def test_build_hybrid_memory_is_one_dataset_plus_one_cycle():
+    cycles = []
+    for i in range(3):
+        c = toy_cycle(n=2000, name=f"c{i}")
+        c.current_a[:] = c.current_a * (1.0 + 0.1 * i)
+        cycles.append(c)
+    p = fit_normalization(cycles)
+    tracemalloc.start()
+    try:
+        ds = build_hybrid(cycles, p, window=50, stride=1, seed=3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the result plus one cycle's windows is 4/3 of it; three copies was 3x
+    assert peak < 1.5 * ds.x.nbytes
 
 
 def test_build_hybrid_needs_cycles():

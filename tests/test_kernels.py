@@ -8,7 +8,7 @@ import math
 
 import numpy as np
 import pytest
-from helpers import conv_oracle
+from helpers import conv_oracle, float32_tolerance
 
 from tcnsoc.kernels import (
     AdamState,
@@ -115,6 +115,32 @@ def test_forward_is_causal():
     bumped = causal_conv_forward(x2, params)
     assert np.array_equal(base[:, :, :probe], bumped[:, :, :probe])
     assert not np.array_equal(base[:, :, probe:], bumped[:, :, probe:])
+
+
+def test_forward_keeps_float32_throughout():
+    x, p64 = random_case(SplitMix64(31), batch=2, in_ch=3, out_ch=4, k=3, d=2, steps=17)
+    params = ConvParams(p64.weights.astype(np.float32), p64.bias.astype(np.float32), 2)
+    assert params.weights.dtype == params.bias.dtype == np.float32
+    y = causal_conv_forward(x.astype(np.float32), params)
+    assert y.dtype == np.float32
+    assert relu(y).dtype == np.float32
+    assert linear_head_forward(y, params.bias, 0.5).dtype == np.float32
+    want = conv_oracle(x.astype(np.float32).astype(np.float64),
+                       params.weights.astype(np.float64), params.bias.astype(np.float64), 2)
+    assert np.abs(y - want).max() <= float32_tolerance(want)
+
+
+def test_conv_params_stores_other_dtypes_as_float64():
+    params = ConvParams(np.ones((2, 2, 3), dtype=np.int64), np.zeros(2, dtype=np.float16))
+    assert params.weights.dtype == params.bias.dtype == np.float64
+
+
+def test_forward_rejects_input_of_another_dtype():
+    x, params = random_case(SplitMix64(32), batch=1, in_ch=2, out_ch=3, k=2, d=1, steps=5)
+    with pytest.raises(ValueError, match="dtype float32 does not match weights dtype float64"):
+        causal_conv_forward(x.astype(np.float32), params)
+    with pytest.raises(ValueError, match="dtype"):
+        linear_head_forward(x.astype(np.float32), np.ones(2), 0.0)
 
 
 def test_forward_rejects_bad_shapes():

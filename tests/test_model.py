@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from helpers import conv_oracle, make_positive, model_forward_oracle
+from helpers import conv_oracle, float32_tolerance, make_positive, model_forward_oracle
 from tcnsoc.model import (
     TcnConfig,
     TcnModel,
@@ -158,6 +158,38 @@ def test_predict_is_last_step_of_forward():
     m = build_model(cfg, seed=9)
     x = SplitMix64(1).uniform(-1, 1, (3, 4, cfg.input_window))
     assert np.array_equal(predict(m, x), forward(m, x)[:, -1])
+
+
+def test_forward_float32_window_returns_float32():
+    cfg = tiny_config()
+    m = build_model(cfg, seed=4)
+    theta = m.theta.copy()
+    x = SplitMix64(5).uniform(0, 1, (3, 4, cfg.input_window)).astype(np.float32)
+    y = forward(m, x)
+    assert y.dtype == np.float32 and y.shape == (3, cfg.input_window)
+    assert np.array_equal(predict(m, x), y[:, -1])
+    assert m.theta.dtype == np.float64 and np.array_equal(m.theta, theta)
+
+
+@pytest.mark.parametrize("stacks", [1, 2, 8, 20])
+def test_forward_float32_final_step_within_tolerance(stacks):
+    for window in (20, 500):
+        m = build_model(TcnConfig(stacks=stacks, input_window=window), seed=stacks)
+        x = SplitMix64(window + stacks).uniform(0, 1, (4, 4, window))
+        want = forward(m, x)[:, -1]
+        got = forward(m, x.astype(np.float32))[:, -1]
+        assert np.abs(got - want).max() <= float32_tolerance(want)
+
+
+def test_forward_runs_other_dtypes_in_float64():
+    cfg = tiny_config()
+    m = build_model(cfg, seed=6)
+    x = SplitMix64(7).uniform(-4, 4, (2, 4, cfg.input_window))
+    for dtype in (np.float16, np.int64):
+        xd = x.astype(dtype)
+        y = forward(m, xd)
+        assert y.dtype == np.float64
+        assert np.array_equal(y, forward(m, xd.astype(np.float64)))
 
 
 def test_forward_eval_deterministic_and_train_seeded():

@@ -1,6 +1,7 @@
 """Tests for the binary model file format."""
 
 import struct
+import time
 import zlib
 from pathlib import Path
 
@@ -8,7 +9,7 @@ import numpy as np
 import pytest
 
 from tcnsoc.data import DriveCycle, NormalizationParams
-from tcnsoc.model import TcnConfig, build_model, forward, parameter_count
+from tcnsoc.model import TcnConfig, TcnModel, build_model, forward, parameter_count
 from tcnsoc.modelio import (
     MAGIC,
     BadMagicError,
@@ -153,6 +154,53 @@ def test_truncated_payload(tmp_path):
     path.write_bytes(blob[:-10])
     with pytest.raises(TruncatedPayloadError):
         deserialize(path)
+
+
+def test_header_with_a_billion_stacks_rejected_at_once(tmp_path):
+    path = tmp_path / "m.bin"
+    serialize(small_model(), path)
+    blob = path.read_bytes()
+    header_len = struct.unpack_from("<I", blob, 8)[0]
+    header = blob[12:12 + header_len].replace(b"stacks=1\n", b"stacks=1000000000\n")
+    path.write_bytes(blob[:8] + struct.pack("<I", len(header)) + header
+                     + blob[12 + header_len:])
+    t0 = time.perf_counter()
+    with pytest.raises(TruncatedPayloadError, match="header describes more"):
+        deserialize(path)
+    assert time.perf_counter() - t0 < 0.25
+
+
+def test_fuzzed_files_raise_format_errors(tmp_path):
+    """Seeded byte flips, truncations and overwrites: a file either loads or
+    raises ModelFormatError. Only an edit inside the header text may load
+    (a changed seed or norm digit is a valid file), and then the weights are
+    the original ones, which the checksum guards."""
+    path = tmp_path / "m.bin"
+    original = small_model(seed=3)
+    serialize(original, path)
+    blob = path.read_bytes()
+    header_end = 12 + struct.unpack_from("<I", blob, 8)[0]
+    rng = SplitMix64(2024)
+    for case in range(450):
+        data = bytearray(blob)
+        at = rng.below(len(blob))
+        if case % 3 == 0:
+            data[at] ^= 1 + rng.below(255)
+        elif case % 3 == 1:
+            data = data[:at]
+        else:
+            size = min(1 + rng.below(8), len(blob) - at)
+            data[at:at + size] = bytes(rng.below(256) for _ in range(size))
+        if data == blob:
+            continue
+        path.write_bytes(bytes(data))
+        try:
+            model = deserialize(path)
+        except ModelFormatError:
+            continue
+        assert case % 3 != 1 and 12 <= at < header_end, (case, at)
+        assert isinstance(model, TcnModel)
+        assert np.array_equal(model.theta, original.theta.astype(np.float32))
 
 
 def test_truncated_header(tmp_path):

@@ -6,7 +6,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from helpers import make_positive
+from helpers import float32_tolerance, make_positive
 
 from tcnsoc.data import (
     DEFAULT_CELL,
@@ -252,9 +252,9 @@ def test_evaluate_teacher_matches_manual_windows():
     probe = sim_cycle(seed=2)
     metrics, trace = evaluate(model, probe, mode="teacher")
 
-    windows = make_windows(probe, model.norm, 20, stride=1)
+    windows = make_windows(probe, model.norm, 20, stride=1).x.astype(np.float32)
     manual = np.concatenate(
-        [predict(model, windows.x[i:i + 64]) for i in range(0, len(windows), 64)]
+        [predict(model, windows[i:i + 64]) for i in range(0, len(windows), 64)]
     )
     assert np.array_equal(trace.soc_pred, manual)
     assert metrics.n == len(probe) - 20 + 1
@@ -274,7 +274,7 @@ def test_evaluate_teacher_across_batch_boundaries_matches_predict():
     model = untrained_model([sim_cycle(seed=0), sim_cycle(seed=1)])
     probe = sim_cycle(seed=2, duration=320.0)  # 640 samples: 621 windows
     _, trace = evaluate(model, probe, mode="teacher")
-    windows = make_windows(probe, model.norm, 20, stride=1).x
+    windows = make_windows(probe, model.norm, 20, stride=1).x.astype(np.float32)
     assert len(windows) > 2 * EVAL_BATCH
     assert np.array_equal(trace.soc_pred, predict(model, windows))
 
@@ -341,8 +341,28 @@ def test_evaluate_closed_loop_matches_teacher_on_first_step():
     probe = sim_cycle(seed=4)
     _, teacher = evaluate(model, probe, mode="teacher")
     _, closed = evaluate(model, probe, mode="closed-loop")
-    assert teacher.soc_pred[0] == pytest.approx(closed.soc_pred[0], abs=1e-12)
+    first = make_windows(probe, model.norm, 20, stride=1).x[:1]
+    # each mode in its own precision: teacher float32, closed loop float64
+    assert teacher.soc_pred[0] == predict(model, first.astype(np.float32))[0]
+    assert closed.soc_pred[0] == predict(model, first)[0]
+    assert teacher.soc_pred[0] == pytest.approx(
+        closed.soc_pred[0], abs=float32_tolerance(closed.soc_pred[0]))
     assert len(teacher.soc_pred) == len(closed.soc_pred)
+
+
+def test_evaluate_teacher_float32_within_tolerance_on_criterion_7_model():
+    cycles = [sim_cycle(kind, seed=s, duration=300.0)
+              for s, kind in enumerate(("highway", "aggressive", "urban"))]
+    dataset = build_hybrid(cycles, fit_normalization(cycles), 100, stride=10, seed=42)
+    model = build_model(TcnConfig(stacks=2, input_window=100, kernel_size=8, filters=8),
+                        seed=42)
+    train(model, dataset, TrainConfig(epochs=3, seed=42))
+    probe = sim_cycle("mixed", seed=9, duration=300.0)
+    metrics, trace = evaluate(model, probe, mode="teacher")
+    want = predict(model, make_windows(probe, model.norm, 100, stride=1).x)
+    tol = float32_tolerance(want)
+    assert np.abs(trace.soc_pred - want).max() <= tol
+    assert abs(metrics.mae - compute_metrics(want, trace.soc_true).mae) <= tol
 
 
 def test_evaluate_closed_loop_divergence_raises_at_first_non_finite_step():
