@@ -92,24 +92,28 @@ def _check_input(x: np.ndarray, params: ConvParams) -> None:
         )
 
 
-def _tap_stack(x: np.ndarray, kernel_size: int, dilation: int) -> np.ndarray:
-    """Causal tap matrix (batch, channels*kernel, time), rows in the order of
+def _taps(x: np.ndarray, kernel_size: int, dilation: int, causal: bool = True) -> np.ndarray:
+    """Tap matrix (batch, channels*kernel, time), rows in the order of
     ``weights.reshape(out_channels, -1)``: row c*k + j at time t holds
-    x[c, t - (k-1-j)*d], or 0 where that time is negative.
-    """
+    x[c, t - (k-1-j)*d] (causal) or x[c, t + (k-1-j)*d], and 0 off the ends:
+    one strided view of a fresh copy of x zero-padded in front (causal) or
+    behind, plus one reshape copy."""
     b, c, t = x.shape
-    taps = np.zeros((b, c, kernel_size, t), dtype=x.dtype)
-    for j in range(kernel_size):
-        s = (kernel_size - 1 - j) * dilation
-        if s < t:
-            taps[:, :, j, s:] = x[:, :, :t - s]
-    return taps.reshape(b, c * kernel_size, t)
+    pad = (kernel_size - 1) * dilation
+    front = pad if causal else 0
+    buf = np.empty((b, c, pad + t), dtype=x.dtype)
+    buf[:, :, :front] = buf[:, :, front + t:] = 0.0
+    buf[:, :, front:front + t] = x
+    sb, sc, st = buf.strides
+    view = np.ndarray((b, c, kernel_size, t), x.dtype, buf, (pad - front) * st,
+                      (sb, sc, (dilation if causal else -dilation) * st, st))
+    return view.reshape(b, c * kernel_size, t)
 
 
 def causal_conv_forward(x: np.ndarray, params: ConvParams) -> np.ndarray:
     """y[b,o,t] = bias[o] + sum_{c,j} w[o,c,j] * x[b,c,t-(k-1-j)*d]."""
     _check_input(x, params)
-    taps = _tap_stack(x, params.kernel_size, params.dilation)
+    taps = _taps(x, params.kernel_size, params.dilation)
     out = params.weights.reshape(params.out_channels, -1) @ taps
     out += params.bias[:, None]
     return out
@@ -118,7 +122,8 @@ def causal_conv_forward(x: np.ndarray, params: ConvParams) -> np.ndarray:
 def causal_conv_backward(
     x: np.ndarray, params: ConvParams, grad_out: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Exact gradients of sum(grad_out * forward(x)) w.r.t. x, weights, bias."""
+    """Exact gradients of sum(grad_out * forward(x)) w.r.t. x, weights, bias.
+    grad_x is the (in, out*k) weights times the anti-causal taps of grad_out."""
     _check_input(x, params)
     b, c, t = x.shape
     expected = (b, params.out_channels, t)
@@ -127,17 +132,12 @@ def causal_conv_backward(
             f"grad_out shape {grad_out.shape} does not match forward output {expected}"
         )
     k, d = params.kernel_size, params.dilation
-    w2d = params.weights.reshape(params.out_channels, -1)
-
+    grad_out = np.ascontiguousarray(grad_out)  # sums must not depend on its layout
     grad_bias = grad_out.sum(axis=(0, 2))
-    taps = _tap_stack(x, k, d)
+    taps = _taps(x, k, d)
     grad_weights = (grad_out @ taps.transpose(0, 2, 1)).sum(axis=0).reshape(params.weights.shape)
-    grad_taps = (w2d.T @ grad_out).reshape(b, c, k, t)
-    grad_x = np.zeros_like(x)
-    for j in range(k):
-        s = (k - 1 - j) * d
-        if s < t:
-            grad_x[:, :, :t - s] += grad_taps[:, :, j, s:]
+    w_t = params.weights.transpose(1, 0, 2).reshape(c, -1)
+    grad_x = w_t @ _taps(grad_out, k, d, causal=False)
     return grad_x, grad_weights, grad_bias
 
 
@@ -164,7 +164,7 @@ def dropout(
         return x, None
     if rng is None:
         raise ValueError("training-mode dropout needs an rng stream")
-    mask = rng.uniform(size=x.shape) < p_keep
+    mask = rng.bernoulli(p_keep, x.shape)
     return x * mask / p_keep, mask
 
 

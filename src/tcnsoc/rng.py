@@ -15,12 +15,17 @@ Stream definition, for a 64-bit key ``k`` (all arithmetic mod 2**64):
         return z ^ (z >> 31)
 
 A uniform double in [0, 1) takes the top 53 bits: (raw >> 11) * 2**-53.
+A Bernoulli(p) draw is the integer test (raw >> 11) < ceil(p * 2**53). It
+equals uniform() < p bit for bit: scaling by 2**53 is exact, and an integer
+m is below a real x exactly when it is below ceil(x).
 Splitting draws one raw value from the parent and uses it as the child
 key, so child streams are independent of how much of the parent has been
 consumed afterwards.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -64,6 +69,14 @@ class SplitMix64:
         if size is None:
             return float(out[0])
         return out.reshape(size)
+
+    def bernoulli(self, p: float, size) -> np.ndarray:
+        """Boolean array equal to ``uniform(size=size) < p``, drawn without floats."""
+        if not 0.0 <= p <= 1.0:
+            raise ValueError(f"bernoulli() needs p in [0, 1], got {p}")
+        n = int(np.prod(size))
+        threshold = np.uint64(math.ceil(p * 2.0 ** 53))
+        return ((self._raw(n) >> np.uint64(11)) < threshold).reshape(size)
 
     def below(self, n: int) -> int:
         """Integer in [0, n). Bias is O(n / 2**53), negligible for n << 2**53."""

@@ -30,6 +30,44 @@ def conv_oracle(x: np.ndarray, w: np.ndarray, b: np.ndarray, d: int) -> np.ndarr
     return out
 
 
+def tap_stack_sliced(x: np.ndarray, kernel_size: int, dilation: int) -> np.ndarray:
+    """The earlier tap builder: a zeroed (batch, channels, kernel, time)
+    buffer filled by one slice copy per tap, reshaped to (batch, channels*kernel, time)."""
+    b, c, t = x.shape
+    taps = np.zeros((b, c, kernel_size, t), dtype=x.dtype)
+    for j in range(kernel_size):
+        s = (kernel_size - 1 - j) * dilation
+        if s < t:
+            taps[:, :, j, s:] = x[:, :, :t - s]
+    return taps.reshape(b, c * kernel_size, t)
+
+
+def conv_forward_sliced(x: np.ndarray, params) -> np.ndarray:
+    """The earlier forward kernel: sliced taps, one matmul, bias added in place."""
+    taps = tap_stack_sliced(x, params.kernel_size, params.dilation)
+    out = params.weights.reshape(params.out_channels, -1) @ taps
+    out += params.bias[:, None]
+    return out
+
+
+def conv_backward_sliced(x: np.ndarray, params, grad_out: np.ndarray):
+    """The earlier backward kernel: the input gradient is scattered back
+    through one slice per tap. Returns (grad_x, grad_weights, grad_bias)."""
+    b, c, t = x.shape
+    k, d = params.kernel_size, params.dilation
+    w2d = params.weights.reshape(params.out_channels, -1)
+    grad_bias = grad_out.sum(axis=(0, 2))
+    taps = tap_stack_sliced(x, k, d)
+    grad_weights = (grad_out @ taps.transpose(0, 2, 1)).sum(axis=0).reshape(params.weights.shape)
+    grad_taps = (w2d.T @ grad_out).reshape(b, c, k, t)
+    grad_x = np.zeros_like(x)
+    for j in range(k):
+        s = (k - 1 - j) * d
+        if s < t:
+            grad_x[:, :, :t - s] += grad_taps[:, :, j, s:]
+    return grad_x, grad_weights, grad_bias
+
+
 def model_forward_oracle(model, x: np.ndarray) -> np.ndarray:
     """Eval-mode network output composed from the naive convolution oracle."""
     h = x

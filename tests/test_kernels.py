@@ -8,7 +8,8 @@ import math
 
 import numpy as np
 import pytest
-from helpers import conv_oracle, float32_tolerance
+from helpers import conv_backward_sliced, conv_forward_sliced, conv_oracle, float32_tolerance
+from numpy.lib.stride_tricks import sliding_window_view
 
 from tcnsoc.kernels import (
     AdamState,
@@ -208,6 +209,74 @@ def test_backward_edge_cases_match_finite_differences(batch, in_ch, out_ch, k, d
         assert np.allclose(grad.ravel()[at], want.ravel()[at], rtol=1e-6, atol=1e-8)
 
 
+# the earlier sliced kernels (helpers.conv_*_sliced) at the padding edges and
+# the three benchmark shapes at every dilation: (batch, in, out, k, d, steps)
+SLICED_PARITY_CASES = EDGE_CASES + [
+    pytest.param(2, 4, 4, 1, 1, 30, id="k1-no-padding"),
+    *(pytest.param(b, c, c, 8, d, t, id=f"bench-{b}x{c}x{t}-d{d}")
+      for b, c, t in ((1, 4, 500), (32, 8, 100), (256, 4, 500)) for d in (1, 2, 4, 8)),
+]
+
+
+@pytest.mark.parametrize("batch, in_ch, out_ch, k, d, steps", SLICED_PARITY_CASES)
+def test_forward_is_bit_identical_to_sliced_kernel(batch, in_ch, out_ch, k, d, steps):
+    x, params = random_case(SplitMix64(400 + k * d + steps), batch, in_ch, out_ch, k, d, steps)
+    assert np.array_equal(causal_conv_forward(x, params), conv_forward_sliced(x, params))
+    p32 = ConvParams(params.weights.astype(np.float32), params.bias.astype(np.float32), d)
+    x32 = x.astype(np.float32)
+    got = causal_conv_forward(x32, p32)
+    assert got.dtype == np.float32
+    assert np.array_equal(got, conv_forward_sliced(x32, p32))
+
+
+@pytest.mark.parametrize("batch, in_ch, out_ch, k, d, steps", SLICED_PARITY_CASES)
+def test_backward_matches_sliced_kernel(batch, in_ch, out_ch, k, d, steps):
+    rng = SplitMix64(500 + k * d + steps)
+    x, params = random_case(rng, batch, in_ch, out_ch, k, d, steps)
+    g = rng.uniform(-1.0, 1.0, (batch, out_ch, steps))
+    gx, gw, gb = causal_conv_backward(x, params, g)
+    ref_x, ref_w, ref_b = conv_backward_sliced(x, params, g)
+    # only the input gradient sums in another order
+    assert gx.shape == ref_x.shape and gx.dtype == ref_x.dtype
+    assert np.max(np.abs(gx - ref_x)) <= 1e-12 * max(1.0, float(np.max(np.abs(ref_x))))
+    assert np.array_equal(gw, ref_w)
+    assert np.array_equal(gb, ref_b)
+
+
+def _layouts(a):
+    """Read-only copies of ``a`` in four memory layouts: C order, Fortran
+    order, a stride-2 slice of a wider array, a sliding_window_view window."""
+    wide = np.zeros(a.shape[:2] + (2 * a.shape[2],))
+    wide[:, :, ::2] = a
+    padded = np.concatenate([np.zeros(a.shape[:2] + (3,)), a], axis=2)
+    views = {
+        "c-order": np.ascontiguousarray(a),
+        "fortran": np.asfortranarray(a),
+        "strided": wide[:, :, ::2],
+        "window": sliding_window_view(padded, a.shape[2], axis=2)[:, :, 3],
+    }
+    for name, v in views.items():
+        assert np.array_equal(v, a), name
+        v.flags.writeable = False
+    return views
+
+
+@pytest.mark.parametrize("k, d", [(1, 1), (3, 2), (8, 4)])
+def test_kernels_give_the_same_bytes_for_every_input_layout(k, d):
+    rng = SplitMix64(600 + k * d)
+    x, params = random_case(rng, 3, 4, 5, k, d, 23)
+    g = rng.uniform(-1.0, 1.0, (3, 5, 23))
+    xs, gs = _layouts(x), _layouts(g)
+    assert not xs["fortran"].flags.c_contiguous and not xs["strided"].flags.c_contiguous
+    want_y = causal_conv_forward(xs["c-order"], params).tobytes()
+    want = [a.tobytes() for a in causal_conv_backward(xs["c-order"], params, gs["c-order"])]
+    for name in xs:
+        # read-only inputs: a kernel that wrote into x or grad_out would raise
+        assert causal_conv_forward(xs[name], params).tobytes() == want_y, name
+        got = causal_conv_backward(xs[name], params, gs[name])
+        assert [a.tobytes() for a in got] == want, name
+
+
 def test_backward_rejects_bad_grad_shape():
     rng = SplitMix64(301)
     x, params = random_case(rng, 1, 2, 2, 3, 1, 6)
@@ -306,6 +375,17 @@ def test_dropout_deterministic_per_stream():
     a, _ = dropout(x, 0.5, SplitMix64(7), train=True)
     b, _ = dropout(x, 0.5, SplitMix64(7), train=True)
     assert np.array_equal(a, b)
+
+
+def test_dropout_mask_is_the_uniform_threshold_of_its_stream():
+    # histories depend on this: the mask equals uniform(size) < p_keep
+    for p in (0.3, 0.9, 1.0):
+        x = np.ones((4, 3, 17))
+        rng = SplitMix64(8)
+        _, mask = dropout(x, p, rng, train=True)
+        ref = SplitMix64(8)
+        assert np.array_equal(mask, ref.uniform(size=x.shape) < p)
+        assert rng.counter == ref.counter
 
 
 def test_dropout_rejects_bad_p_keep():

@@ -1,5 +1,7 @@
 """Tests for the splittable random stream."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -81,6 +83,40 @@ def test_uniform_shape():
     assert isinstance(rng.uniform(), float)
     assert rng.uniform(size=(3, 4)).shape == (3, 4)
     assert rng.uniform(size=7).shape == (7,)
+
+
+BERNOULLI_PS = (0.3, 0.5, 0.9, 1 - 2**-53, 1.0, 2**-53)
+
+
+@pytest.mark.parametrize("p", BERNOULLI_PS)
+def test_bernoulli_equals_uniform_threshold(p):
+    a = SplitMix64(17)
+    b = SplitMix64(17)
+    for size in ((32, 8, 100), 7, (3, 5), (1,), (2, 1, 9)):
+        mask = a.bernoulli(p, size)
+        assert mask.dtype == np.bool_
+        assert np.array_equal(mask, b.uniform(size=size) < p)
+        assert a.counter == b.counter
+
+
+@pytest.mark.parametrize("p", BERNOULLI_PS + (0.0, 0.1, 0.7))
+def test_bernoulli_equals_uniform_threshold_at_the_boundary(p):
+    # random draws almost never land next to p * 2**53; feed the raw values that do
+    top = 2**53 - 1
+    cut = math.ceil(p * 2**53)
+    near = [0, 1, cut - 2, cut - 1, cut, cut + 1, top - 1, top]
+    raws = np.array([(min(max(m, 0), top) << 11) | (i * 0x2B5 & 0x7FF)
+                     for i, m in enumerate(near)], dtype=np.uint64)
+    a = SplitMix64(0)
+    b = SplitMix64(0)
+    a._raw = b._raw = lambda n: raws[:n]
+    assert np.array_equal(a.bernoulli(p, raws.size), b.uniform(size=raws.size) < p)
+
+
+def test_bernoulli_rejects_p_outside_unit_interval():
+    for p in (-0.1, 1.5, float("nan")):
+        with pytest.raises(ValueError):
+            SplitMix64(0).bernoulli(p, 3)
 
 
 def test_spawn_streams_are_disjoint_and_deterministic():
