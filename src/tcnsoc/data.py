@@ -1,4 +1,4 @@
-"""Drive-cycle records, CSV ingestion, SOC labeling by coulomb counting,
+"""Drive cycles, CSV ingestion, SOC labeling by coulomb counting,
 min-max normalization, and sliding-window dataset assembly.
 
 CSV schema: header ``time_s,voltage_v,current_a,temperature_c,soc`` with the
@@ -12,7 +12,6 @@ import csv
 import math
 from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Iterator, NamedTuple
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -30,14 +29,6 @@ CHANNEL_NAMES = list(_CHANNEL_COLUMNS)
 # Accepted range of SOC labels: [0, 1] plus a margin for integration and
 # sensor drift, both in loaded CSVs and in coulomb-counted labels.
 SOC_LABEL_BAND = (-0.01, 1.01)
-
-
-class DriveCycleRecord(NamedTuple):
-    time_s: float
-    voltage_v: float
-    current_a: float
-    temperature_c: float
-    soc: float | None
 
 
 @dataclass
@@ -89,16 +80,6 @@ class DriveCycle:
 
     def __len__(self) -> int:
         return len(self.time_s)
-
-    def records(self) -> Iterator[DriveCycleRecord]:
-        for i in range(len(self)):
-            yield DriveCycleRecord(
-                float(self.time_s[i]),
-                float(self.voltage_v[i]),
-                float(self.current_a[i]),
-                float(self.temperature_c[i]),
-                None if self.soc is None else float(self.soc[i]),
-            )
 
 
 def load_csv(path) -> DriveCycle:
@@ -220,10 +201,6 @@ class NormalizationParams:
     temperature_max: float
     soc_min: float
     soc_max: float
-
-    @classmethod
-    def identity(cls) -> "NormalizationParams":
-        return cls(0.0, 1.0, 0.0, 1.0, 0.0, 1.0, 0.0, 1.0)
 
     def bounds(self, feature: str) -> tuple[float, float]:
         return getattr(self, f"{feature}_min"), getattr(self, f"{feature}_max")

@@ -57,10 +57,6 @@ class ConvParams:
     def kernel_size(self) -> int:
         return self.weights.shape[2]
 
-    @property
-    def n_params(self) -> int:
-        return self.weights.size + self.bias.size
-
 
 def init_conv_params(
     out_channels: int,
@@ -110,11 +106,30 @@ def _taps(x: np.ndarray, kernel_size: int, dilation: int, causal: bool = True) -
     return view.reshape(b, c * kernel_size, t)
 
 
+# Bytes of taps per batch slab (so a float32 slab holds twice the rows): a
+# slab's tap matrix is multiplied while it is still in L2 (README, "Batch slabs").
+_SLAB_BYTES = 512 * 1024
+
+
+def _slab_rows(channels: int, kernel_size: int, steps: int, itemsize: int) -> int:
+    """Batch rows per slab: as many as keep a slab's tap matrix within budget."""
+    return max(1, _SLAB_BYTES // max(1, channels * kernel_size * steps * itemsize))
+
+
 def causal_conv_forward(x: np.ndarray, params: ConvParams) -> np.ndarray:
     """y[b,o,t] = bias[o] + sum_{c,j} w[o,c,j] * x[b,c,t-(k-1-j)*d]."""
     _check_input(x, params)
-    taps = _taps(x, params.kernel_size, params.dilation)
-    out = params.weights.reshape(params.out_channels, -1) @ taps
+    k, d = params.kernel_size, params.dilation
+    w2d = params.weights.reshape(params.out_channels, -1)
+    if x.nbytes * k <= _SLAB_BYTES:  # one slab; a cheap test, as every B=1 predict makes it
+        out = w2d @ _taps(x, k, d)
+    else:
+        b, c, t = x.shape
+        rows = _slab_rows(c, k, t, x.itemsize)
+        out = np.empty((b, params.out_channels, t), x.dtype)
+        for lo in range(0, b, rows):
+            s = slice(lo, lo + rows)
+            np.matmul(w2d, _taps(x[s], k, d), out=out[s])
     out += params.bias[:, None]
     return out
 
@@ -123,21 +138,28 @@ def causal_conv_backward(
     x: np.ndarray, params: ConvParams, grad_out: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Exact gradients of sum(grad_out * forward(x)) w.r.t. x, weights, bias.
-    grad_x is the (in, out*k) weights times the anti-causal taps of grad_out."""
+    grad_x is the (in, out*k) weights times the anti-causal taps of grad_out.
+    Both tap matrices are built per batch slab; grad_weights sums over rows once."""
     _check_input(x, params)
     b, c, t = x.shape
-    expected = (b, params.out_channels, t)
-    if grad_out.shape != expected:
+    o = params.out_channels
+    if grad_out.shape != (b, o, t):
         raise ValueError(
-            f"grad_out shape {grad_out.shape} does not match forward output {expected}"
+            f"grad_out shape {grad_out.shape} does not match forward output {(b, o, t)}"
         )
     k, d = params.kernel_size, params.dilation
     grad_out = np.ascontiguousarray(grad_out)  # sums must not depend on its layout
     grad_bias = grad_out.sum(axis=(0, 2))
-    taps = _taps(x, k, d)
-    grad_weights = (grad_out @ taps.transpose(0, 2, 1)).sum(axis=0).reshape(params.weights.shape)
     w_t = params.weights.transpose(1, 0, 2).reshape(c, -1)
-    grad_x = w_t @ _taps(grad_out, k, d, causal=False)
+    dtype = np.result_type(x, grad_out)
+    rows = _slab_rows(max(c, o), k, t, dtype.itemsize)
+    per_row = np.empty((b, o, c * k), dtype)
+    grad_x = np.empty((b, c, t), dtype)
+    for lo in range(0, b, rows):
+        s = slice(lo, lo + rows)
+        np.matmul(grad_out[s], _taps(x[s], k, d).transpose(0, 2, 1), out=per_row[s])
+        np.matmul(w_t, _taps(grad_out[s], k, d, causal=False), out=grad_x[s])
+    grad_weights = per_row.sum(axis=0).reshape(params.weights.shape)
     return grad_x, grad_weights, grad_bias
 
 
@@ -155,12 +177,13 @@ def dropout(
 ) -> tuple[np.ndarray, np.ndarray | None]:
     """Inverted dropout: survivors are scaled by 1/p_keep so E[out] = x.
 
-    Evaluation mode is the identity and returns mask None. In training mode
-    the mask is drawn once per call from ``rng``.
+    Evaluation mode, and training at p_keep 1 (an all-true mask), is the
+    identity and returns mask None without a draw. Otherwise the mask is
+    drawn once per call from ``rng``.
     """
     if not 0.0 < p_keep <= 1.0:
         raise ValueError(f"p_keep must be in (0, 1], got {p_keep}")
-    if not train:
+    if not train or p_keep == 1.0:
         return x, None
     if rng is None:
         raise ValueError("training-mode dropout needs an rng stream")

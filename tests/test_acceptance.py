@@ -219,8 +219,8 @@ def test_criterion_04_parameter_count_anchor():
         cfg = TcnConfig(stacks=s, input_window=100)
         model = build_model(cfg, seed=s)
         for block in model.blocks:
-            assert block.conv1.n_params == 132
-            assert block.conv2.n_params == 132
+            assert block.conv1.weights.size + block.conv1.bias.size == 132
+            assert block.conv2.weights.size + block.conv2.bias.size == 132
             assert block.downsample is None
         want = s * cfg.blocks_per_stack * 2 * 132 + cfg.filters + 1
         assert parameter_count(cfg) == want

@@ -162,7 +162,8 @@ def test_train_warns_when_receptive_field_short(tmp_path, capsys):
 def perfect_model_files(tmp_path):
     """A zeroed model with head bias 0.5 plus a cycle whose SOC is 0.5."""
     cfg = TcnConfig(stacks=1, input_window=20, kernel_size=3, filters=3)
-    model = build_model(cfg, seed=0, norm=NormalizationParams.identity())
+    unit = NormalizationParams(0.0, 1.0, 0.0, 1.0, 0.0, 1.0, 0.0, 1.0)
+    model = build_model(cfg, seed=0, norm=unit)
     for p in model.parameters():
         p[...] = 0.0
     model.head_bias[0] = 0.5

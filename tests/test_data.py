@@ -328,7 +328,7 @@ def test_apply_normalization_does_not_clip():
 
 
 def test_normalization_identity_and_dict():
-    p = NormalizationParams.identity()
+    p = NormalizationParams(0.0, 1.0, 0.0, 1.0, 0.0, 1.0, 0.0, 1.0)
     assert p.bounds("voltage") == (0.0, 1.0)
     d = p.as_dict()
     assert len(d) == 8
@@ -476,7 +476,7 @@ def test_build_hybrid_memory_is_one_dataset_plus_one_cycle():
 
 def test_build_hybrid_needs_cycles():
     with pytest.raises(ValueError):
-        build_hybrid([], NormalizationParams.identity(), 5)
+        build_hybrid([], NormalizationParams(0.0, 1.0, 0.0, 1.0, 0.0, 1.0, 0.0, 1.0), 5)
 
 
 # ---------------------------------------------------------------- cycles
@@ -488,13 +488,3 @@ def test_drive_cycle_length_validation():
         DriveCycle(t, t[:4], t, t)
     with pytest.raises(ValueError):
         DriveCycle(t, t, t, t, soc=t[:3])
-
-
-def test_drive_cycle_records():
-    c = toy_cycle(n=3)
-    recs = list(c.records())
-    assert len(recs) == 3
-    assert recs[1].time_s == 1.0
-    assert recs[1].soc == c.soc[1]
-    no_soc = toy_cycle(n=2, soc=False)
-    assert list(no_soc.records())[0].soc is None

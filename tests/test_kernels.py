@@ -5,15 +5,23 @@ loop over the defining sum; everything vectorized is checked against it.
 """
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
-from helpers import conv_backward_sliced, conv_forward_sliced, conv_oracle, float32_tolerance
+from helpers import (
+    FLOAT32_TOL,
+    conv_backward_sliced,
+    conv_forward_sliced,
+    conv_oracle,
+    float32_tolerance,
+)
 from numpy.lib.stride_tricks import sliding_window_view
 
 from tcnsoc.kernels import (
     AdamState,
     ConvParams,
+    _slab_rows,
     adam_step,
     causal_conv_backward,
     causal_conv_forward,
@@ -261,11 +269,10 @@ def _layouts(a):
     return views
 
 
-@pytest.mark.parametrize("k, d", [(1, 1), (3, 2), (8, 4)])
-def test_kernels_give_the_same_bytes_for_every_input_layout(k, d):
+def _check_every_input_layout(batch, k, d):
     rng = SplitMix64(600 + k * d)
-    x, params = random_case(rng, 3, 4, 5, k, d, 23)
-    g = rng.uniform(-1.0, 1.0, (3, 5, 23))
+    x, params = random_case(rng, batch, 4, 5, k, d, 23)
+    g = rng.uniform(-1.0, 1.0, (batch, 5, 23))
     xs, gs = _layouts(x), _layouts(g)
     assert not xs["fortran"].flags.c_contiguous and not xs["strided"].flags.c_contiguous
     want_y = causal_conv_forward(xs["c-order"], params).tobytes()
@@ -275,6 +282,76 @@ def test_kernels_give_the_same_bytes_for_every_input_layout(k, d):
         assert causal_conv_forward(xs[name], params).tobytes() == want_y, name
         got = causal_conv_backward(xs[name], params, gs[name])
         assert [a.tobytes() for a in got] == want, name
+
+
+@pytest.mark.parametrize("k, d", [(1, 1), (3, 2), (8, 4)])
+def test_kernels_give_the_same_bytes_for_every_input_layout(k, d):
+    _check_every_input_layout(3, k, d)
+
+
+def test_kernels_give_the_same_bytes_for_every_input_layout_across_slabs():
+    rows = _slab_rows(5, 8, 23, 8)  # backward's slab; forward's (4 channels) is larger
+    _check_every_input_layout(2 * rows + 1, 8, 4)
+
+
+# batch sizes around the slab boundary, one row short of a slab to two slabs
+# and a row, in float64 at C=8, T=100 and in float32 at C=4, T=500 (k=8)
+SLAB_CASES = [
+    pytest.param(dtype, batch, c, t, id=f"{np.dtype(dtype).name}-{batch}x{c}x{t}")
+    for dtype, c, t in ((np.float64, 8, 100), (np.float32, 4, 500))
+    for step in (_slab_rows(c, 8, t, np.dtype(dtype).itemsize),)
+    for batch in (step - 1, step, step + 1, 2 * step + 1)
+]
+
+
+@pytest.mark.parametrize("dtype, batch, channels, steps", SLAB_CASES)
+def test_slabbed_kernels_match_sliced_kernels_at_slab_boundaries(dtype, batch, channels, steps):
+    assert _slab_rows(channels, 8, steps, np.dtype(dtype).itemsize) > 1
+    for d in (1, 2, 4, 8):
+        rng = SplitMix64(700 + batch * d)
+        x, p64 = random_case(rng, batch, channels, channels, 8, d, steps)
+        params = ConvParams(p64.weights.astype(dtype), p64.bias.astype(dtype), d)
+        x = x.astype(dtype)
+        g = rng.uniform(-1.0, 1.0, (batch, channels, steps)).astype(dtype)
+        y = causal_conv_forward(x, params)
+        assert y.dtype == dtype
+        assert np.array_equal(y, conv_forward_sliced(x, params)), d
+        gx, gw, gb = causal_conv_backward(x, params, g)
+        ref_x, ref_w, ref_b = conv_backward_sliced(x, params, g)
+        assert np.array_equal(gw, ref_w), d
+        assert np.array_equal(gb, ref_b), d
+        tol = 1e-12 if dtype == np.float64 else FLOAT32_TOL
+        assert gx.dtype == ref_x.dtype
+        assert np.max(np.abs(gx - ref_x)) <= tol * max(1.0, float(np.max(np.abs(ref_x)))), d
+        # every batch row is its own product: a slab gives each row's bytes alone
+        alone = [causal_conv_backward(x[i:i + 1], params, g[i:i + 1])[0] for i in range(batch)]
+        assert np.concatenate(alone).tobytes() == gx.tobytes(), d
+
+
+def _peak_bytes(fn, *args):
+    tracemalloc.start()
+    try:
+        result = fn(*args)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return result, peak
+
+
+def test_forward_memory_is_its_output_plus_one_slab():
+    # the whole (256, 32, 500) float32 tap matrix would be 16.4 MB
+    x, p64 = random_case(SplitMix64(800), 256, 4, 4, 8, 8, 500)
+    params = ConvParams(p64.weights.astype(np.float32), p64.bias.astype(np.float32), 8)
+    out, peak = _peak_bytes(causal_conv_forward, x.astype(np.float32), params)
+    assert peak < out.nbytes + 2**20, peak
+
+
+def test_backward_memory_is_its_gradients_plus_one_slab():
+    rng = SplitMix64(801)
+    x, params = random_case(rng, 32, 8, 8, 8, 8, 100)
+    g = rng.uniform(-1.0, 1.0, x.shape)
+    _, peak = _peak_bytes(causal_conv_backward, x, params, g)
+    assert peak < 2 * x.nbytes + 2**20, peak
 
 
 def test_backward_rejects_bad_grad_shape():
@@ -296,7 +373,7 @@ def test_init_bounds_and_determinism():
     assert np.abs(p1.weights).max() <= bound
     assert np.abs(p1.bias).max() <= bound
     assert p1.dilation == 2
-    assert p1.n_params == 4 * 3 * 8 + 4
+    assert p1.weights.size + p1.bias.size == 4 * 3 * 8 + 4
 
 
 def test_conv_params_validation():
@@ -348,7 +425,17 @@ def test_dropout_keep_all():
     x = SplitMix64(2).uniform(size=(3, 4))
     out, mask = dropout(x, 1.0, SplitMix64(3), train=True)
     assert np.array_equal(out, x)
-    assert mask.all()
+    assert mask is None
+    assert np.array_equal(dropout_backward(x, mask, 1.0), x)
+
+
+def test_dropout_keep_all_draws_no_mask():
+    # the mask would be all True, and the dropout stream feeds nothing else
+    rng = SplitMix64(3)
+    x = np.ones((4, 3, 17))
+    out, mask = dropout(x, 1.0, rng, train=True)
+    assert out is x and mask is None
+    assert rng.counter == 0
 
 
 def test_dropout_mask_values_and_scaling():
@@ -379,7 +466,7 @@ def test_dropout_deterministic_per_stream():
 
 def test_dropout_mask_is_the_uniform_threshold_of_its_stream():
     # histories depend on this: the mask equals uniform(size) < p_keep
-    for p in (0.3, 0.9, 1.0):
+    for p in (0.3, 0.9, 1.0 - 2.0**-53):
         x = np.ones((4, 3, 17))
         rng = SplitMix64(8)
         _, mask = dropout(x, p, rng, train=True)

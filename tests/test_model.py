@@ -88,8 +88,8 @@ def test_parameter_count_132_per_conv_at_default_widths():
     cfg = TcnConfig(stacks=1, input_window=100)
     m = build_model(cfg, seed=0)
     for block in m.blocks:
-        assert block.conv1.n_params == 132
-        assert block.conv2.n_params == 132
+        assert block.conv1.weights.size + block.conv1.bias.size == 132
+        assert block.conv2.weights.size + block.conv2.bias.size == 132
     assert all(b.downsample is None for b in m.blocks)
     # 4 blocks of 2 convs plus the 5-parameter head
     assert parameter_count(cfg) == 8 * 132 + 5

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from helpers import float32_tolerance, make_positive
 
+import tcnsoc.model
 from tcnsoc.data import (
     DEFAULT_CELL,
     DriveCycle,
@@ -18,6 +19,7 @@ from tcnsoc.data import (
     make_windows,
 )
 from tcnsoc.model import TcnConfig, build_model, predict
+from tcnsoc.modelio import serialize
 from tcnsoc.rng import SplitMix64
 from tcnsoc.simulate import EcmConfig, generate_profile, simulate_ecm
 from tcnsoc.training import (
@@ -115,6 +117,30 @@ def test_training_loss_mostly_decreases_without_dropout():
     decreases = sum(b <= a for a, b in zip(losses, losses[1:]))
     assert decreases / (len(losses) - 1) >= 0.9, losses
     assert losses[-1] < losses[0] / 3
+
+
+def test_keep_all_dropout_run_keeps_history_and_model_bytes(monkeypatch, tmp_path):
+    # at p_keep=1.0 no mask is drawn; a run whose dropout draws its all-True
+    # masks anyway gives the same history and the same TCN1 file
+    _, _, dataset, _ = tiny_setup()
+    cfg = TcnConfig(stacks=1, input_window=20, kernel_size=3, filters=3,
+                    blocks_per_stack=2, p_keep=1.0)
+
+    def drawing_dropout(x, p_keep, rng, train):
+        if not train:
+            return x, None
+        mask = rng.bernoulli(p_keep, x.shape)
+        return x * mask / p_keep, mask
+
+    runs = []
+    for patch in (False, True):
+        if patch:
+            monkeypatch.setattr(tcnsoc.model, "dropout", drawing_dropout)
+        model = build_model(cfg, seed=4)
+        _, history = train(model, dataset, TrainConfig(epochs=3, seed=2))
+        serialize(model, tmp_path / f"{patch}.bin")
+        runs.append((history, (tmp_path / f"{patch}.bin").read_bytes()))
+    assert runs[0] == runs[1]
 
 
 def test_history_epoch_numbering_and_val_nan():
