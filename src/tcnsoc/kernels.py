@@ -2,8 +2,9 @@
 ReLU, inverted dropout, a per-step linear regression head, MSE loss, and
 the Adam optimizer.
 
-All kernels are pure functions of their arguments. Forward kernels compute
-in the dtype of their input (float64, or float32 for inference) and refuse
+All kernels are pure functions of their arguments, except that ``relu``
+writes into an ``out=`` array when given one. Forward kernels compute in
+the dtype of their input (float64, or float32 for inference) and refuse
 parameters of another dtype instead of upcasting; backward kernels run in
 float64. Sequence tensors are rank-3, shaped (batch, channels, time).
 """
@@ -163,8 +164,8 @@ def causal_conv_backward(
     return grad_x, grad_weights, grad_bias
 
 
-def relu(x: np.ndarray) -> np.ndarray:
-    return np.maximum(x, 0.0)
+def relu(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    return np.maximum(x, 0.0, out=out)
 
 
 def relu_backward(x: np.ndarray, grad_out: np.ndarray) -> np.ndarray:

@@ -167,32 +167,35 @@ def build_model(config: TcnConfig, seed: int, norm: NormalizationParams | None =
 
 @dataclass
 class _BlockCache:
+    """What ``_block_backward`` reads of a block's forward pass. ``r1``, ``r2``
+    and ``out`` are ReLU outputs, positive exactly where their pre-activations
+    are, which is all ``relu_backward`` tests; in eval mode ``d1`` is ``r1``."""
     x: np.ndarray
-    a1: np.ndarray
+    r1: np.ndarray
     mask1: np.ndarray | None
     d1: np.ndarray
-    a2: np.ndarray
+    r2: np.ndarray
     mask2: np.ndarray | None
-    pre: np.ndarray
+    out: np.ndarray
 
 
 def _block_forward(block: ResidualBlock, x: np.ndarray, p_keep: float,
                    train: bool, rng: SplitMix64 | None):
-    a1 = causal_conv_forward(x, block.conv1)
-    d1, mask1 = dropout(relu(a1), p_keep, rng, train)
-    a2 = causal_conv_forward(d1, block.conv2)
-    d2, mask2 = dropout(relu(a2), p_keep, rng, train)
+    r1 = causal_conv_forward(x, block.conv1)
+    d1, mask1 = dropout(relu(r1, out=r1), p_keep, rng, train)
+    r2 = causal_conv_forward(d1, block.conv2)
+    d2, mask2 = dropout(relu(r2, out=r2), p_keep, rng, train)
     skip = x if block.downsample is None else causal_conv_forward(x, block.downsample)
-    pre = d2 + skip
-    return relu(pre), _BlockCache(x, a1, mask1, d1, a2, mask2, pre)
+    out = d2 + skip  # a fresh sum: d2 may be the cached r2, skip the caller's window
+    return relu(out, out=out), _BlockCache(x, r1, mask1, d1, r2, mask2, out)
 
 
 def _block_backward(block: ResidualBlock, cache: _BlockCache, grad_y: np.ndarray,
                     p_keep: float):
-    g_pre = relu_backward(cache.pre, grad_y)
-    g_a2 = relu_backward(cache.a2, dropout_backward(g_pre, cache.mask2, p_keep))
+    g_pre = relu_backward(cache.out, grad_y)
+    g_a2 = relu_backward(cache.r2, dropout_backward(g_pre, cache.mask2, p_keep))
     g_d1, g_w2, g_b2 = causal_conv_backward(cache.d1, block.conv2, g_a2)
-    g_a1 = relu_backward(cache.a1, dropout_backward(g_d1, cache.mask1, p_keep))
+    g_a1 = relu_backward(cache.r1, dropout_backward(g_d1, cache.mask1, p_keep))
     g_x, g_w1, g_b1 = causal_conv_backward(cache.x, block.conv1, g_a1)
     grads = [g_w1, g_b1, g_w2, g_b2]
     if block.downsample is None:
@@ -237,7 +240,7 @@ def forward(model: TcnModel, window: np.ndarray, train: bool = False,
 def forward_with_cache(model: TcnModel, window: np.ndarray, train: bool,
                        rng: SplitMix64 | None):
     """``forward`` in float64 whatever the window's dtype, keeping what
-    ``backward`` needs."""
+    ``backward`` needs: one ``_BlockCache`` per block, in model order."""
     _check_window(model, window)
     h = window.astype(np.float64, copy=False)
     caches = []
@@ -245,21 +248,17 @@ def forward_with_cache(model: TcnModel, window: np.ndarray, train: bool,
         h, cache = _block_forward(block, h, model.config.p_keep, train, rng)
         caches.append(cache)
     y = linear_head_forward(h, model.head_weights, float(model.head_bias[0]))
-    return y, (caches, h)
+    return y, caches
 
 
 def backward(model: TcnModel, cache, grad_y: np.ndarray) -> list[np.ndarray]:
     """Gradients for every parameter array, in parameters() order."""
-    caches, head_input = cache
-    g_h, g_hw, g_hb = linear_head_backward(head_input, model.head_weights, grad_y)
-    block_grads: list[list[np.ndarray]] = []
-    for block, blk_cache in zip(reversed(model.blocks), reversed(caches)):
+    # the last block's output is the head's input
+    g_h, g_hw, g_hb = linear_head_backward(cache[-1].out, model.head_weights, grad_y)
+    flat = [g_hw, np.array([g_hb])]
+    for block, blk_cache in zip(reversed(model.blocks), reversed(cache)):
         g_h, grads = _block_backward(block, blk_cache, g_h, model.config.p_keep)
-        block_grads.append(grads)
-    flat: list[np.ndarray] = []
-    for grads in reversed(block_grads):
-        flat += grads
-    flat += [g_hw, np.array([g_hb])]
+        flat[:0] = grads
     return flat
 
 

@@ -15,11 +15,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import DriveCycle, WindowedDataset, _window_cutter, apply_normalization
-from .kernels import AdamState, adam_step, mse_loss
+from .kernels import AdamState, _slab_rows, adam_step, mse_loss
 from .model import TcnModel, backward, forward, forward_with_cache
 from .rng import SplitMix64
-
-EVAL_BATCH = 256
 
 
 @dataclass
@@ -56,12 +54,14 @@ class EpochStats:
 
 
 def _predictions(model: TcnModel, n: int, cut, feed_back=None) -> np.ndarray:
-    """Final-step predictions for n windows; ``cut(rows)`` returns the windows
-    of the slice ``rows``. They go EVAL_BATCH at a time into one preallocated
-    array, or one at a time when ``feed_back(step, prediction)`` must run
-    before the next window is cut."""
+    """Final-step predictions for n windows, ``cut(rows)`` giving the windows
+    of the slice ``rows``: in batches whose widest activation map, in the
+    windows' dtype, fits one tap slab (README, "Batch slabs"), or one at a
+    time when ``feed_back(step, prediction)`` must run before the next cut."""
     preds = np.empty(n)
-    batch = EVAL_BATCH if feed_back is None else 1
+    cfg = model.config
+    batch = 1 if feed_back is not None else _slab_rows(
+        max(cfg.input_features, cfg.filters), 1, cfg.input_window, cut(slice(0)).itemsize)
     for i in range(0, n, batch):
         rows = slice(i, i + batch)
         preds[rows] = forward(model, cut(rows))[:, -1]

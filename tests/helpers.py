@@ -1,6 +1,20 @@
 """Shared naive oracles used across test modules."""
 
+from types import SimpleNamespace
+
 import numpy as np
+
+from tcnsoc.kernels import (
+    causal_conv_backward,
+    causal_conv_forward,
+    dropout,
+    dropout_backward,
+    linear_head_backward,
+    linear_head_forward,
+    relu,
+    relu_backward,
+)
+from tcnsoc.model import _views
 
 # float32 inference matches float64 to this fraction of max(1, |output|)
 # (README, "Precision").
@@ -88,6 +102,63 @@ def model_forward_oracle(model, x: np.ndarray) -> np.ndarray:
                 np.dot(model.head_weights, h[bi, :, t])
             )
     return out
+
+
+def block_forward_composed(block, x, p_keep, train, rng):
+    """The earlier residual block: every ReLU allocates its output, and the
+    cache keeps the pre-activations ``a1``, ``a2`` and ``pre``."""
+    a1 = causal_conv_forward(x, block.conv1)
+    d1, mask1 = dropout(relu(a1), p_keep, rng, train)
+    a2 = causal_conv_forward(d1, block.conv2)
+    d2, mask2 = dropout(relu(a2), p_keep, rng, train)
+    skip = x if block.downsample is None else causal_conv_forward(x, block.downsample)
+    pre = d2 + skip
+    return relu(pre), SimpleNamespace(x=x, a1=a1, mask1=mask1, d1=d1, a2=a2,
+                                      mask2=mask2, pre=pre)
+
+
+def block_backward_composed(block, cache, grad_y, p_keep):
+    """Gradients of ``block_forward_composed``, the ReLU gates read from the
+    cached pre-activations. Returns (grad_x, [conv1, conv2, downsample grads])."""
+    g_pre = relu_backward(cache.pre, grad_y)
+    g_a2 = relu_backward(cache.a2, dropout_backward(g_pre, cache.mask2, p_keep))
+    g_d1, g_w2, g_b2 = causal_conv_backward(cache.d1, block.conv2, g_a2)
+    g_a1 = relu_backward(cache.a1, dropout_backward(g_d1, cache.mask1, p_keep))
+    g_x, g_w1, g_b1 = causal_conv_backward(cache.x, block.conv1, g_a1)
+    grads = [g_w1, g_b1, g_w2, g_b2]
+    if block.downsample is None:
+        return g_x + g_pre, grads
+    g_skip, g_wd, g_bd = causal_conv_backward(cache.x, block.downsample, g_pre)
+    return g_x + g_skip, grads + [g_wd, g_bd]
+
+
+def model_forward_composed(model, x, train=False, rng=None):
+    """The network through ``block_forward_composed``: a float32 window runs
+    on float32 views of ``theta``, as ``model.forward`` does. Returns
+    (output, cache)."""
+    if x.dtype == np.float32:
+        _, blocks, head_weights, head_bias = _views(model.config,
+                                                    model.theta.astype(np.float32))
+    else:
+        blocks, head_weights, head_bias = model.blocks, model.head_weights, model.head_bias
+    h, caches = x, []
+    for block in blocks:
+        h, cache = block_forward_composed(block, h, model.config.p_keep, train, rng)
+        caches.append(cache)
+    return linear_head_forward(h, head_weights, float(head_bias[0])), (caches, h)
+
+
+def model_backward_composed(model, cache, grad_y):
+    """Parameter gradients from a float64 ``model_forward_composed`` cache,
+    in parameter order."""
+    caches, head_input = cache
+    g_h, g_hw, g_hb = linear_head_backward(head_input, model.head_weights, grad_y)
+    grads = [g_hw, np.array([g_hb])]
+    for block, block_cache in zip(reversed(model.blocks), reversed(caches)):
+        g_h, block_grads = block_backward_composed(block, block_cache, g_h,
+                                                   model.config.p_keep)
+        grads[:0] = block_grads
+    return grads
 
 
 def make_positive(model) -> None:

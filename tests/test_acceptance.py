@@ -23,7 +23,7 @@ from tcnsoc.data import (
     coulomb_count,
     fit_normalization,
 )
-from tcnsoc.kernels import mse_loss
+from tcnsoc.kernels import causal_conv_forward, mse_loss, relu
 from tcnsoc.model import (
     TcnConfig,
     backward,
@@ -65,13 +65,17 @@ def _activation_margin(model, x) -> float:
     closed, so a small parameter step leaves them pinned at zero rather
     than crossing the kink.
     """
-    _, (caches, _) = forward_with_cache(model, x, train=False, rng=None)
-    margin = math.inf
-    for c in caches:
-        for arr in (c.a1, c.a2, c.pre):
+    margin, h = math.inf, x
+    for block in model.blocks:  # the eval-mode block, dropout the identity
+        a1 = causal_conv_forward(h, block.conv1)
+        a2 = causal_conv_forward(relu(a1), block.conv2)
+        skip = h if block.downsample is None else causal_conv_forward(h, block.downsample)
+        pre = relu(a2) + skip
+        for arr in (a1, a2, pre):
             nonzero = arr[arr != 0.0]
             if nonzero.size:
                 margin = min(margin, float(np.abs(nonzero).min()))
+        h = relu(pre)
     return margin
 
 

@@ -3,7 +3,17 @@
 import numpy as np
 import pytest
 
-from helpers import conv_oracle, float32_tolerance, make_positive, model_forward_oracle
+from numpy.lib.stride_tricks import sliding_window_view
+
+from helpers import (
+    conv_oracle,
+    float32_tolerance,
+    make_positive,
+    model_backward_composed,
+    model_forward_composed,
+    model_forward_oracle,
+)
+from tcnsoc.data import _window_cutter
 from tcnsoc.model import (
     TcnConfig,
     TcnModel,
@@ -360,3 +370,70 @@ def test_zero_grad_output_gives_zero_param_grads():
     y, cache = forward_with_cache(m, x, train=False, rng=None)
     grads = backward(m, cache, np.zeros_like(y))
     assert all(np.array_equal(g, np.zeros_like(g)) for g in grads)
+
+
+# ------------------------------------------------------------ in-place block
+
+# the train benchmark shape (block 0 has a downsample), and default widths,
+# where block 0's skip path is the window itself
+BLOCK_CASES = {
+    "train-shape": (TcnConfig(stacks=2, input_window=100, filters=8), 32),
+    "identity-skip": (TcnConfig(stacks=1, input_window=60), 5),
+}
+
+
+@pytest.mark.parametrize("case", BLOCK_CASES)
+def test_forward_gives_the_bytes_of_the_composed_block(case):
+    cfg, batch = BLOCK_CASES[case]
+    m = build_model(cfg, seed=31)
+    assert (m.blocks[0].downsample is None) == (case == "identity-skip")
+    x = SplitMix64(32).uniform(-1, 1, (batch, 4, cfg.input_window))
+    for dtype in (np.float64, np.float32):
+        xd = x.astype(dtype)
+        want = model_forward_composed(m, xd)[0]
+        got = forward(m, xd)
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+        assert predict(m, xd).tobytes() == want[:, -1].tobytes()
+
+
+@pytest.mark.parametrize("train", [True, False])
+@pytest.mark.parametrize("case", BLOCK_CASES)
+def test_gradients_equal_those_of_the_composed_block(case, train):
+    """The cache keeps ReLU outputs instead of pre-activations; the ReLU
+    gates, and so every gradient, are the same bytes."""
+    cfg, batch = BLOCK_CASES[case]
+    assert cfg.p_keep == 0.9
+    m = build_model(cfg, seed=33)
+    rng = SplitMix64(34)
+    x = rng.uniform(-1, 1, (batch, 4, cfg.input_window))
+    grad_y = rng.uniform(-1, 1, (batch, cfg.input_window))
+    y, cache = forward_with_cache(m, x, train, SplitMix64(35) if train else None)
+    want_y, want_cache = model_forward_composed(m, x, train, SplitMix64(35) if train else None)
+    assert np.array_equal(y, want_y)
+    got, want = backward(m, cache, grad_y), model_backward_composed(m, want_cache, grad_y)
+    assert len(got) == len(want) == len(m.parameters())
+    for g, w in zip(got, want):
+        assert g.shape == w.shape and np.array_equal(g, w)
+
+
+def test_model_leaves_the_window_unchanged_and_takes_a_read_only_one():
+    cfg = TcnConfig(stacks=1, input_window=40, blocks_per_stack=2)
+    m = build_model(cfg, seed=41)
+    assert m.blocks[0].downsample is None  # block 0 adds the window itself
+    features = SplitMix64(42).uniform(0, 1, (4, 120))
+    cut = _window_cutter(features, 40)(slice(0, None, 9))
+    frozen = cut.copy()
+    frozen.setflags(write=False)
+    # the read-only strided view that _window_cutter cuts its windows from
+    strided = sliding_window_view(features, 40, axis=1).transpose(1, 0, 2)[::9]
+    assert not strided.flags.writeable and not strided.flags.c_contiguous
+    for x in (cut, cut.astype(np.float32), frozen, strided):
+        before = x.tobytes()
+        y = forward(m, x)
+        assert y.tobytes() == forward(m, np.array(x)).tobytes()
+        assert np.array_equal(predict(m, x), y[:, -1])
+        forward(m, x, train=True, rng=SplitMix64(43))
+        for train in (False, True):
+            out, cache = forward_with_cache(m, x, train, SplitMix64(44) if train else None)
+            backward(m, cache, np.ones_like(out))
+        assert x.tobytes() == before

@@ -9,6 +9,7 @@ import pytest
 from helpers import float32_tolerance, make_positive
 
 import tcnsoc.model
+import tcnsoc.training
 from tcnsoc.data import (
     DEFAULT_CELL,
     DriveCycle,
@@ -18,12 +19,12 @@ from tcnsoc.data import (
     fit_normalization,
     make_windows,
 )
+from tcnsoc.kernels import _slab_rows
 from tcnsoc.model import TcnConfig, build_model, predict
 from tcnsoc.modelio import serialize
 from tcnsoc.rng import SplitMix64
 from tcnsoc.simulate import EcmConfig, generate_profile, simulate_ecm
 from tcnsoc.training import (
-    EVAL_BATCH,
     TrainConfig,
     compute_metrics,
     evaluate,
@@ -296,12 +297,22 @@ def untrained_model(cycles, window=20):
     return build_model(cfg, seed=2, norm=fit_normalization(cycles))
 
 
-def test_evaluate_teacher_across_batch_boundaries_matches_predict():
-    model = untrained_model([sim_cycle(seed=0), sim_cycle(seed=1)])
-    probe = sim_cycle(seed=2, duration=320.0)  # 640 samples: 621 windows
+def test_evaluate_teacher_across_batch_boundaries_matches_predict(monkeypatch):
+    model = untrained_model([sim_cycle(seed=0), sim_cycle(seed=1)], window=100)
+    probe = sim_cycle(seed=2, duration=400.0)  # 800 samples: 701 windows
+    # float32 windows, each of whose activation maps is at most (4, 100)
+    batch = _slab_rows(4, 1, 100, 4)
+    sizes = []
+
+    def counting_forward(model, x):
+        sizes.append(len(x))
+        return tcnsoc.model.forward(model, x)
+
+    monkeypatch.setattr(tcnsoc.training, "forward", counting_forward)
     _, trace = evaluate(model, probe, mode="teacher")
-    windows = make_windows(probe, model.norm, 20, stride=1).x.astype(np.float32)
-    assert len(windows) > 2 * EVAL_BATCH
+    windows = make_windows(probe, model.norm, 100, stride=1).x.astype(np.float32)
+    assert len(windows) > 2 * batch
+    assert sizes == [batch] * (len(windows) // batch) + [len(windows) % batch]
     assert np.array_equal(trace.soc_pred, predict(model, windows))
 
 
@@ -338,6 +349,23 @@ def test_evaluate_teacher_memory_grows_with_the_batch_not_the_cycle():
         tracemalloc.stop()
     # the whole (n, 4, W) window tensor would be 4x this
     assert peak < n * window * 8
+
+
+def test_evaluate_teacher_memory_is_a_few_cache_sized_batches():
+    # a 256-window batch holds 2 MB per activation map and peaked at 25.6 MiB
+    n, window = 3000, 500
+    model = build_model(TcnConfig(stacks=1, input_window=window), seed=3,
+                        norm=fit_normalization([sim_cycle(seed=0), sim_cycle(seed=1)]))
+    t = np.arange(n, dtype=np.float64)
+    probe = DriveCycle(t, 3.7 + 0.1 * np.sin(t / 50), 2.0 * np.cos(t / 70),
+                       25.0 + 0.001 * t, np.linspace(0.9, 0.3, n), "mid")
+    tracemalloc.start()
+    try:
+        evaluate(model, probe, mode="teacher")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2**20
 
 
 def test_evaluate_closed_loop_never_reads_later_truth():
