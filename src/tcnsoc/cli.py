@@ -94,13 +94,11 @@ def build_parser() -> argparse.ArgumentParser:
         prog="tcn-soc",
         description="Temporal convolution charge estimator for battery drive cycles.",
     )
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--seed", type=int, default=0, help="master random seed (default 0)")
-    common.add_argument("--jobs", type=int, default=1,
-                        help="worker processes for grid training (default 1)")
+    seeded = argparse.ArgumentParser(add_help=False)
+    seeded.add_argument("--seed", type=int, default=0, help="master random seed (default 0)")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_sim = sub.add_parser("simulate", parents=[common],
+    p_sim = sub.add_parser("simulate", parents=[seeded],
                            help="write a synthetic drive cycle CSV")
     p_sim.add_argument("--kind", required=True, choices=PROFILE_KINDS,
                        help="drive profile family")
@@ -112,7 +110,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="starting charge fraction (default 0.95)")
     p_sim.add_argument("--out", required=True, help="destination CSV path")
 
-    p_train = sub.add_parser("train", parents=[common],
+    p_train = sub.add_parser("train", parents=[seeded],
                              help="train a model on labeled cycle CSVs")
     p_train.add_argument("--data", required=True, nargs="+",
                          help="one or more drive cycle CSVs")
@@ -123,8 +121,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_train_args(p_train)
     _add_label_args(p_train)
 
-    p_eval = sub.add_parser("eval", parents=[common],
-                            help="score a saved model on a labeled cycle")
+    p_eval = sub.add_parser("eval", help="score a saved model on a labeled cycle")
     p_eval.add_argument("--model", required=True, help="saved model path")
     p_eval.add_argument("--data", required=True, help="drive cycle CSV")
     p_eval.add_argument("--mode", choices=["teacher", "closed-loop"], default="teacher",
@@ -133,15 +130,14 @@ def build_parser() -> argparse.ArgumentParser:
                         help="optional CSV of per-step true and predicted charge")
     _add_label_args(p_eval)
 
-    p_bench = sub.add_parser("bench", parents=[common],
-                             help="latency and size of a saved model")
+    p_bench = sub.add_parser("bench", help="latency and size of a saved model")
     p_bench.add_argument("--model", required=True, help="saved model path")
     p_bench.add_argument("--warmup", type=int, default=100,
                          help="untimed warm-up predictions (default 100)")
     p_bench.add_argument("--iterations", type=int, default=1000,
                          help="timed predictions (default 1000)")
 
-    p_sweep = sub.add_parser("sweep", parents=[common],
+    p_sweep = sub.add_parser("sweep", parents=[seeded],
                              help="train a grid of models and tabulate them")
     p_sweep.add_argument("--data", required=True, nargs="+",
                          help="labeled drive cycle CSVs")
@@ -156,6 +152,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--out-dir", default=None,
                          help="directory for the trained model files")
     p_sweep.add_argument("--csv", default=None, help="destination for the report CSV")
+    p_sweep.add_argument("--jobs", type=int, default=1,
+                         help="worker processes for grid training (default 1)")
     p_sweep.add_argument("--kernel", type=int, default=8)
     p_sweep.add_argument("--filters", type=int, default=4)
     p_sweep.add_argument("--p-keep", type=float, default=0.9)

@@ -3,7 +3,8 @@ ReLU, inverted dropout, a per-step linear regression head, MSE loss, and
 the Adam optimizer.
 
 All kernels are pure functions of their arguments, except that ``relu``
-writes into an ``out=`` array when given one. Forward kernels compute in
+writes into an ``out=`` array when given one and ``adam_step`` updates the
+parameter vector and its optimizer state in place. Forward kernels compute in
 the dtype of their input (float64, or float32 for inference) and refuse
 parameters of another dtype instead of upcasting; backward kernels run in
 float64. Sequence tensors are rank-3, shaped (batch, channels, time).
@@ -11,7 +12,7 @@ float64. Sequence tensors are rank-3, shaped (batch, channels, time).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -245,42 +246,28 @@ def mse_loss(pred: np.ndarray, target: np.ndarray) -> tuple[float, np.ndarray]:
 
 @dataclass
 class AdamState:
-    """Optimizer state for a fixed list of parameter arrays."""
+    """Adam's first and second moment estimates, each shaped like the
+    parameter vector, and its hyperparameters."""
 
+    m: np.ndarray
+    v: np.ndarray
     lr: float = 1e-3
     beta1: float = 0.9
     beta2: float = 0.999
     eps: float = 1e-8
     step: int = 0
-    m: list = field(default_factory=list)
-    v: list = field(default_factory=list)
-
-    @classmethod
-    def for_params(cls, params: list[np.ndarray], lr: float = 1e-3, **kwargs) -> "AdamState":
-        state = cls(lr=lr, **kwargs)
-        state.m = [np.zeros_like(p) for p in params]
-        state.v = [np.zeros_like(p) for p in params]
-        return state
 
 
-def adam_step(
-    params: list[np.ndarray], grads: list[np.ndarray], state: AdamState
-) -> tuple[list[np.ndarray], AdamState]:
-    """One bias-corrected Adam update. Parameter arrays are updated in place."""
-    if not (len(params) == len(grads) == len(state.m) == len(state.v)):
-        raise ValueError(
-            f"param/grad/state length mismatch: {len(params)}/{len(grads)}/"
-            f"{len(state.m)}"
-        )
+def adam_step(theta: np.ndarray, grad: np.ndarray, state: AdamState) -> None:
+    """One bias-corrected Adam update of ``theta`` and ``state``, both in place."""
+    if grad.shape != theta.shape:
+        raise ValueError(f"grad shape {grad.shape} != param shape {theta.shape}")
     state.step += 1
     bc1 = 1.0 - state.beta1 ** state.step
     bc2 = 1.0 - state.beta2 ** state.step
-    for p, g, m, v in zip(params, grads, state.m, state.v):
-        if p.shape != g.shape:
-            raise ValueError(f"grad shape {g.shape} != param shape {p.shape}")
-        m *= state.beta1
-        m += (1.0 - state.beta1) * g
-        v *= state.beta2
-        v += (1.0 - state.beta2) * g * g
-        p -= state.lr * (m / bc1) / (np.sqrt(v / bc2) + state.eps)
-    return params, state
+    m, v = state.m, state.v
+    m *= state.beta1
+    m += (1.0 - state.beta1) * grad
+    v *= state.beta2
+    v += (1.0 - state.beta2) * grad * grad
+    theta -= state.lr * (m / bc1) / (np.sqrt(v / bc2) + state.eps)

@@ -98,9 +98,9 @@ class ResidualBlock:
 
 
 def _views(config: TcnConfig, theta: np.ndarray):
-    """Layer views into a parameter vector, in its dtype: every convolution
-    in parameter order (the head last), the residual blocks, and the head's
-    weights and bias."""
+    """Layer views into a vector in ``theta``'s layout (the parameters or
+    their gradient), in its dtype: every convolution in parameter order (the
+    head last), the residual blocks, and the head's weights and bias."""
     groups, pos = [], 0
     for shapes in _layout(config):
         group = []
@@ -190,21 +190,22 @@ def _block_forward(block: ResidualBlock, x: np.ndarray, p_keep: float,
     return relu(out, out=out), _BlockCache(x, r1, mask1, d1, r2, mask2, out)
 
 
-def _block_backward(block: ResidualBlock, cache: _BlockCache, grad_y: np.ndarray,
-                    p_keep: float):
+def _block_backward(block: ResidualBlock, grad: ResidualBlock, cache: _BlockCache,
+                    grad_y: np.ndarray, p_keep: float) -> np.ndarray:
+    """Writes the block's parameter gradients into ``grad``, views into the
+    gradient vector, and returns the gradient of its input."""
     g_pre = relu_backward(cache.out, grad_y)
     g_a2 = relu_backward(cache.r2, dropout_backward(g_pre, cache.mask2, p_keep))
-    g_d1, g_w2, g_b2 = causal_conv_backward(cache.d1, block.conv2, g_a2)
+    g_d1, grad.conv2.weights[...], grad.conv2.bias[...] = \
+        causal_conv_backward(cache.d1, block.conv2, g_a2)
     g_a1 = relu_backward(cache.r1, dropout_backward(g_d1, cache.mask1, p_keep))
-    g_x, g_w1, g_b1 = causal_conv_backward(cache.x, block.conv1, g_a1)
-    grads = [g_w1, g_b1, g_w2, g_b2]
+    g_x, grad.conv1.weights[...], grad.conv1.bias[...] = \
+        causal_conv_backward(cache.x, block.conv1, g_a1)
     if block.downsample is None:
-        g_x = g_x + g_pre
-    else:
-        g_skip, g_wd, g_bd = causal_conv_backward(cache.x, block.downsample, g_pre)
-        g_x = g_x + g_skip
-        grads += [g_wd, g_bd]
-    return g_x, grads
+        return g_x + g_pre
+    g_skip, grad.downsample.weights[...], grad.downsample.bias[...] = \
+        causal_conv_backward(cache.x, block.downsample, g_pre)
+    return g_x + g_skip
 
 
 def _check_window(model: TcnModel, window: np.ndarray) -> None:
@@ -251,15 +252,16 @@ def forward_with_cache(model: TcnModel, window: np.ndarray, train: bool,
     return y, caches
 
 
-def backward(model: TcnModel, cache, grad_y: np.ndarray) -> list[np.ndarray]:
-    """Gradients for every parameter array, in parameters() order."""
+def backward(model: TcnModel, cache, grad_y: np.ndarray) -> np.ndarray:
+    """Gradient of every parameter: one float64 vector in ``theta``'s layout,
+    each slot written by the layer it belongs to."""
+    grad = np.empty_like(model.theta)
+    _, grad_blocks, grad_hw, grad_hb = _views(model.config, grad)
     # the last block's output is the head's input
-    g_h, g_hw, g_hb = linear_head_backward(cache[-1].out, model.head_weights, grad_y)
-    flat = [g_hw, np.array([g_hb])]
-    for block, blk_cache in zip(reversed(model.blocks), reversed(cache)):
-        g_h, grads = _block_backward(block, blk_cache, g_h, model.config.p_keep)
-        flat[:0] = grads
-    return flat
+    g_h, grad_hw[...], grad_hb[0] = linear_head_backward(cache[-1].out, model.head_weights, grad_y)
+    for block, grad_block, blk_cache in reversed(list(zip(model.blocks, grad_blocks, cache))):
+        g_h = _block_backward(block, grad_block, blk_cache, g_h, model.config.p_keep)
+    return grad
 
 
 def predict(model: TcnModel, window: np.ndarray) -> np.ndarray:

@@ -9,6 +9,7 @@ is never skewed by concurrent training.
 
 from __future__ import annotations
 
+import contextlib
 import os
 import tempfile
 import time
@@ -37,6 +38,13 @@ class LatencyStats:
     warmup: int
 
 
+def _check_latency_args(warmup: int, iterations: int) -> None:
+    if iterations < 1:
+        raise ValueError(f"iterations must be >= 1, got {iterations}")
+    if warmup < 0:
+        raise ValueError(f"warmup must be >= 0, got {warmup}")
+
+
 def measure_latency(
     model: TcnModel, window: np.ndarray, warmup: int = 100, iterations: int = 1000
 ) -> LatencyStats:
@@ -45,10 +53,7 @@ def measure_latency(
     Warm-up passes are run first and excluded; mean and standard deviation
     are over the per-pass timings.
     """
-    if iterations < 1:
-        raise ValueError(f"iterations must be >= 1, got {iterations}")
-    if warmup < 0:
-        raise ValueError(f"warmup must be >= 0, got {warmup}")
+    _check_latency_args(warmup, iterations)
     for _ in range(warmup):
         predict(model, window)
     samples = np.empty(iterations)
@@ -155,7 +160,6 @@ def run_sweep(
     filters: int = 4,
     p_keep: float = 0.9,
     protocol: str = "held-out",
-    holdout_index: int = -1,
     stride: int = 10,
     out_dir: str | None = None,
     jobs: int = 1,
@@ -164,11 +168,12 @@ def run_sweep(
 ) -> SweepReport:
     """Train and score one model per (stacks, window) grid cell.
 
-    protocol 'held-out' trains on all cycles except cycles[holdout_index]
-    and evaluates on that one; protocol 'train-on-all' trains on the
-    hybrid of all cycles and averages metrics over evaluations on each of
-    them. Rows are ordered by (window, stacks) ascending. Cells that fail
-    are reported in place and the sweep continues.
+    protocol 'held-out' trains on all cycles but the last and evaluates on
+    the last; protocol 'train-on-all' trains on the hybrid of all cycles
+    and averages metrics over evaluations on each of them. Rows are ordered
+    by (window, stacks) ascending. Cells that fail are reported in place
+    and the sweep continues; bad arguments raise before any cell trains.
+    Model files go to out_dir, or to a temporary directory removed on return.
     """
     if not stack_counts or not window_lengths:
         raise ValueError("stack_counts and window_lengths must be non-empty")
@@ -176,52 +181,46 @@ def run_sweep(
         raise ValueError(f"protocol must be 'held-out' or 'train-on-all', got {protocol!r}")
     if protocol == "held-out" and len(cycles) < 2:
         raise ValueError("held-out protocol needs at least two cycles")
+    if jobs < 1:
+        raise ValueError(f"jobs must be >= 1, got {jobs}")
+    _check_latency_args(latency_warmup, latency_iterations)
 
     if protocol == "held-out":
-        holdout = cycles[holdout_index]
-        train_cycles = [c for c in cycles if c is not holdout]
-        eval_cycles = [holdout]
+        train_cycles, eval_cycles = list(cycles[:-1]), [cycles[-1]]
     else:
         train_cycles = list(cycles)
         eval_cycles = list(cycles)
 
-    tmp = None
-    if out_dir is None:
-        tmp = tempfile.TemporaryDirectory(prefix="tcn_sweep_")
-        out_dir = tmp.name
-    os.makedirs(out_dir, exist_ok=True)
-
     grid = [(s, w) for w in sorted(window_lengths) for s in sorted(stack_counts)]
     seed_rng = SplitMix64(train_cfg.seed)
     cell_seeds = [int(seed_rng.next_u64()) for _ in grid]
-    cell_args = [
-        (s, w, kernel_size, filters, p_keep, cell_seeds[i], train_cycles,
-         eval_cycles, train_cfg, stride, out_dir)
-        for i, (s, w) in enumerate(grid)
-    ]
+    with (tempfile.TemporaryDirectory(prefix="tcn_sweep_") if out_dir is None
+          else contextlib.nullcontext(out_dir)) as out_dir:
+        os.makedirs(out_dir, exist_ok=True)
+        cell_args = [
+            (s, w, kernel_size, filters, p_keep, cell_seeds[i], train_cycles,
+             eval_cycles, train_cfg, stride, out_dir)
+            for i, (s, w) in enumerate(grid)
+        ]
+        if jobs > 1:
+            with ProcessPoolExecutor(max_workers=jobs) as pool:
+                rows = list(pool.map(_train_cell, cell_args))
+        else:
+            rows = [_train_cell(a) for a in cell_args]
 
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            rows = list(pool.map(_train_cell, cell_args))
-    else:
-        rows = [_train_cell(a) for a in cell_args]
+        # latency phase: exclusive, sequential, on the serialized artifacts
+        for row in rows:
+            if row.failed:
+                continue
+            model = deserialize(row.model_path)
+            sample = np.zeros((1, model.config.input_features, model.config.input_window))
+            stats = measure_latency(model, sample, latency_warmup, latency_iterations)
+            row.latency_ms_mean = stats.mean_s * 1e3
+            row.latency_ms_std = stats.std_s * 1e3
 
-    # latency phase: exclusive, sequential, on the serialized artifacts
-    for row in rows:
-        if row.failed:
-            continue
-        model = deserialize(row.model_path)
-        sample = np.zeros((1, model.config.input_features, model.config.input_window))
-        stats = measure_latency(model, sample, latency_warmup, latency_iterations)
-        row.latency_ms_mean = stats.mean_s * 1e3
-        row.latency_ms_std = stats.std_s * 1e3
-
-    report = SweepReport(
+    return SweepReport(
         rows=rows,
         protocol=protocol,
         train_cycles=[c.name or f"cycle{i}" for i, c in enumerate(train_cycles)],
         eval_cycles=[c.name or f"cycle{i}" for i, c in enumerate(eval_cycles)],
     )
-    if tmp is not None:
-        tmp.cleanup()
-    return report

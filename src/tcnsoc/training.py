@@ -98,7 +98,8 @@ def train(
         raise ValueError(f"no training samples left after validation split ({n_val}/{n})")
     y_val = dataset.y[val_idx]
 
-    state = AdamState.for_params([model.theta], lr=config.learning_rate)
+    state = AdamState(np.zeros_like(model.theta), np.zeros_like(model.theta),
+                      lr=config.learning_rate)
     dropout_rng = rng.spawn()
 
     history: list[EpochStats] = []
@@ -116,8 +117,7 @@ def train(
             loss, grad_pred = mse_loss(y_full[:, -1], yb)
             grad_y = np.zeros_like(y_full)
             grad_y[:, -1] = grad_pred
-            grads = backward(model, cache, grad_y)
-            adam_step([model.theta], [np.concatenate([g.ravel() for g in grads])], state)
+            adam_step(model.theta, backward(model, cache, grad_y), state)
             sq_sum += loss * len(batch)
         train_mse = sq_sum / len(train_idx)
 

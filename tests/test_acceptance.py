@@ -91,7 +91,7 @@ def test_criterion_01_gradients_match_finite_differences():
         dict(stacks=2, input_window=10, kernel_size=2, filters=2, blocks_per_stack=1),
     ]
     step = 1e-5
-    checked = 0
+    checked = total = 0
     worst = 0.0
     for case_no, kw in enumerate(configs):
         cfg = TcnConfig(**kw)
@@ -112,27 +112,28 @@ def test_criterion_01_gradients_match_finite_differences():
         _, grad_pred = mse_loss(y[:, -1], target)
         grad_y = np.zeros_like(y)
         grad_y[:, -1] = grad_pred
-        grads = backward(model, cache, grad_y)
+        grad = backward(model, cache, grad_y)
+        theta = model.theta
+        assert grad.dtype == np.float64 and grad.shape == theta.shape
 
         def loss() -> float:
             return mse_loss(forward(model, x)[:, -1], target)[0]
 
-        for p, g in zip(model.parameters(), grads):
-            flat, gflat = p.ravel(), g.ravel()
-            for i in range(flat.size):
-                keep = flat[i]
-                flat[i] = keep + step
-                hi = loss()
-                flat[i] = keep - step
-                lo = loss()
-                flat[i] = keep
-                fd = (hi - lo) / (2 * step)
-                rel = abs(fd - gflat[i]) / max(abs(fd), abs(gflat[i]), 1e-8)
-                assert rel < 1e-4, (case_no, p.shape, i, fd, gflat[i], rel)
-                worst = max(worst, rel)
-                checked += 1
+        for i in range(theta.size):
+            keep = theta[i]
+            theta[i] = keep + step
+            hi = loss()
+            theta[i] = keep - step
+            lo = loss()
+            theta[i] = keep
+            fd = (hi - lo) / (2 * step)
+            rel = abs(fd - grad[i]) / max(abs(fd), abs(grad[i]), 1e-8)
+            assert rel < 1e-4, (case_no, i, fd, grad[i], rel)
+            worst = max(worst, rel)
+            checked += 1
+        total += parameter_count(cfg)
     elapsed = time.perf_counter() - t0
-    assert checked >= 100
+    assert checked == total >= 100
     assert elapsed < 60.0
     print(f"CRITERION 1 PASS: {checked} gradient coordinates, "
           f"worst rel err {worst:.2e}, {elapsed:.1f}s")

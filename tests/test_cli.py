@@ -243,6 +243,7 @@ def test_sweep_cli_end_to_end(tmp_path, capsys):
         "sweep", "--data", str(d1), str(d2), "--stacks", "1", "--windows", "20",
         "--kernel", "3", "--filters", "3", "--epochs", "1", "--stride", "10",
         "--out-dir", str(tmp_path / "models"), "--csv", str(csv_out),
+        "--jobs", "1", "--seed", "0",
     )
     assert code == 0
     captured = capsys.readouterr()
@@ -266,6 +267,24 @@ def test_sweep_cli_reports_cell_failure(tmp_path, capsys):
     captured = capsys.readouterr()
     assert "FAILED" in captured.out
     assert "failed" in captured.err
+
+
+# ---------------------------------------------------------------- flags
+
+
+@pytest.mark.parametrize("argv", [
+    ("eval", "--model", "m.bin", "--data", "d.csv", "--jobs", "2"),
+    ("eval", "--model", "m.bin", "--data", "d.csv", "--seed", "1"),
+    ("bench", "--model", "m.bin", "--seed", "1"),
+    ("bench", "--model", "m.bin", "--jobs", "2"),
+    ("train", "--data", "d.csv", "--out", "m.bin", "--jobs", "2"),
+    ("simulate", "--kind", "urban", "--out", "u.csv", "--jobs", "2"),
+])
+def test_subcommand_rejects_flags_it_does_not_read(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        run_cli(*argv)
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------- module

@@ -573,26 +573,29 @@ def test_mse_grad_finite_differences():
 # ---------------------------------------------------------------- adam
 
 
-def adam_oracle(params, grads_per_step, lr=1e-3, b1=0.9, b2=0.999, eps=1e-8):
-    """Textbook Adam with bias correction, scalar loops only."""
-    params = [p.astype(np.float64).copy() for p in params]
-    m = [np.zeros_like(p) for p in params]
-    v = [np.zeros_like(p) for p in params]
-    for step, grads in enumerate(grads_per_step, start=1):
-        for p, g, mi, vi in zip(params, grads, m, v):
-            mi[...] = b1 * mi + (1 - b1) * g
-            vi[...] = b2 * vi + (1 - b2) * g * g
-            m_hat = mi / (1 - b1 ** step)
-            v_hat = vi / (1 - b2 ** step)
-            p -= lr * m_hat / (np.sqrt(v_hat) + eps)
-    return params
+def adam_oracle(theta, grads_per_step, lr=1e-3, b1=0.9, b2=0.999, eps=1e-8):
+    """Textbook Adam with bias correction, written out from the formulas."""
+    theta = theta.astype(np.float64).copy()
+    m = np.zeros_like(theta)
+    v = np.zeros_like(theta)
+    for step, g in enumerate(grads_per_step, start=1):
+        m = b1 * m + (1 - b1) * g
+        v = b2 * v + (1 - b2) * g * g
+        m_hat = m / (1 - b1 ** step)
+        v_hat = v / (1 - b2 ** step)
+        theta -= lr * m_hat / (np.sqrt(v_hat) + eps)
+    return theta
+
+
+def fresh_adam(theta, **kwargs):
+    return AdamState(np.zeros_like(theta), np.zeros_like(theta), **kwargs)
 
 
 def test_adam_first_step_is_signed_learning_rate():
     p = np.array([1.0, -2.0, 0.5])
     g = np.array([0.3, -4.0, 1e-4])
-    state = AdamState.for_params([p], lr=1e-3)
-    adam_step([p], [g], state)
+    state = fresh_adam(p, lr=1e-3)
+    adam_step(p, g, state)
     expected = np.array([1.0, -2.0, 0.5]) - 1e-3 * np.sign(g)
     # eps shifts the magnitude by O(eps/|g|); generous bound for the tiny grad
     assert np.allclose(p, expected, atol=1e-7)
@@ -600,66 +603,49 @@ def test_adam_first_step_is_signed_learning_rate():
 
 def test_adam_matches_reference_over_many_steps():
     rng = SplitMix64(600)
-    shapes = [(3, 2), (4,), (2, 2, 2)]
-    params = [rng.uniform(-1, 1, s) for s in shapes]
-    start = [p.copy() for p in params]
-    grads_per_step = [
-        [rng.uniform(-1, 1, s) for s in shapes] for _ in range(25)
-    ]
-    state = AdamState.for_params(params, lr=0.01)
-    for grads in grads_per_step:
-        adam_step(params, grads, state)
+    theta = rng.uniform(-1, 1, 18)
+    start = theta.copy()
+    grads_per_step = [rng.uniform(-1, 1, 18) for _ in range(25)]
+    state = fresh_adam(theta, lr=0.01)
+    for grad in grads_per_step:
+        adam_step(theta, grad, state)
     want = adam_oracle(start, grads_per_step, lr=0.01)
-    for got, exp in zip(params, want):
-        assert np.allclose(got, exp, rtol=1e-12, atol=1e-14)
+    assert np.allclose(theta, want, rtol=1e-12, atol=1e-14)
     assert state.step == 25
-
-
-def test_adam_flat_vector_matches_per_array_update():
-    # one update over the concatenated vector is the per-array update, bit for bit
-    rng = SplitMix64(601)
-    shapes = [(3, 2), (4,), (2, 2, 2), (1,)]
-    params = [rng.uniform(-1, 1, s) for s in shapes]
-    flat = np.concatenate([p.ravel() for p in params])
-    per_array = AdamState.for_params(params, lr=0.01)
-    flat_state = AdamState.for_params([flat], lr=0.01)
-    for _ in range(7):
-        grads = [rng.uniform(-1, 1, s) for s in shapes]
-        adam_step(params, grads, per_array)
-        adam_step([flat], [np.concatenate([g.ravel() for g in grads])], flat_state)
-        assert np.array_equal(flat, np.concatenate([p.ravel() for p in params]))
-    assert flat_state.step == per_array.step == 7
 
 
 def test_adam_updates_in_place():
     p = np.ones(4)
     ref = p
-    state = AdamState.for_params([p])
-    adam_step([p], [np.ones(4)], state)
-    assert ref is p
+    state = fresh_adam(p)
+    m, v = state.m, state.v
+    adam_step(p, np.ones(4), state)
+    assert ref is p and state.m is m and state.v is v
     assert not np.array_equal(p, np.ones(4))
+    assert m.all() and v.all()
 
 
 def test_adam_zero_grad_keeps_params():
     p = np.array([1.0, 2.0])
-    state = AdamState.for_params([p])
-    adam_step([p], [np.zeros(2)], state)
+    state = fresh_adam(p)
+    adam_step(p, np.zeros(2), state)
     assert np.array_equal(p, [1.0, 2.0])
 
 
 def test_adam_length_and_shape_mismatch():
     p = np.zeros(3)
-    state = AdamState.for_params([p])
+    state = fresh_adam(p)
     with pytest.raises(ValueError):
-        adam_step([p], [], state)
+        adam_step(p, np.zeros(4), state)
     with pytest.raises(ValueError):
-        adam_step([p], [np.zeros(4)], state)
+        adam_step(p, np.zeros((3, 1)), state)
+    assert state.step == 0 and not p.any()
 
 
 def test_adam_converges_on_quadratic():
     # minimize (p - 3)^2 elementwise
     p = np.zeros(5)
-    state = AdamState.for_params([p], lr=0.05)
+    state = fresh_adam(p, lr=0.05)
     for _ in range(600):
-        adam_step([p], [2.0 * (p - 3.0)], state)
+        adam_step(p, 2.0 * (p - 3.0), state)
     assert np.allclose(p, 3.0, atol=1e-3)

@@ -291,6 +291,24 @@ def test_receptive_field_impulse_boundary():
 # ------------------------------------------------------------ gradients
 
 
+def _finite_difference_check(m, grad, loss, step=1e-5) -> int:
+    """Compare grad[i] with a central difference of loss() in theta[i] for
+    every i, to 1e-4 relative; returns the number of coordinates checked."""
+    checked = 0
+    for i in range(m.theta.size):
+        keep = m.theta[i]
+        m.theta[i] = keep + step
+        hi = loss()
+        m.theta[i] = keep - step
+        lo = loss()
+        m.theta[i] = keep
+        fd = (hi - lo) / (2 * step)
+        scale = max(abs(fd), abs(grad[i]), 1e-8)
+        assert abs(fd - grad[i]) / scale < 1e-4, (i, fd, grad[i])
+        checked += 1
+    return checked
+
+
 def test_model_gradients_match_finite_differences():
     cfg = tiny_config(input_window=9, kernel_size=2, filters=2, blocks_per_stack=2)
     m = build_model(cfg, seed=13)
@@ -306,27 +324,10 @@ def test_model_gradients_match_finite_differences():
     diff = y[:, -1] - target
     grad_y = np.zeros_like(y)
     grad_y[:, -1] = 2.0 * diff / diff.size
-    grads = backward(m, cache, grad_y)
+    grad = backward(m, cache, grad_y)
+    assert grad.dtype == np.float64 and grad.shape == m.theta.shape
 
-    params = m.parameters()
-    assert len(grads) == len(params)
-    step = 1e-5
-    checked = 0
-    for p, g in zip(params, grads):
-        assert g.shape == p.shape
-        flat, gflat = p.ravel(), g.ravel()
-        for i in range(flat.size):
-            keep = flat[i]
-            flat[i] = keep + step
-            hi = loss()
-            flat[i] = keep - step
-            lo = loss()
-            flat[i] = keep
-            fd = (hi - lo) / (2 * step)
-            scale = max(abs(fd), abs(gflat[i]), 1e-8)
-            assert abs(fd - gflat[i]) / scale < 1e-4, (p.shape, i, fd, gflat[i])
-            checked += 1
-    assert checked == parameter_count(cfg)
+    assert _finite_difference_check(m, grad, loss) == parameter_count(cfg)
 
 
 def test_gradients_with_train_mode_dropout_mask():
@@ -341,26 +342,14 @@ def test_gradients_with_train_mode_dropout_mask():
     diff = y[:, -1] - target
     grad_y = np.zeros_like(y)
     grad_y[:, -1] = 2.0 * diff / diff.size
-    grads = backward(m, cache, grad_y)
+    grad = backward(m, cache, grad_y)
 
     # replaying the identical mask stream reproduces the same loss surface
     def loss() -> float:
         p = forward(m, x, train=True, rng=SplitMix64(23))[:, -1]
         return float(np.mean((p - target) ** 2))
 
-    step = 1e-5
-    for p, g in zip(m.parameters(), grads):
-        flat, gflat = p.ravel(), g.ravel()
-        for i in range(0, flat.size, 7):  # sample coordinates for speed
-            keep = flat[i]
-            flat[i] = keep + step
-            hi = loss()
-            flat[i] = keep - step
-            lo = loss()
-            flat[i] = keep
-            fd = (hi - lo) / (2 * step)
-            scale = max(abs(fd), abs(gflat[i]), 1e-8)
-            assert abs(fd - gflat[i]) / scale < 1e-4
+    assert _finite_difference_check(m, grad, loss) == parameter_count(cfg)
 
 
 def test_zero_grad_output_gives_zero_param_grads():
@@ -368,8 +357,8 @@ def test_zero_grad_output_gives_zero_param_grads():
     m = build_model(cfg, seed=1)
     x = SplitMix64(2).uniform(-1, 1, (2, 4, cfg.input_window))
     y, cache = forward_with_cache(m, x, train=False, rng=None)
-    grads = backward(m, cache, np.zeros_like(y))
-    assert all(np.array_equal(g, np.zeros_like(g)) for g in grads)
+    grad = backward(m, cache, np.zeros_like(y))
+    assert grad.shape == m.theta.shape and not grad.any()
 
 
 # ------------------------------------------------------------ in-place block
@@ -410,10 +399,11 @@ def test_gradients_equal_those_of_the_composed_block(case, train):
     y, cache = forward_with_cache(m, x, train, SplitMix64(35) if train else None)
     want_y, want_cache = model_forward_composed(m, x, train, SplitMix64(35) if train else None)
     assert np.array_equal(y, want_y)
-    got, want = backward(m, cache, grad_y), model_backward_composed(m, want_cache, grad_y)
-    assert len(got) == len(want) == len(m.parameters())
-    for g, w in zip(got, want):
-        assert g.shape == w.shape and np.array_equal(g, w)
+    # every slot of the vector is written: it holds the bytes of the list oracle
+    got = backward(m, cache, grad_y)
+    want = np.concatenate([g.ravel() for g in model_backward_composed(m, want_cache, grad_y)])
+    assert got.dtype == np.float64 and got.shape == m.theta.shape
+    assert got.tobytes() == want.tobytes()
 
 
 def test_model_leaves_the_window_unchanged_and_takes_a_read_only_one():

@@ -1,10 +1,12 @@
 """Tests for the grid sweep and latency benchmark."""
 
 import os
+import tempfile
 
 import numpy as np
 import pytest
 
+import tcnsoc.sweep as sweep_module
 from tcnsoc.data import DEFAULT_CELL, fit_normalization
 from tcnsoc.model import TcnConfig, build_model, parameter_count
 from tcnsoc.simulate import EcmConfig, generate_profile, simulate_ecm
@@ -177,3 +179,31 @@ def test_sweep_default_out_dir_is_temporary():
     )
     assert not report.rows[0].failed
     assert not os.path.exists(report.rows[0].model_path)  # cleaned up
+
+
+@pytest.mark.parametrize("bad, message", [
+    (dict(jobs=0), "jobs must be >= 1"),
+    (dict(latency_warmup=-1), "warmup must be >= 0"),
+    (dict(latency_iterations=0), "iterations must be >= 1"),
+])
+def test_sweep_rejects_bad_arguments_before_training_a_cell(tmp_path, monkeypatch,
+                                                            bad, message):
+    trained = []
+    train_cell = sweep_module._train_cell
+    monkeypatch.setattr(sweep_module, "_train_cell",
+                        lambda args: trained.append(args) or train_cell(args))
+    with pytest.raises(ValueError, match=message):
+        small_sweep(tmp_path, **bad)
+    assert trained == []
+
+
+def test_sweep_removes_its_temporary_directory_on_error(tmp_path, monkeypatch):
+    def fail(*args, **kwargs):
+        raise RuntimeError("latency failed")
+
+    monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
+    monkeypatch.setattr(sweep_module, "measure_latency", fail)
+    with pytest.raises(RuntimeError, match="latency failed") as raised:
+        small_sweep(tmp_path, out_dir=None)
+    # gone while the caller still holds the error and so the sweep's frame
+    assert raised.traceback and os.listdir(tmp_path) == []
