@@ -59,27 +59,31 @@ def _load_labeled(path: str, capacity_ah: float, initial_soc: float):
     return cycle
 
 
-def _add_model_args(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--window", type=int, default=500,
-                   help="input window length in samples (default 500)")
-    p.add_argument("--stacks", type=int, default=20,
-                   help="stacked dilation pyramids (default 20)")
-    p.add_argument("--kernel", type=int, default=8,
-                   help="convolution kernel size (default 8)")
-    p.add_argument("--filters", type=int, default=4,
-                   help="channels per hidden layer (default 4)")
-    p.add_argument("--p-keep", type=float, default=0.9,
-                   help="dropout keep probability during training (default 0.9)")
-
-
 def _add_train_args(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--epochs", type=int, default=30, help="training epochs (default 30)")
-    p.add_argument("--batch-size", type=int, default=32, help="mini-batch size (default 32)")
-    p.add_argument("--lr", type=float, default=1e-3, help="Adam learning rate (default 1e-3)")
+    """The width and training flags of ``train`` and ``sweep``; their
+    defaults are those of ``TcnConfig`` and ``TrainConfig``."""
+    p.add_argument("--kernel", type=int, default=TcnConfig.kernel_size,
+                   help="convolution kernel size (default %(default)s)")
+    p.add_argument("--filters", type=int, default=TcnConfig.filters,
+                   help="channels per hidden layer (default %(default)s)")
+    p.add_argument("--p-keep", type=float, default=TcnConfig.p_keep,
+                   help="dropout keep probability during training (default %(default)s)")
+    p.add_argument("--epochs", type=int, default=TrainConfig.epochs,
+                   help="training epochs (default %(default)s)")
+    p.add_argument("--batch-size", type=int, default=TrainConfig.batch_size,
+                   help="mini-batch size (default %(default)s)")
+    p.add_argument("--lr", type=float, default=TrainConfig.learning_rate,
+                   help="Adam learning rate (default %(default)s)")
     p.add_argument("--stride", type=int, default=10,
                    help="training window stride in samples (default 10)")
-    p.add_argument("--val-fraction", type=float, default=0.1,
-                   help="fraction of windows held for validation (default 0.1)")
+    p.add_argument("--val-fraction", type=float, default=TrainConfig.validation_fraction,
+                   help="fraction of windows held for validation (default %(default)s)")
+
+
+def _train_config(args) -> TrainConfig:
+    return TrainConfig(learning_rate=args.lr, batch_size=args.batch_size,
+                       epochs=args.epochs, validation_fraction=args.val_fraction,
+                       seed=args.seed)
 
 
 def _add_label_args(p: argparse.ArgumentParser) -> None:
@@ -117,7 +121,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_train.add_argument("--out", required=True, help="destination model path")
     p_train.add_argument("--history", default=None,
                          help="optional CSV of per-epoch losses")
-    _add_model_args(p_train)
+    p_train.add_argument("--window", type=int, default=500,
+                         help="input window length in samples (default 500)")
+    p_train.add_argument("--stacks", type=int, default=20,
+                         help="stacked dilation pyramids (default 20)")
     _add_train_args(p_train)
     _add_label_args(p_train)
 
@@ -154,9 +161,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--csv", default=None, help="destination for the report CSV")
     p_sweep.add_argument("--jobs", type=int, default=1,
                          help="worker processes for grid training (default 1)")
-    p_sweep.add_argument("--kernel", type=int, default=8)
-    p_sweep.add_argument("--filters", type=int, default=4)
-    p_sweep.add_argument("--p-keep", type=float, default=0.9)
     _add_train_args(p_sweep)
     _add_label_args(p_sweep)
 
@@ -192,10 +196,7 @@ def _cmd_train(args) -> int:
     model = build_model(config, seed=args.seed)
     if args.epochs == 0:
         _warn("epochs is 0: writing the untrained model")
-    cfg = TrainConfig(learning_rate=args.lr, batch_size=args.batch_size,
-                      epochs=args.epochs, validation_fraction=args.val_fraction,
-                      seed=args.seed)
-    _, history = train(model, dataset, cfg)
+    _, history = train(model, dataset, _train_config(args))
     for st in history:
         _info(f"epoch {st.epoch:3d}  train_mse {st.train_mse:.6e}  "
               f"val_mse {st.val_mse:.6e}")
@@ -245,11 +246,8 @@ def _cmd_bench(args) -> int:
 
 def _cmd_sweep(args) -> int:
     cycles = [_load_labeled(p, args.capacity_ah, args.initial_soc) for p in args.data]
-    cfg = TrainConfig(learning_rate=args.lr, batch_size=args.batch_size,
-                      epochs=args.epochs, validation_fraction=args.val_fraction,
-                      seed=args.seed)
     report = run_sweep(
-        args.stacks, args.windows, cycles, cfg,
+        args.stacks, args.windows, cycles, _train_config(args),
         kernel_size=args.kernel, filters=args.filters, p_keep=args.p_keep,
         protocol=args.protocol, stride=args.stride, out_dir=args.out_dir,
         jobs=args.jobs,

@@ -313,7 +313,6 @@ def make_windows(
     params: NormalizationParams,
     window: int,
     stride: int = 1,
-    source_tag: int = 0,
 ) -> WindowedDataset:
     """Slice one cycle into normalized windows starting at 0, stride, 2*stride..."""
     starts = _window_starts(cycle, window, stride)
@@ -323,7 +322,7 @@ def make_windows(
     return WindowedDataset(
         x=x,
         y=y,
-        source=np.full(len(starts), source_tag, dtype=np.int64),
+        source=np.zeros(len(starts), dtype=np.int64),
         start=starts.astype(np.int64),
         cycle_names=[cycle.name or "cycle0"],
         norm=params,
@@ -355,9 +354,9 @@ def build_hybrid(
     start = np.empty(len(perm), dtype=np.int64)
     end = 0
     for i, (cycle, count) in enumerate(zip(cycles, counts)):
-        part = make_windows(cycle, params, window, stride, source_tag=i)
+        part = make_windows(cycle, params, window, stride)
         dest = rows[end:end + count]
-        x[dest], y[dest], source[dest], start[dest] = part.x, part.y, part.source, part.start
+        x[dest], y[dest], source[dest], start[dest] = part.x, part.y, i, part.start
         del part  # freed before the next cycle's windows are cut
         end += count
     return WindowedDataset(

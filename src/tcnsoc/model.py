@@ -11,7 +11,7 @@ the prediction for the window.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -35,8 +35,8 @@ from .rng import SplitMix64
 class TcnConfig:
     """Architecture hyperparameters.
 
-    input_features covers (voltage, current, temperature, past SOC);
-    dilation_base is fixed at 2 to avoid skipping input positions.
+    input_features covers (voltage, current, temperature, past SOC). The
+    dilation schedule is not a setting: ``_layout`` doubles it per block.
     """
 
     stacks: int
@@ -46,20 +46,18 @@ class TcnConfig:
     input_features: int = 4
     blocks_per_stack: int = 4
     p_keep: float = 0.9
-    dilation_base: int = 2
 
     def validate(self) -> None:
-        for name in ("stacks", "input_window", "kernel_size", "filters",
-                     "input_features", "blocks_per_stack"):
+        for name in CONFIG_INT_FIELDS:
             value = getattr(self, name)
             if not isinstance(value, int) or value < 1:
                 raise ValueError(f"config field {name} must be a positive integer, got {value!r}")
         if not 0.0 < self.p_keep <= 1.0:
             raise ValueError(f"config field p_keep must be in (0, 1], got {self.p_keep}")
-        if self.dilation_base != 2:
-            raise ValueError(
-                f"config field dilation_base is fixed at 2, got {self.dilation_base}"
-            )
+
+
+# the integer fields of TcnConfig in declaration order, as the TCN1 header lists them
+CONFIG_INT_FIELDS = tuple(f.name for f in fields(TcnConfig) if f.type == "int")
 
 
 def _layout(config: TcnConfig):
@@ -75,7 +73,7 @@ def _layout(config: TcnConfig):
     for s in range(config.stacks):
         for i in range(config.blocks_per_stack):
             in_ch = config.input_features if (s == 0 and i == 0) else f
-            dilation = config.dilation_base ** i
+            dilation = 2 ** i  # doubling never skips an input position
             convs = [(f, in_ch, k, dilation), (f, f, k, dilation)]
             if in_ch != f:
                 convs.append((f, in_ch, 1, 1))
@@ -270,9 +268,10 @@ def predict(model: TcnModel, window: np.ndarray) -> np.ndarray:
 
 
 def receptive_field(config: TcnConfig) -> int:
-    """Closed-form look-back: 1 + 2*(k-1)*S*(2**blocks_per_stack - 1) steps."""
-    per_stack = 2 * (config.kernel_size - 1) * (config.dilation_base ** config.blocks_per_stack - 1)
-    return 1 + config.stacks * per_stack
+    """Look-back in steps: 1 plus (k-1)*dilation for every convolution in
+    ``_layout`` (the 1x1 downsamples and the head add nothing)."""
+    return 1 + sum((k - 1) * dilation
+                   for shapes in _layout(config) for _, _, k, dilation in shapes)
 
 
 def _conv_sizes(config: TcnConfig):

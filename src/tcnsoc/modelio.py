@@ -5,7 +5,8 @@ Layout (all integers little-endian):
     bytes 0-3    magic ``TCN1``
     bytes 4-7    u32 format version (currently 1)
     bytes 8-11   u32 header length H
-    H bytes      UTF-8 ``key=value`` lines: config fields, creation seed,
+    H bytes      UTF-8 ``key=value`` lines: the integer config fields, a
+                 fixed ``dilation_base=2`` line, p_keep, creation seed,
                  normalization ranges (only if trained), writer tag
     4*P bytes    weight payload: the model's parameter vector ``theta`` as
                  float32, in the parameter order of ``model._layout``
@@ -27,14 +28,11 @@ from pathlib import Path
 import numpy as np
 
 from .data import CHANNEL_NAMES, NormalizationParams
-from .model import TcnConfig, TcnModel, _conv_sizes
+from .model import CONFIG_INT_FIELDS, TcnConfig, TcnModel, _conv_sizes
 
 MAGIC = b"TCN1"
 FORMAT_VERSION = 1
 _WRITER = "tcn-soc 0.1.0"
-
-_CONFIG_INT_FIELDS = ["stacks", "input_window", "kernel_size", "filters",
-                      "input_features", "blocks_per_stack", "dilation_base"]
 
 
 class ModelFormatError(ValueError):
@@ -59,7 +57,8 @@ class ChecksumError(ModelFormatError):
 
 def _header_text(model: TcnModel) -> str:
     cfg = model.config
-    lines = [f"{name}={getattr(cfg, name)}" for name in _CONFIG_INT_FIELDS]
+    lines = [f"{name}={getattr(cfg, name)}" for name in CONFIG_INT_FIELDS]
+    lines.append("dilation_base=2")  # fixed: the model doubles the dilation per block
     lines.append(f"p_keep={cfg.p_keep!r}")
     lines.append(f"seed={model.seed}")
     if model.norm is not None:  # an untrained model has no norm_* lines
@@ -78,11 +77,12 @@ def _parse_header(text: str, path: Path) -> tuple[TcnConfig, NormalizationParams
             raise ModelFormatError(f"{path}: malformed header line {line!r}")
         fields[key] = value
     try:
-        cfg = TcnConfig(
-            **{name: int(fields[name]) for name in _CONFIG_INT_FIELDS},
-            p_keep=float(fields["p_keep"]),
-        )
+        ints = {name: int(fields[name]) for name in CONFIG_INT_FIELDS}
+        dilation_base = int(fields["dilation_base"])
+        cfg = TcnConfig(**ints, p_keep=float(fields["p_keep"]))
         cfg.validate()
+        if dilation_base != 2:
+            raise ValueError(f"config field dilation_base is fixed at 2, got {dilation_base}")
         seed = int(fields["seed"])
         norm_keys = [f"{name}_{end}" for name in CHANNEL_NAMES for end in ("min", "max")]
         if not any(f"norm_{key}" in fields for key in norm_keys):
@@ -113,7 +113,8 @@ def _check_finite(values: np.ndarray, path) -> None:
 def serialize(model: TcnModel, destination) -> int:
     """Write the model; returns the number of bytes written."""
     header = _header_text(model).encode("utf-8")
-    values = model.theta.astype("<f4")
+    with np.errstate(over="ignore"):  # a weight beyond float32 range is refused below
+        values = model.theta.astype("<f4")
     _check_finite(values, destination)
     payload = values.tobytes()
     blob = b"".join([

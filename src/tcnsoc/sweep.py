@@ -120,15 +120,12 @@ class SweepReport:
 
 
 def _train_cell(args) -> SweepRow:
-    (stacks, window, kernel_size, filters, p_keep, cell_seed, train_cycles,
-     eval_cycles, train_cfg, stride, out_dir) = args
-    row = SweepRow(stacks=stacks, window=window)
+    config, cell_seed, train_cycles, eval_cycles, train_cfg, stride, out_dir = args
+    row = SweepRow(stacks=config.stacks, window=config.input_window)
     try:
-        config = TcnConfig(stacks=stacks, input_window=window,
-                           kernel_size=kernel_size, filters=filters, p_keep=p_keep)
         row.parameters = parameter_count(config)
         norm = fit_normalization(train_cycles)
-        dataset = build_hybrid(train_cycles, norm, window, stride=stride, seed=cell_seed)
+        dataset = build_hybrid(train_cycles, norm, config.input_window, stride=stride, seed=cell_seed)
         model = build_model(config, seed=cell_seed)
         cfg = replace(train_cfg, seed=cell_seed)
         model, _ = train(model, dataset, cfg)
@@ -141,7 +138,7 @@ def _train_cell(args) -> SweepRow:
         row.mse = float(np.mean(mses))
         row.accuracy_pct = float(np.mean(accs))
 
-        row.model_path = os.path.join(out_dir, f"tcn_s{stacks}_w{window}.bin")
+        row.model_path = os.path.join(out_dir, f"tcn_s{row.stacks}_w{row.window}.bin")
         serialize(model, row.model_path)
         row.file_size_bytes = os.path.getsize(row.model_path)
     except Exception as exc:  # keep sweeping; the row records the diagnostic
@@ -156,9 +153,9 @@ def run_sweep(
     cycles: list[DriveCycle],
     train_cfg: TrainConfig,
     *,
-    kernel_size: int = 8,
-    filters: int = 4,
-    p_keep: float = 0.9,
+    kernel_size: int = TcnConfig.kernel_size,
+    filters: int = TcnConfig.filters,
+    p_keep: float = TcnConfig.p_keep,
     protocol: str = "held-out",
     stride: int = 10,
     out_dir: str | None = None,
@@ -198,8 +195,9 @@ def run_sweep(
           else contextlib.nullcontext(out_dir)) as out_dir:
         os.makedirs(out_dir, exist_ok=True)
         cell_args = [
-            (s, w, kernel_size, filters, p_keep, cell_seeds[i], train_cycles,
-             eval_cycles, train_cfg, stride, out_dir)
+            (TcnConfig(stacks=s, input_window=w, kernel_size=kernel_size,
+                       filters=filters, p_keep=p_keep),
+             cell_seeds[i], train_cycles, eval_cycles, train_cfg, stride, out_dir)
             for i, (s, w) in enumerate(grid)
         ]
         if jobs > 1:

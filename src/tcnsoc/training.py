@@ -185,17 +185,28 @@ def evaluate(
         preds = _predictions(model, n, _window_cutter(features.astype(np.float32), window))
     else:
         lo, hi = model.norm.bounds("soc")
+        fed = 0  # steps whose prediction is in the features
+
+        def diverged(step: int, how: str) -> ValueError:
+            return ValueError(
+                f"closed-loop prediction diverged {how} at step {step} "
+                f"(t={cycle.time_s[step + window - 1]:g} s) of cycle {cycle.name!r}")
 
         def feed_back(step: int, pred: float) -> None:
             # past SOC after the first window is the fed-back prediction, never the label
+            nonlocal fed
             if not math.isfinite(pred):
-                raise ValueError(
-                    f"closed-loop prediction diverged to {pred} at step {step} "
-                    f"(t={cycle.time_s[step + window - 1]:g} s) of cycle {cycle.name!r}")
+                raise diverged(step, f"to {pred}")
             features[3, step + window - 1] = (pred - lo) / (hi - lo)
+            fed = step + 1
 
-        # float64: a float32 rounding error would compound through the feedback
-        preds = _predictions(model, n, _window_cutter(features, window), feed_back)
+        # float64: a float32 rounding error would compound through the feedback;
+        # an overflow or nan inside the network is divergence at the step computed
+        try:
+            with np.errstate(over="raise", invalid="raise"):
+                preds = _predictions(model, n, _window_cutter(features, window), feed_back)
+        except FloatingPointError as exc:
+            raise diverged(fed, f"({exc})") from None
 
     truth = cycle.soc[window - 1:]
     trace = PredictionTrace(cycle.time_s[window - 1:].copy(), truth.copy(), preds)

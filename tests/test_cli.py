@@ -6,10 +6,11 @@ import sys
 import numpy as np
 import pytest
 
-from tcnsoc.cli import main
+from tcnsoc.cli import _train_config, build_parser, main
 from tcnsoc.data import DriveCycle, NormalizationParams, load_csv, save_csv
 from tcnsoc.model import TcnConfig, build_model
 from tcnsoc.modelio import deserialize, serialize
+from tcnsoc.training import TrainConfig
 
 
 def run_cli(*argv):
@@ -285,6 +286,18 @@ def test_subcommand_rejects_flags_it_does_not_read(argv, capsys):
         run_cli(*argv)
     assert exc.value.code == 2
     assert "unrecognized arguments" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ("train", "--data", "d.csv", "--out", "m.bin"),
+    ("sweep", "--data", "d.csv"),
+])
+def test_width_and_training_flags_default_to_the_configs(argv):
+    args = build_parser().parse_args(argv)
+    widths = TcnConfig(stacks=1, input_window=1)
+    assert (args.kernel, args.filters, args.p_keep) == \
+        (widths.kernel_size, widths.filters, widths.p_keep)
+    assert _train_config(args) == TrainConfig(seed=args.seed)
 
 
 # ---------------------------------------------------------------- module

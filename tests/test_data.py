@@ -342,7 +342,7 @@ def test_make_windows_slicing_oracle():
     n, window, stride = 10, 4, 3
     c = toy_cycle(n=n)
     p = fit_normalization([c])
-    ds = make_windows(c, p, window, stride, source_tag=7)
+    ds = make_windows(c, p, window, stride)
     assert len(ds) == 3  # starts 0, 3, 6
     assert ds.x.shape == (3, 4, window)
     feats = apply_normalization(c, p)
@@ -353,7 +353,7 @@ def test_make_windows_slicing_oracle():
         assert ds.x[w, 3, 0] == feats[3, start]
         assert np.array_equal(ds.x[w, 3, 1:], feats[3, start:start + window - 1])
         assert ds.y[w] == c.soc[start + window - 1]
-    assert np.all(ds.source == 7)
+    assert np.all(ds.source == 0) and ds.cycle_names == [c.name]
     assert np.array_equal(ds.start, [0, 3, 6])
 
 
@@ -449,7 +449,9 @@ def test_build_hybrid_equals_concatenate_then_permute():
               toy_cycle(n=41, name="c")]
     p = fit_normalization(cycles)
     ds = build_hybrid(cycles, p, window=7, stride=2, seed=5)
-    parts = [make_windows(c, p, 7, 2, source_tag=i) for i, c in enumerate(cycles)]
+    parts = [make_windows(c, p, 7, 2) for c in cycles]
+    for i, part in enumerate(parts):
+        part.source[:] = i  # the tag build_hybrid gives each cycle's windows
     perm = SplitMix64(5).permutation(len(ds))
     for field in ("x", "y", "source", "start"):
         want = np.concatenate([getattr(part, field) for part in parts])[perm]

@@ -1,5 +1,6 @@
 """Tests for the binary model file format."""
 
+import hashlib
 import struct
 import time
 import zlib
@@ -303,17 +304,32 @@ def test_many_random_models_round_trip(tmp_path):
         assert m2.config == cfg
 
 
-@pytest.mark.parametrize("cfg, crc", [
-    (dict(stacks=2, input_window=100), 0xEC814F28),
-    (dict(stacks=2, input_window=100, filters=8), 0x788A3C7F),
-    (dict(stacks=1, input_window=12, kernel_size=3, filters=3, blocks_per_stack=2),
-     0x3FBAFF1E),
-])
+PINNED_CONFIGS = [
+    dict(stacks=2, input_window=100),
+    dict(stacks=2, input_window=100, filters=8),
+    dict(stacks=1, input_window=12, kernel_size=3, filters=3, blocks_per_stack=2),
+]
+
+
+@pytest.mark.parametrize("cfg, crc", list(zip(PINNED_CONFIGS,
+                                              [0xEC814F28, 0x788A3C7F, 0x3FBAFF1E])))
 def test_payload_crc_is_pinned(tmp_path, cfg, crc):
     # fixed init draws in the fixed parameter order; the last two have downsamples
     path = tmp_path / "m.bin"
     serialize(build_model(TcnConfig(**cfg), seed=7), path)
     assert struct.unpack("<I", path.read_bytes()[-4:])[0] == crc
+
+
+@pytest.mark.parametrize("cfg, digest", list(zip(PINNED_CONFIGS, [
+    "fe32a7ea057d8f1ff9b48ae1a1915678abdc3ba32af1b5b83c8bfe4173df58b2",
+    "01ab3dcc57678566af152c50de748d1c7498fef36dc7eae0605c33bed70a2675",
+    "769474cbabfefdb0c6c39144860172271604146899d901bd673d87b1b59226c8",
+])))
+def test_file_sha256_is_pinned(tmp_path, cfg, digest):
+    # the whole file, header lines and their order included, not just the payload
+    path = tmp_path / "m.bin"
+    serialize(build_model(TcnConfig(**cfg), seed=7), path)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
 
 
 def rewrite_payload_value(path, index, value):
@@ -338,8 +354,7 @@ def test_non_finite_weight_rejected(tmp_path, value):
 def test_serialize_refuses_weights_not_finite_in_float32(tmp_path):
     model = small_model(seed=4)
     model.theta[5] = 1e39  # finite in float64, inf in float32
-    with pytest.warns(RuntimeWarning), \
-            pytest.raises(ModelFormatError, match="parameter 5 is not finite"):
+    with pytest.raises(ModelFormatError, match="parameter 5 is not finite"):
         serialize(model, tmp_path / "m.bin")
     assert not (tmp_path / "m.bin").exists()
 
@@ -352,6 +367,8 @@ def test_serialize_refuses_weights_not_finite_in_float32(tmp_path):
     ("norm_soc_max=1.0\n", "", "header is missing key 'norm_soc_max'"),
     ("p_keep=0.9", "p_keep=nan", r"bad header value \(config field p_keep"),
     ("stacks=1", "stacks=0", r"bad header value \(config field stacks"),
+    ("dilation_base=2", "dilation_base=3", r"bad header value \(config field dilation_base"),
+    ("dilation_base=2\n", "", "header is missing key 'dilation_base'"),
 ])
 def test_bad_header_value_rejected(tmp_path, old, new, message):
     path = tmp_path / "m.bin"

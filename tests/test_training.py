@@ -427,10 +427,8 @@ def test_evaluate_closed_loop_divergence_raises_at_first_non_finite_step():
     make_positive(model)
     model.head_weights *= 10.0  # every fed-back estimate grows the next one
     probe = sim_cycle(seed=3)
-    # the overflow on the way to inf is expected; the error is what is tested
-    with np.errstate(over="ignore", invalid="ignore"):
-        with pytest.raises(ValueError, match="diverged") as info:
-            evaluate(model, probe, mode="closed-loop")
+    with pytest.raises(ValueError, match="diverged") as info:
+        evaluate(model, probe, mode="closed-loop")
     step = int(re.search(r"step (\d+)", str(info.value)).group(1))
     assert f"t={probe.time_s[step + 19]:g} s" in str(info.value)
     assert "urban3" in str(info.value)
@@ -439,8 +437,7 @@ def test_evaluate_closed_loop_divergence_raises_at_first_non_finite_step():
     cut = type(probe)(*(a[:step + 19] for a in (
         probe.time_s, probe.voltage_v, probe.current_a, probe.temperature_c,
         probe.soc)), probe.name)
-    with np.errstate(over="ignore"):  # squaring the huge errors in the metrics
-        _, trace = evaluate(model, cut, mode="closed-loop")
+    _, trace = evaluate(model, cut, mode="closed-loop")
     assert len(trace.soc_pred) == step
     assert np.isfinite(trace.soc_pred).all()
 
