@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import csv
 import math
+import sys
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -29,6 +30,7 @@ CHANNEL_NAMES = list(_CHANNEL_COLUMNS)
 # Accepted range of SOC labels: [0, 1] plus a margin for integration and
 # sensor drift, both in loaded CSVs and in coulomb-counted labels.
 SOC_LABEL_BAND = (-0.01, 1.01)
+_FLOAT_MAX = sys.float_info.max  # every finite float lies within +-_FLOAT_MAX
 
 
 @dataclass
@@ -71,12 +73,20 @@ class DriveCycle:
     truncated: bool = False
 
     def __post_init__(self):
-        n = len(self.time_s)
-        for label in ("voltage_v", "current_a", "temperature_c"):
-            if len(getattr(self, label)) != n:
-                raise ValueError(f"{label} length {len(getattr(self, label))} != {n}")
-        if self.soc is not None and len(self.soc) != n:
-            raise ValueError(f"soc length {len(self.soc)} != {n}")
+        """Rejects unequal column lengths, non-finite values and SOC labels
+        outside SOC_LABEL_BAND, naming the first bad sample and its time."""
+        for label in CSV_COLUMNS:
+            values = getattr(self, label)
+            if values is None:
+                continue
+            if len(values) != len(self.time_s):
+                raise ValueError(f"{label} length {len(values)} != {len(self.time_s)}")
+            lo, hi = SOC_LABEL_BAND if label == "soc" else (-_FLOAT_MAX, _FLOAT_MAX)
+            if len(values) and not lo <= values.min() <= values.max() <= hi:  # NaN fails too
+                i = np.flatnonzero(~((values >= lo) & (values <= hi)))[0]
+                why = "not finite" if not math.isfinite(values[i]) else f"outside [{lo}, {hi}]"
+                raise ValueError(f"cycle {self.name!r}: {label}[{i}] = {float(values[i])!r} "
+                                 f"at time_s {float(self.time_s[i])!r} is {why}")
 
     def __len__(self) -> int:
         return len(self.time_s)

@@ -1,13 +1,15 @@
 """Numeric kernels: dilated causal 1-D convolution with exact gradients,
-ReLU, inverted dropout, a per-step linear regression head, MSE loss, and
-the Adam optimizer.
+ReLU, inverted dropout and the gradient gate through both, a per-step
+linear regression head, MSE loss, and the Adam optimizer.
 
 All kernels are pure functions of their arguments, except that ``relu``
-writes into an ``out=`` array when given one and ``adam_step`` updates the
-parameter vector and its optimizer state in place. Forward kernels compute in
-the dtype of their input (float64, or float32 for inference) and refuse
-parameters of another dtype instead of upcasting; backward kernels run in
-float64. Sequence tensors are rank-3, shaped (batch, channels, time).
+writes into an ``out=`` array when given one, training-mode ``dropout``
+masks and scales its input in place (the model gives it a fresh ReLU
+output), and ``adam_step`` updates the parameter vector and its optimizer
+state in place. Forward kernels compute in the dtype of their input
+(float64, or float32 for inference) and refuse parameters of another dtype
+instead of upcasting; backward kernels run in float64. Sequence tensors are
+rank-3, shaped (batch, channels, time).
 """
 
 from __future__ import annotations
@@ -137,10 +139,11 @@ def causal_conv_forward(x: np.ndarray, params: ConvParams) -> np.ndarray:
 
 
 def causal_conv_backward(
-    x: np.ndarray, params: ConvParams, grad_out: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    x: np.ndarray, params: ConvParams, grad_out: np.ndarray, input_grad: bool = True
+) -> tuple[np.ndarray | None, np.ndarray, np.ndarray]:
     """Exact gradients of sum(grad_out * forward(x)) w.r.t. x, weights, bias.
-    grad_x is the (in, out*k) weights times the anti-causal taps of grad_out.
+    grad_x is the (in, out*k) weights times the anti-causal taps of grad_out;
+    without ``input_grad`` (x is the data) it is None and neither is built.
     Both tap matrices are built per batch slab; grad_weights sums over rows once."""
     _check_input(x, params)
     b, c, t = x.shape
@@ -156,11 +159,12 @@ def causal_conv_backward(
     dtype = np.result_type(x, grad_out)
     rows = _slab_rows(max(c, o), k, t, dtype.itemsize)
     per_row = np.empty((b, o, c * k), dtype)
-    grad_x = np.empty((b, c, t), dtype)
+    grad_x = np.empty((b, c, t), dtype) if input_grad else None
     for lo in range(0, b, rows):
         s = slice(lo, lo + rows)
         np.matmul(grad_out[s], _taps(x[s], k, d).transpose(0, 2, 1), out=per_row[s])
-        np.matmul(w_t, _taps(grad_out[s], k, d, causal=False), out=grad_x[s])
+        if input_grad:
+            np.matmul(w_t, _taps(grad_out[s], k, d, causal=False), out=grad_x[s])
     grad_weights = per_row.sum(axis=0).reshape(params.weights.shape)
     return grad_x, grad_weights, grad_bias
 
@@ -174,23 +178,20 @@ def relu_backward(x: np.ndarray, grad_out: np.ndarray) -> np.ndarray:
     return np.where(x > 0.0, grad_out, 0.0)
 
 
-def dropout(
-    x: np.ndarray, p_keep: float, rng: SplitMix64 | None, train: bool
-) -> tuple[np.ndarray, np.ndarray | None]:
-    """Inverted dropout: survivors are scaled by 1/p_keep so E[out] = x.
-
-    Evaluation mode, and training at p_keep 1 (an all-true mask), is the
-    identity and returns mask None without a draw. Otherwise the mask is
-    drawn once per call from ``rng``.
-    """
+def dropout(x: np.ndarray, p_keep: float, rng: SplitMix64 | None, train: bool) -> np.ndarray:
+    """Inverted dropout in place, survivors scaled by 1/p_keep so E[out] = x:
+    ``x *= mask; x /= p_keep`` with the mask drawn once per call from ``rng``,
+    returning ``x``. Evaluation mode, and training at p_keep 1 (an all-true
+    mask), is the identity without a draw."""
     if not 0.0 < p_keep <= 1.0:
         raise ValueError(f"p_keep must be in (0, 1], got {p_keep}")
     if not train or p_keep == 1.0:
-        return x, None
+        return x
     if rng is None:
         raise ValueError("training-mode dropout needs an rng stream")
-    mask = rng.bernoulli(p_keep, x.shape)
-    return x * mask / p_keep, mask
+    x *= rng.bernoulli(p_keep, x.shape)
+    x /= p_keep
+    return x
 
 
 def dropout_backward(
@@ -199,6 +200,18 @@ def dropout_backward(
     if mask is None:
         return grad_out
     return grad_out * mask / p_keep
+
+
+def relu_dropout_backward(grad_out: np.ndarray, out: np.ndarray, scale: float = 1.0) -> np.ndarray:
+    """Gradient through ``dropout(relu(a))`` w.r.t. a, read from its output:
+    grad_out * (out > 0) / scale, ``scale`` the p_keep of a drawn mask, else 1.
+    out > 0 exactly where a > 0 (the subgradient at 0 is 0) and the mask is
+    set, as a positive divided by p_keep <= 1 is never 0. The model's backward
+    uses it in place of relu_backward and dropout_backward."""
+    grad = grad_out * (out > 0.0)
+    if scale != 1.0:
+        grad /= scale
+    return grad
 
 
 def linear_head_forward(

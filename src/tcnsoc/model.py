@@ -21,12 +21,11 @@ from .kernels import (
     causal_conv_backward,
     causal_conv_forward,
     dropout,
-    dropout_backward,
     init_conv_params,
     linear_head_backward,
     linear_head_forward,
     relu,
-    relu_backward,
+    relu_dropout_backward,
 )
 from .rng import SplitMix64
 
@@ -165,45 +164,47 @@ def build_model(config: TcnConfig, seed: int, norm: NormalizationParams | None =
 
 @dataclass
 class _BlockCache:
-    """What ``_block_backward`` reads of a block's forward pass. ``r1``, ``r2``
-    and ``out`` are ReLU outputs, positive exactly where their pre-activations
-    are, which is all ``relu_backward`` tests; in eval mode ``d1`` is ``r1``."""
+    """What ``_block_backward`` reads of a block's forward pass: its input, the
+    two dropout outputs (the ReLU outputs masked and scaled in place), the
+    block output, and the dropout scale: p_keep where masks were drawn, else
+    1.0. Each gate is ``value > 0`` on one of them (``relu_dropout_backward``)."""
     x: np.ndarray
-    r1: np.ndarray
-    mask1: np.ndarray | None
     d1: np.ndarray
-    r2: np.ndarray
-    mask2: np.ndarray | None
+    d2: np.ndarray
     out: np.ndarray
+    scale: float
 
 
 def _block_forward(block: ResidualBlock, x: np.ndarray, p_keep: float,
                    train: bool, rng: SplitMix64 | None):
     r1 = causal_conv_forward(x, block.conv1)
-    d1, mask1 = dropout(relu(r1, out=r1), p_keep, rng, train)
+    d1 = dropout(relu(r1, out=r1), p_keep, rng, train)
     r2 = causal_conv_forward(d1, block.conv2)
-    d2, mask2 = dropout(relu(r2, out=r2), p_keep, rng, train)
+    d2 = dropout(relu(r2, out=r2), p_keep, rng, train)
     skip = x if block.downsample is None else causal_conv_forward(x, block.downsample)
-    out = d2 + skip  # a fresh sum: d2 may be the cached r2, skip the caller's window
-    return relu(out, out=out), _BlockCache(x, r1, mask1, d1, r2, mask2, out)
+    out = d2 + skip  # a fresh sum: d2 is cached, skip may be the caller's window
+    return relu(out, out=out), _BlockCache(x, d1, d2, out, p_keep if train else 1.0)
 
 
 def _block_backward(block: ResidualBlock, grad: ResidualBlock, cache: _BlockCache,
-                    grad_y: np.ndarray, p_keep: float) -> np.ndarray:
+                    grad_y: np.ndarray, input_grad: bool) -> np.ndarray | None:
     """Writes the block's parameter gradients into ``grad``, views into the
-    gradient vector, and returns the gradient of its input."""
-    g_pre = relu_backward(cache.out, grad_y)
-    g_a2 = relu_backward(cache.r2, dropout_backward(g_pre, cache.mask2, p_keep))
+    gradient vector, and returns the gradient of its input (None without
+    ``input_grad``: the input is the data window)."""
+    g_pre = relu_dropout_backward(grad_y, cache.out)
+    g_a2 = relu_dropout_backward(g_pre, cache.d2, cache.scale)
     g_d1, grad.conv2.weights[...], grad.conv2.bias[...] = \
         causal_conv_backward(cache.d1, block.conv2, g_a2)
-    g_a1 = relu_backward(cache.r1, dropout_backward(g_d1, cache.mask1, p_keep))
+    g_a1 = relu_dropout_backward(g_d1, cache.d1, cache.scale)
     g_x, grad.conv1.weights[...], grad.conv1.bias[...] = \
-        causal_conv_backward(cache.x, block.conv1, g_a1)
-    if block.downsample is None:
-        return g_x + g_pre
-    g_skip, grad.downsample.weights[...], grad.downsample.bias[...] = \
-        causal_conv_backward(cache.x, block.downsample, g_pre)
-    return g_x + g_skip
+        causal_conv_backward(cache.x, block.conv1, g_a1, input_grad)
+    g_skip = g_pre
+    if block.downsample is not None:
+        g_skip, grad.downsample.weights[...], grad.downsample.bias[...] = \
+            causal_conv_backward(cache.x, block.downsample, g_pre, input_grad)
+    if g_x is not None:
+        g_x += g_skip
+    return g_x
 
 
 def _check_window(model: TcnModel, window: np.ndarray) -> None:
@@ -257,8 +258,8 @@ def backward(model: TcnModel, cache, grad_y: np.ndarray) -> np.ndarray:
     _, grad_blocks, grad_hw, grad_hb = _views(model.config, grad)
     # the last block's output is the head's input
     g_h, grad_hw[...], grad_hb[0] = linear_head_backward(cache[-1].out, model.head_weights, grad_y)
-    for block, grad_block, blk_cache in reversed(list(zip(model.blocks, grad_blocks, cache))):
-        g_h = _block_backward(block, grad_block, blk_cache, g_h, model.config.p_keep)
+    for i in reversed(range(len(cache))):  # block 0's input is the data: no gradient
+        g_h = _block_backward(model.blocks[i], grad_blocks[i], cache[i], g_h, i > 0)
     return grad
 
 

@@ -17,7 +17,9 @@ Stream definition, for a 64-bit key ``k`` (all arithmetic mod 2**64):
 A uniform double in [0, 1) takes the top 53 bits: (raw >> 11) * 2**-53.
 A Bernoulli(p) draw is the integer test (raw >> 11) < ceil(p * 2**53). It
 equals uniform() < p bit for bit: scaling by 2**53 is exact, and an integer
-m is below a real x exactly when it is below ceil(x).
+m is below a real x exactly when it is below ceil(x). It is computed as
+raw < ceil(p * 2**53) << 11, the same test without the shift pass; at
+p = 1, where that threshold would be 2**64, every draw passes.
 Splitting draws one raw value from the parent and uses it as the child
 key, so child streams are independent of how much of the parent has been
 consumed afterwards.
@@ -74,9 +76,10 @@ class SplitMix64:
         """Boolean array equal to ``uniform(size=size) < p``, drawn without floats."""
         if not 0.0 <= p <= 1.0:
             raise ValueError(f"bernoulli() needs p in [0, 1], got {p}")
-        n = int(np.prod(size))
-        threshold = np.uint64(math.ceil(p * 2.0 ** 53))
-        return ((self._raw(n) >> np.uint64(11)) < threshold).reshape(size)
+        raw = self._raw(int(np.prod(size)))
+        if p == 1.0:  # every draw passes, and the shifted threshold would be 2**64
+            return np.ones(size, dtype=bool)
+        return (raw < np.uint64(math.ceil(p * 2.0 ** 53) << 11)).reshape(size)
 
     def below(self, n: int) -> int:
         """Integer in [0, n). Bias is O(n / 2**53), negligible for n << 2**53."""

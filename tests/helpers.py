@@ -7,7 +7,6 @@ import numpy as np
 from tcnsoc.kernels import (
     causal_conv_backward,
     causal_conv_forward,
-    dropout,
     dropout_backward,
     linear_head_backward,
     linear_head_forward,
@@ -104,13 +103,23 @@ def model_forward_oracle(model, x: np.ndarray) -> np.ndarray:
     return out
 
 
+def dropout_composed(x, p_keep, rng, train):
+    """The earlier inverted dropout: a fresh ``x * mask / p_keep`` and its
+    mask, or (x, None) without a draw in eval mode and at p_keep 1."""
+    if not train or p_keep == 1.0:
+        return x, None
+    mask = rng.bernoulli(p_keep, x.shape)
+    return x * mask / p_keep, mask
+
+
 def block_forward_composed(block, x, p_keep, train, rng):
-    """The earlier residual block: every ReLU allocates its output, and the
-    cache keeps the pre-activations ``a1``, ``a2`` and ``pre``."""
+    """The earlier residual block: every ReLU and dropout allocates its
+    output, and the cache keeps the masks and the pre-activations ``a1``,
+    ``a2`` and ``pre``."""
     a1 = causal_conv_forward(x, block.conv1)
-    d1, mask1 = dropout(relu(a1), p_keep, rng, train)
+    d1, mask1 = dropout_composed(relu(a1), p_keep, rng, train)
     a2 = causal_conv_forward(d1, block.conv2)
-    d2, mask2 = dropout(relu(a2), p_keep, rng, train)
+    d2, mask2 = dropout_composed(relu(a2), p_keep, rng, train)
     skip = x if block.downsample is None else causal_conv_forward(x, block.downsample)
     pre = d2 + skip
     return relu(pre), SimpleNamespace(x=x, a1=a1, mask1=mask1, d1=d1, a2=a2,
@@ -118,8 +127,10 @@ def block_forward_composed(block, x, p_keep, train, rng):
 
 
 def block_backward_composed(block, cache, grad_y, p_keep):
-    """Gradients of ``block_forward_composed``, the ReLU gates read from the
-    cached pre-activations. Returns (grad_x, [conv1, conv2, downsample grads])."""
+    """Gradients of ``block_forward_composed`` by separate ReLU and dropout
+    gradients, the ReLU gates read from the cached pre-activations, and the
+    input gradient of every convolution. Returns
+    (grad_x, [conv1, conv2, downsample grads])."""
     g_pre = relu_backward(cache.pre, grad_y)
     g_a2 = relu_backward(cache.a2, dropout_backward(g_pre, cache.mask2, p_keep))
     g_d1, g_w2, g_b2 = causal_conv_backward(cache.d1, block.conv2, g_a2)

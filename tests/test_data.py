@@ -2,6 +2,7 @@
 
 import math
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -490,3 +491,31 @@ def test_drive_cycle_length_validation():
         DriveCycle(t, t[:4], t, t)
     with pytest.raises(ValueError):
         DriveCycle(t, t, t, t, soc=t[:3])
+
+
+@pytest.mark.parametrize("column, index, value, why", [
+    ("voltage_v", 10, math.nan, "not finite"),
+    ("current_a", 3, math.inf, "not finite"),
+    ("temperature_c", 0, -math.inf, "not finite"),
+    ("time_s", 7, math.nan, "not finite"),
+    ("soc", 5, math.nan, "not finite"),
+    ("soc", 5, 1.7, r"outside \[-0.01, 1.01\]"),
+    ("soc", 19, -0.5, r"outside \[-0.01, 1.01\]"),
+])
+def test_drive_cycle_rejects_bad_telemetry_naming_the_sample(column, index, value, why):
+    # an in-memory cycle gets load_csv's checks: before this, a NaN voltage
+    # gave a NaN normalization and a silently non-finite trained model
+    good = toy_cycle()
+    values = getattr(good, column).copy()
+    values[index] = value
+    time = float(good.time_s[index]) if column != "time_s" else value
+    message = rf"cycle 'toy': {column}\[{index}\] = {value!r} at time_s {time!r} is {why}"
+    with pytest.raises(ValueError, match=message):
+        replace(good, **{column: values})
+    with pytest.raises(ValueError, match=message):
+        DriveCycle(**{**vars(good), column: values})
+
+
+def test_drive_cycle_accepts_soc_band_edges():
+    cycle = toy_cycle(n=2)
+    assert replace(cycle, soc=np.array([-0.01, 1.01])).soc.tolist() == [-0.01, 1.01]

@@ -14,6 +14,7 @@ from helpers import (
     conv_backward_sliced,
     conv_forward_sliced,
     conv_oracle,
+    dropout_composed,
     float32_tolerance,
 )
 from numpy.lib.stride_tricks import sliding_window_view
@@ -33,6 +34,7 @@ from tcnsoc.kernels import (
     mse_loss,
     relu,
     relu_backward,
+    relu_dropout_backward,
 )
 from tcnsoc.rng import SplitMix64
 
@@ -251,6 +253,18 @@ def test_backward_matches_sliced_kernel(batch, in_ch, out_ch, k, d, steps):
     assert np.array_equal(gb, ref_b)
 
 
+@pytest.mark.parametrize("batch, in_ch, out_ch, k, d, steps", SLICED_PARITY_CASES)
+def test_weight_only_backward_gives_the_bytes_of_the_full_call(batch, in_ch, out_ch, k, d, steps):
+    # the data window needs no gradient: the weight-only call skips grad_x
+    rng = SplitMix64(600 + k * d + steps)
+    x, params = random_case(rng, batch, in_ch, out_ch, k, d, steps)
+    g = rng.uniform(-1.0, 1.0, (batch, out_ch, steps))
+    _, want_w, want_b = causal_conv_backward(x, params, g)
+    gx, gw, gb = causal_conv_backward(x, params, g, input_grad=False)
+    assert gx is None
+    assert gw.tobytes() == want_w.tobytes() and gb.tobytes() == want_b.tobytes()
+
+
 def _layouts(a):
     """Read-only copies of ``a`` in four memory layouts: C order, Fortran
     order, a stride-2 slice of a wider array, a sliding_window_view window."""
@@ -394,9 +408,11 @@ def test_relu_values():
 
 
 def test_relu_backward_subgradient_zero_at_zero():
+    # the ReLU gradient is the gate read from the ReLU output
     x = np.array([-1.0, 0.0, 2.0])
     g = np.array([10.0, 10.0, 10.0])
-    assert np.array_equal(relu_backward(x, g), [0.0, 0.0, 10.0])
+    assert np.array_equal(relu_dropout_backward(g, relu(x)), [0.0, 0.0, 10.0])
+    assert np.array_equal(relu_dropout_backward(g, relu(x), 0.5), [0.0, 0.0, 20.0])
 
 
 def test_relu_backward_finite_difference_away_from_zero():
@@ -408,7 +424,8 @@ def test_relu_backward_finite_difference_away_from_zero():
     def loss():
         return float(np.sum(relu(x) * r))
 
-    assert np.allclose(relu_backward(x, r), _fd_grad(loss, x), rtol=1e-6, atol=1e-9)
+    assert np.allclose(relu_dropout_backward(r, relu(x)), _fd_grad(loss, x),
+                       rtol=1e-6, atol=1e-9)
 
 
 # ---------------------------------------------------------------- dropout
@@ -416,63 +433,70 @@ def test_relu_backward_finite_difference_away_from_zero():
 
 def test_dropout_eval_mode_is_identity():
     x = SplitMix64(1).uniform(size=(3, 4))
-    out, mask = dropout(x, 0.5, None, train=False)
-    assert out is x
-    assert mask is None
+    before = x.copy()
+    assert dropout(x, 0.5, None, train=False) is x
+    assert np.array_equal(x, before)
 
 
 def test_dropout_keep_all():
     x = SplitMix64(2).uniform(size=(3, 4))
-    out, mask = dropout(x, 1.0, SplitMix64(3), train=True)
-    assert np.array_equal(out, x)
-    assert mask is None
-    assert np.array_equal(dropout_backward(x, mask, 1.0), x)
+    before = x.copy()
+    out = dropout(x, 1.0, SplitMix64(3), train=True)
+    assert np.array_equal(out, before)
+    g = SplitMix64(4).uniform(-1, 1, (3, 4))
+    assert np.array_equal(relu_dropout_backward(g, out, 1.0), g)
 
 
 def test_dropout_keep_all_draws_no_mask():
     # the mask would be all True, and the dropout stream feeds nothing else
     rng = SplitMix64(3)
-    x = np.ones((4, 3, 17))
-    out, mask = dropout(x, 1.0, rng, train=True)
-    assert out is x and mask is None
+    x = SplitMix64(2).uniform(size=(4, 3, 17))
+    before = x.copy()
+    assert dropout(x, 1.0, rng, train=True) is x
+    assert np.array_equal(x, before)
     assert rng.counter == 0
 
 
 def test_dropout_mask_values_and_scaling():
     x = np.ones((200, 50))
-    out, mask = dropout(x, 0.8, SplitMix64(4), train=True)
+    out = dropout(x, 0.8, SplitMix64(4), train=True)
     assert set(np.unique(out)).issubset({0.0, 1.0 / 0.8})
-    assert np.array_equal(out != 0, mask)
 
 
 def test_dropout_preserves_mean():
-    x = np.ones(100_000)
-    out, _ = dropout(x, 0.7, SplitMix64(5), train=True)
+    out = dropout(np.ones(100_000), 0.7, SplitMix64(5), train=True)
     assert abs(out.mean() - 1.0) < 0.02
 
 
 def test_dropout_drop_rate():
-    x = np.ones(100_000)
-    _, mask = dropout(x, 0.9, SplitMix64(6), train=True)
-    assert abs(mask.mean() - 0.9) < 0.01
+    out = dropout(np.ones(100_000), 0.9, SplitMix64(6), train=True)
+    assert abs(np.mean(out != 0) - 0.9) < 0.01
 
 
 def test_dropout_deterministic_per_stream():
-    x = np.ones((10, 10))
-    a, _ = dropout(x, 0.5, SplitMix64(7), train=True)
-    b, _ = dropout(x, 0.5, SplitMix64(7), train=True)
+    a = dropout(np.ones((10, 10)), 0.5, SplitMix64(7), train=True)
+    b = dropout(np.ones((10, 10)), 0.5, SplitMix64(7), train=True)
     assert np.array_equal(a, b)
 
 
 def test_dropout_mask_is_the_uniform_threshold_of_its_stream():
     # histories depend on this: the mask equals uniform(size) < p_keep
     for p in (0.3, 0.9, 1.0 - 2.0**-53):
-        x = np.ones((4, 3, 17))
         rng = SplitMix64(8)
-        _, mask = dropout(x, p, rng, train=True)
+        out = dropout(np.ones((4, 3, 17)), p, rng, train=True)
         ref = SplitMix64(8)
-        assert np.array_equal(mask, ref.uniform(size=x.shape) < p)
+        assert np.array_equal(out != 0, ref.uniform(size=out.shape) < p)
         assert rng.counter == ref.counter
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+def test_dropout_in_place_gives_the_bytes_of_the_fresh_product(dtype):
+    # x *= mask; x /= p_keep are the operations of x * mask / p_keep, in order
+    x = SplitMix64(11).uniform(-1, 1, (32, 8, 100)).astype(dtype)
+    want, _ = dropout_composed(x, 0.7, SplitMix64(12), train=True)
+    got = dropout(x, 0.7, SplitMix64(12), train=True)
+    assert got is x and got.dtype == dtype
+    assert got.tobytes() == want.tobytes()
 
 
 def test_dropout_rejects_bad_p_keep():
@@ -484,11 +508,30 @@ def test_dropout_rejects_bad_p_keep():
 
 def test_dropout_backward_routes_through_mask():
     x = np.ones((50, 50))
-    out, mask = dropout(x, 0.6, SplitMix64(9), train=True)
+    out = dropout(x.copy(), 0.6, SplitMix64(9), train=True)
+    mask = out != 0
     g = SplitMix64(10).uniform(size=(50, 50))
-    back = dropout_backward(g, mask, 0.6)
+    back = relu_dropout_backward(g, out, 0.6)
     assert np.array_equal(back, g * mask / 0.6)
-    assert np.array_equal(dropout_backward(g, None, 0.6), g)
+    assert np.array_equal(relu_dropout_backward(g, x), g)
+
+
+@pytest.mark.parametrize("p_keep", [0.5, 0.6, 0.9, 1.0])
+@pytest.mark.parametrize("train", [True, False])
+def test_gate_equals_relu_then_dropout_backward(p_keep, train):
+    # the one gate read from the dropout output gives the bytes of the
+    # ReLU and dropout gradients applied apart
+    rng = SplitMix64(9)
+    a = rng.uniform(-1, 1, (32, 8, 100))
+    a[0, 0, :5] = 0.0  # ReLU kinks: gated shut by both
+    g = SplitMix64(10).uniform(-1, 1, a.shape)
+    d_want, mask = dropout_composed(relu(a), p_keep, SplitMix64(13), train)
+    d = dropout(relu(a), p_keep, SplitMix64(13), train)
+    assert d.tobytes() == d_want.tobytes()
+    want = relu_backward(a, dropout_backward(g, mask, p_keep))
+    got = relu_dropout_backward(g, d, p_keep if train else 1.0)
+    assert np.array_equal(got, want)
+    assert got.tobytes() == np.where(want == 0.0, g * 0.0, want).tobytes()
 
 
 # ---------------------------------------------------------------- head

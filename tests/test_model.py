@@ -1,10 +1,14 @@
 """Tests for the network assembly: blocks, forward/backward, receptive field."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from numpy.lib.stride_tricks import sliding_window_view
 
+import tcnsoc.kernels
+import tcnsoc.model
 from helpers import (
     conv_oracle,
     float32_tolerance,
@@ -383,13 +387,21 @@ def test_forward_gives_the_bytes_of_the_composed_block(case):
         assert predict(m, xd).tobytes() == want[:, -1].tobytes()
 
 
-@pytest.mark.parametrize("train", [True, False])
-@pytest.mark.parametrize("case", BLOCK_CASES)
-def test_gradients_equal_those_of_the_composed_block(case, train):
-    """The cache keeps ReLU outputs instead of pre-activations; the ReLU
-    gates, and so every gradient, are the same bytes."""
+# ids without a p_keep are the default 0.9
+GRADIENT_CASES = [
+    pytest.param(case, train, p_keep,
+                 id=f"{case}-{train}" + ("" if p_keep == 0.9 else f"-p{p_keep}"))
+    for p_keep in (0.9, 0.5, 1.0) for train in (True, False) for case in BLOCK_CASES
+]
+
+
+@pytest.mark.parametrize("case,train,p_keep", GRADIENT_CASES)
+def test_gradients_equal_those_of_the_composed_block(case, train, p_keep):
+    """The cache keeps the dropout outputs and one scale instead of
+    pre-activations and masks; the one gate read from each, and so every
+    gradient, gives the bytes of separate ReLU and dropout gradients."""
     cfg, batch = BLOCK_CASES[case]
-    assert cfg.p_keep == 0.9
+    cfg = replace(cfg, p_keep=p_keep)
     m = build_model(cfg, seed=33)
     rng = SplitMix64(34)
     x = rng.uniform(-1, 1, (batch, 4, cfg.input_window))
@@ -401,6 +413,36 @@ def test_gradients_equal_those_of_the_composed_block(case, train):
     got = backward(m, cache, grad_y)
     want = np.concatenate([g.ravel() for g in model_backward_composed(m, want_cache, grad_y)])
     assert got.dtype == np.float64 and got.shape == m.theta.shape
+    assert got.tobytes() == want.tobytes()
+
+
+def test_backward_builds_no_gradient_for_the_data(monkeypatch):
+    # block 0's conv1 and downsample read the window: neither builds the
+    # anti-causal taps of its input gradient, every other convolution does
+    cfg, batch = BLOCK_CASES["train-shape"]
+    m = build_model(cfg, seed=36)
+    x = SplitMix64(37).uniform(-1, 1, (batch, 4, cfg.input_window))
+    y, cache = forward_with_cache(m, x, True, SplitMix64(38))
+    grad_y = SplitMix64(39).uniform(-1, 1, y.shape)
+    want = backward(m, cache, grad_y)
+    taps, conv_backward = tcnsoc.kernels._taps, tcnsoc.model.causal_conv_backward
+    anti_causal = []  # per conv backward call: its anti-causal tap builds
+
+    def counting_taps(x, k, d, causal=True):
+        anti_causal[-1] += not causal
+        return taps(x, k, d, causal)
+
+    def counting_backward(*args):
+        anti_causal.append(0)
+        return conv_backward(*args)
+
+    monkeypatch.setattr(tcnsoc.kernels, "_taps", counting_taps)
+    monkeypatch.setattr(tcnsoc.model, "causal_conv_backward", counting_backward)
+    got = backward(m, cache, grad_y)
+    convs = len(m.layers) - 1  # the head is not a conv kernel call
+    assert convs == 17 and len(anti_causal) == convs
+    assert anti_causal[-2:] == [0, 0]  # block 0, which backward visits last
+    assert all(anti_causal[:-2])
     assert got.tobytes() == want.tobytes()
 
 

@@ -113,6 +113,18 @@ def test_bernoulli_equals_uniform_threshold_at_the_boundary(p):
     assert np.array_equal(a.bernoulli(p, raws.size), b.uniform(size=raws.size) < p)
 
 
+@pytest.mark.parametrize("p", [0.0, 2**-53, 0.5, 1 - 2**-53, 1.0])
+def test_bernoulli_consumes_one_raw_value_per_draw(p):
+    # the stream after a mask is the stream after uniform draws of its size
+    for size in ((32, 8, 100), 7, (1,)):
+        a = SplitMix64(19)
+        b = SplitMix64(19)
+        a.bernoulli(p, size)
+        b.uniform(size=size)
+        assert a.counter == b.counter == int(np.prod(size))
+        assert a.next_u64() == b.next_u64()
+
+
 def test_bernoulli_rejects_p_outside_unit_interval():
     for p in (-0.1, 1.5, float("nan")):
         with pytest.raises(ValueError):
