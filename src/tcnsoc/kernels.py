@@ -2,11 +2,11 @@
 ReLU, inverted dropout and the gradient gate through both, a per-step
 linear regression head, MSE loss, and the Adam optimizer.
 
-All kernels are pure functions of their arguments, except that ``relu``
-writes into an ``out=`` array when given one, training-mode ``dropout``
-masks and scales its input in place (the model gives it a fresh ReLU
-output), and ``adam_step`` updates the parameter vector and its optimizer
-state in place. Forward kernels compute in the dtype of their input
+All kernels are pure functions of their arguments, except that ``relu`` and
+``causal_conv_forward`` write into an ``out=`` array when given one,
+training-mode ``dropout`` masks and scales its input in place (a ReLU output
+the model owns), and ``adam_step`` updates the parameter vector and its
+optimizer state in place. Forward kernels compute in the dtype of their input
 (float64, or float32 for inference) and refuse parameters of another dtype
 instead of upcasting; backward kernels run in float64. Sequence tensors are
 rank-3, shaped (batch, channels, time).
@@ -120,17 +120,20 @@ def _slab_rows(channels: int, kernel_size: int, steps: int, itemsize: int) -> in
     return max(1, _SLAB_BYTES // max(1, channels * kernel_size * steps * itemsize))
 
 
-def causal_conv_forward(x: np.ndarray, params: ConvParams) -> np.ndarray:
-    """y[b,o,t] = bias[o] + sum_{c,j} w[o,c,j] * x[b,c,t-(k-1-j)*d]."""
+def causal_conv_forward(x: np.ndarray, params: ConvParams,
+                        out: np.ndarray | None = None) -> np.ndarray:
+    """y[b,o,t] = bias[o] + sum_{c,j} w[o,c,j] * x[b,c,t-(k-1-j)*d], into ``out`` if given."""
     _check_input(x, params)
     k, d = params.kernel_size, params.dilation
     w2d = params.weights.reshape(params.out_channels, -1)
     if x.nbytes * k <= _SLAB_BYTES:  # one slab; a cheap test, as every B=1 predict makes it
-        out = w2d @ _taps(x, k, d)
+        taps = _taps(x, k, d)
+        out = w2d @ taps if out is None else np.matmul(w2d, taps, out=out)
     else:
         b, c, t = x.shape
         rows = _slab_rows(c, k, t, x.itemsize)
-        out = np.empty((b, params.out_channels, t), x.dtype)
+        if out is None:
+            out = np.empty((b, params.out_channels, t), x.dtype)
         for lo in range(0, b, rows):
             s = slice(lo, lo + rows)
             np.matmul(w2d, _taps(x[s], k, d), out=out[s])

@@ -15,6 +15,7 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
+from . import kernels
 from .data import NormalizationParams
 from .kernels import (
     ConvParams,
@@ -165,9 +166,10 @@ def build_model(config: TcnConfig, seed: int, norm: NormalizationParams | None =
 @dataclass
 class _BlockCache:
     """What ``_block_backward`` reads of a block's forward pass: its input, the
-    two dropout outputs (the ReLU outputs masked and scaled in place), the
-    block output, and the dropout scale: p_keep where masks were drawn, else
-    1.0. Each gate is ``value > 0`` on one of them (``relu_dropout_backward``)."""
+    two dropout outputs (the ReLU outputs masked and scaled in place), the block
+    output (in training, these three are views of the arena), and the dropout
+    scale: p_keep where masks were drawn, else 1.0. Each gate is ``value > 0``
+    on one of them (``relu_dropout_backward``)."""
     x: np.ndarray
     d1: np.ndarray
     d2: np.ndarray
@@ -176,13 +178,20 @@ class _BlockCache:
 
 
 def _block_forward(block: ResidualBlock, x: np.ndarray, p_keep: float,
-                   train: bool, rng: SplitMix64 | None):
-    r1 = causal_conv_forward(x, block.conv1)
+                   train: bool, rng: SplitMix64 | None, d1=None, d2=None, out=None):
+    """The block's output and cache, its maps written into the arena slots
+    ``d1``, ``d2`` and ``out`` if given (by ``kernels.causal_conv_forward``, so
+    the two-argument ``causal_conv_forward`` stays replaceable, as perfbench's
+    gate test does), else fresh."""
+    r1 = causal_conv_forward(x, block.conv1) if d1 is None else \
+        kernels.causal_conv_forward(x, block.conv1, out=d1)
     d1 = dropout(relu(r1, out=r1), p_keep, rng, train)
-    r2 = causal_conv_forward(d1, block.conv2)
+    r2 = causal_conv_forward(d1, block.conv2) if d2 is None else \
+        kernels.causal_conv_forward(d1, block.conv2, out=d2)
     d2 = dropout(relu(r2, out=r2), p_keep, rng, train)
     skip = x if block.downsample is None else causal_conv_forward(x, block.downsample)
-    out = d2 + skip  # a fresh sum: d2 is cached, skip may be the caller's window
+    # never into d2 (cached) or skip (may be the caller's window)
+    out = d2 + skip if out is None else np.add(d2, skip, out=out)
     return relu(out, out=out), _BlockCache(x, d1, d2, out, p_keep if train else 1.0)
 
 
@@ -238,14 +247,17 @@ def forward(model: TcnModel, window: np.ndarray, train: bool = False,
 
 
 def forward_with_cache(model: TcnModel, window: np.ndarray, train: bool,
-                       rng: SplitMix64 | None):
+                       rng: SplitMix64 | None, arena: np.ndarray | None = None):
     """``forward`` in float64 whatever the window's dtype, keeping what
-    ``backward`` needs: one ``_BlockCache`` per block, in model order."""
+    ``backward`` needs: one ``_BlockCache`` per block, in model order. Given
+    ``arena`` (see ``train``), block i's d1, d2 and output are written into
+    ``arena[i, :, :len(window)]``, overwriting the previous call's caches."""
     _check_window(model, window)
     h = window.astype(np.float64, copy=False)
+    slots = [()] * len(model.blocks) if arena is None else arena[:, :, :len(h)]
     caches = []
-    for block in model.blocks:
-        h, cache = _block_forward(block, h, model.config.p_keep, train, rng)
+    for block, block_slots in zip(model.blocks, slots, strict=True):
+        h, cache = _block_forward(block, h, model.config.p_keep, train, rng, *block_slots)
         caches.append(cache)
     y = linear_head_forward(h, model.head_weights, float(model.head_bias[0]))
     return y, caches

@@ -76,9 +76,10 @@ class SplitMix64:
         """Boolean array equal to ``uniform(size=size) < p``, drawn without floats."""
         if not 0.0 <= p <= 1.0:
             raise ValueError(f"bernoulli() needs p in [0, 1], got {p}")
-        raw = self._raw(int(np.prod(size)))
         if p == 1.0:  # every draw passes, and the shifted threshold would be 2**64
+            self.counter += int(np.prod(size))  # skip the draws, unmixed
             return np.ones(size, dtype=bool)
+        raw = self._raw(int(np.prod(size)))
         return (raw < np.uint64(math.ceil(p * 2.0 ** 53) << 11)).reshape(size)
 
     def below(self, n: int) -> int:

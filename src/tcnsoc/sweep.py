@@ -181,6 +181,7 @@ def run_sweep(
     if jobs < 1:
         raise ValueError(f"jobs must be >= 1, got {jobs}")
     _check_latency_args(latency_warmup, latency_iterations)
+    train_cfg.validate()
 
     if protocol == "held-out":
         train_cycles, eval_cycles = list(cycles[:-1]), [cycles[-1]]

@@ -30,8 +30,8 @@ class TrainConfig:
     early_stop_patience: int = 10  # 0 disables early stopping
 
     def validate(self) -> None:
-        if self.learning_rate <= 0:
-            raise ValueError(f"learning_rate must be positive, got {self.learning_rate}")
+        if not (math.isfinite(self.learning_rate) and self.learning_rate > 0):
+            raise ValueError(f"learning_rate must be finite and positive, got {self.learning_rate}")
         if self.batch_size < 1:
             raise ValueError(f"batch_size must be >= 1, got {self.batch_size}")
         if self.epochs < 0:
@@ -101,6 +101,9 @@ def train(
     state = AdamState(np.zeros_like(model.theta), np.zeros_like(model.theta),
                       lr=config.learning_rate)
     dropout_rng = rng.spawn()
+    # each step's block activations (README, "Activation arena")
+    arena = np.empty((len(model.blocks), 3, min(config.batch_size, len(train_idx)),
+                      model.config.filters, model.config.input_window))
 
     history: list[EpochStats] = []
     best_val = math.inf
@@ -113,7 +116,7 @@ def train(
         for i in range(0, len(order), config.batch_size):
             batch = train_idx[order[i:i + config.batch_size]]
             xb, yb = dataset.x[batch], dataset.y[batch]
-            y_full, cache = forward_with_cache(model, xb, train=True, rng=dropout_rng)
+            y_full, cache = forward_with_cache(model, xb, True, dropout_rng, arena)
             loss, grad_pred = mse_loss(y_full[:, -1], yb)
             grad_y = np.zeros_like(y_full)
             grad_y[:, -1] = grad_pred

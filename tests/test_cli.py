@@ -6,6 +6,7 @@ import sys
 import numpy as np
 import pytest
 
+import tcnsoc.training
 from tcnsoc.cli import _train_config, build_parser, main
 from tcnsoc.data import DriveCycle, NormalizationParams, load_csv, save_csv
 from tcnsoc.model import TcnConfig, build_model
@@ -143,6 +144,22 @@ def test_train_missing_file_fails_cleanly(tmp_path, capsys):
                    "--out", str(tmp_path / "m.bin"))
     assert code == 1
     assert "error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("lr", ["nan", "inf", "-inf"])
+def test_train_rejects_a_non_finite_learning_rate_before_training(tmp_path, capsys,
+                                                                  monkeypatch, lr):
+    def no_step(*args):
+        raise AssertionError("a training step ran")
+
+    monkeypatch.setattr(tcnsoc.training, "forward_with_cache", no_step)
+    data = tmp_path / "d.csv"
+    make_labeled_csv(data)
+    code = run_cli("train", "--data", str(data), "--out", str(tmp_path / "m.bin"),
+                   "--window", "20", "--stacks", "1", f"--lr={lr}")
+    assert code == 1
+    assert "learning_rate" in capsys.readouterr().err
+    assert not (tmp_path / "m.bin").exists()
 
 
 def test_train_warns_when_receptive_field_short(tmp_path, capsys):

@@ -240,6 +240,20 @@ def test_forward_is_bit_identical_to_sliced_kernel(batch, in_ch, out_ch, k, d, s
 
 
 @pytest.mark.parametrize("batch, in_ch, out_ch, k, d, steps", SLICED_PARITY_CASES)
+def test_forward_into_out_gives_the_bytes_of_the_allocating_call(batch, in_ch, out_ch, k, d,
+                                                                steps):
+    # the bench-1x4x500 cases run the one-slab path, the two wider shapes the slab loop
+    x, params = random_case(SplitMix64(450 + k * d + steps), batch, in_ch, out_ch, k, d, steps)
+    for dtype in (np.float64, np.float32):
+        p = ConvParams(params.weights.astype(dtype), params.bias.astype(dtype), d)
+        xd = x.astype(dtype)
+        want = causal_conv_forward(xd, p)
+        out = np.full(want.shape, np.nan, dtype)
+        assert causal_conv_forward(xd, p, out=out) is out
+        assert out.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("batch, in_ch, out_ch, k, d, steps", SLICED_PARITY_CASES)
 def test_backward_matches_sliced_kernel(batch, in_ch, out_ch, k, d, steps):
     rng = SplitMix64(500 + k * d + steps)
     x, params = random_case(rng, batch, in_ch, out_ch, k, d, steps)

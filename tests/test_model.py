@@ -416,6 +416,54 @@ def test_gradients_equal_those_of_the_composed_block(case, train, p_keep):
     assert got.tobytes() == want.tobytes()
 
 
+# a full batch and a short last batch of each block case, as train() runs them
+ARENA_CASES = [
+    pytest.param(case, short, train, p_keep,
+                 id=f"{case}-{'short' if short else 'full'}-{train}-p{p_keep}")
+    for case in BLOCK_CASES for short in (False, True)
+    for train in (True, False) for p_keep in (0.5, 0.9, 1.0)
+]
+
+
+@pytest.mark.parametrize("case,short,train,p_keep", ARENA_CASES)
+def test_arena_gives_the_bytes_of_fresh_activations(case, short, train, p_keep):
+    cfg, batch = BLOCK_CASES[case]
+    cfg = replace(cfg, p_keep=p_keep)
+    m = build_model(cfg, seed=51)
+    rows = batch - 3 if short else batch
+    rng = SplitMix64(52)
+    x = rng.uniform(-1, 1, (rows, 4, cfg.input_window))
+    grad_y = rng.uniform(-1, 1, (rows, cfg.input_window))
+
+    def stream(seed):
+        return SplitMix64(seed) if train else None
+
+    want_y, want_cache = forward_with_cache(m, x, train, stream(53))
+    arena = np.full((len(m.blocks), 3, batch, cfg.filters, cfg.input_window), np.nan)
+    # a previous full step leaves its maps in every slot
+    forward_with_cache(m, rng.uniform(-1, 1, (batch, 4, cfg.input_window)), train,
+                       stream(54), arena)
+    y, cache = forward_with_cache(m, x, train, stream(53), arena)
+    assert y.tobytes() == want_y.tobytes()
+    for i, (got, want) in enumerate(zip(cache, want_cache, strict=True)):
+        assert got.scale == want.scale
+        assert got.x.tobytes() == want.x.tobytes()
+        for j, name in enumerate(("d1", "d2", "out")):
+            a = getattr(got, name)
+            assert a.tobytes() == getattr(want, name).tobytes(), (i, name)
+            assert a.shape == (rows, cfg.filters, cfg.input_window)
+            assert np.shares_memory(a, arena[i, j, :rows]), (i, name)
+    assert backward(m, cache, grad_y).tobytes() == backward(m, want_cache, grad_y).tobytes()
+
+
+def test_arena_for_another_block_count_is_refused():
+    cfg, batch = BLOCK_CASES["identity-skip"]
+    m = build_model(cfg, seed=55)
+    arena = np.empty((len(m.blocks) - 1, 3, batch, cfg.filters, cfg.input_window))
+    with pytest.raises(ValueError):
+        forward_with_cache(m, np.zeros((batch, 4, cfg.input_window)), False, None, arena)
+
+
 def test_backward_builds_no_gradient_for_the_data(monkeypatch):
     # block 0's conv1 and downsample read the window: neither builds the
     # anti-causal taps of its input gradient, every other convolution does

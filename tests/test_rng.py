@@ -125,6 +125,16 @@ def test_bernoulli_consumes_one_raw_value_per_draw(p):
         assert a.next_u64() == b.next_u64()
 
 
+def test_bernoulli_at_one_skips_its_draws_without_mixing_them(monkeypatch):
+    def no_raw(self, n):
+        raise AssertionError("bernoulli(1.0) mixed raw values")
+
+    monkeypatch.setattr(SplitMix64, "_raw", no_raw)
+    stream = SplitMix64(19)
+    assert stream.bernoulli(1.0, (4, 5)).all()
+    assert stream.counter == 20
+
+
 def test_bernoulli_rejects_p_outside_unit_interval():
     for p in (-0.1, 1.5, float("nan")):
         with pytest.raises(ValueError):
