@@ -180,10 +180,16 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_train(args) -> int:
-    cycles = [_load_labeled(p, args.capacity_ah, args.initial_soc) for p in args.data]
     config = TcnConfig(stacks=args.stacks, input_window=args.window,
                        kernel_size=args.kernel, filters=args.filters,
                        p_keep=args.p_keep)
+    train_config = _train_config(args)
+    # before any file is read or a model fact printed
+    config.validate()
+    train_config.validate()
+    if args.stride < 1:
+        raise ValueError(f"stride must be >= 1, got {args.stride}")
+    cycles = [_load_labeled(p, args.capacity_ah, args.initial_soc) for p in args.data]
     _info(f"model: {parameter_count(config)} parameters, "
           f"receptive field {receptive_field(config)} samples, "
           f"window {config.input_window}")
@@ -196,7 +202,7 @@ def _cmd_train(args) -> int:
     model = build_model(config, seed=args.seed)
     if args.epochs == 0:
         _warn("epochs is 0: writing the untrained model")
-    _, history = train(model, dataset, _train_config(args))
+    _, history = train(model, dataset, train_config)
     for st in history:
         _info(f"epoch {st.epoch:3d}  train_mse {st.train_mse:.6e}  "
               f"val_mse {st.val_mse:.6e}")

@@ -4,9 +4,9 @@ A model is S stacks of residual blocks. Each block holds two dilated causal
 convolutions sharing one dilation; the dilation schedule restarts at 1 in
 every stack and doubles per block (1, 2, 4, 8 for the default four blocks),
 so every input step stays covered while the receptive field grows
-exponentially with depth. A per-step linear head turns the last block's
-activation map into the SOC estimate; the value at the final time step is
-the prediction for the window.
+exponentially with depth. A per-step linear head turns the last block's map
+into the SOC estimate, read at the final step. ``forward`` is inference;
+``forward_with_cache`` is the training pass, with dropout and an arena.
 """
 
 from __future__ import annotations
@@ -50,9 +50,9 @@ class TcnConfig:
     def validate(self) -> None:
         for name in CONFIG_INT_FIELDS:
             value = getattr(self, name)
-            if not isinstance(value, int) or value < 1:
+            if isinstance(value, bool) or not isinstance(value, int) or value < 1:
                 raise ValueError(f"config field {name} must be a positive integer, got {value!r}")
-        if not 0.0 < self.p_keep <= 1.0:
+        if isinstance(self.p_keep, bool) or not 0.0 < self.p_keep <= 1.0:
             raise ValueError(f"config field p_keep must be in (0, 1], got {self.p_keep}")
 
 
@@ -83,12 +83,10 @@ def _layout(config: TcnConfig):
 
 @dataclass
 class ResidualBlock:
-    """Two equal-dilation convolutions with ReLU/dropout and a skip path.
-
-    output = ReLU(branch(x) + skip(x)) with
-    branch = dropout(relu(conv2(dropout(relu(conv1(x)))))) and skip the
-    identity, or a 1x1 convolution when channel counts differ.
-    """
+    """Two equal-dilation convolutions, ReLU, dropout (in training only) and
+    a skip path: output = ReLU(branch(x) + skip(x)) with branch =
+    dropout(relu(conv2(dropout(relu(conv1(x)))))) and skip the identity, or a
+    1x1 convolution when channel counts differ."""
 
     conv1: ConvParams
     conv2: ConvParams
@@ -165,46 +163,48 @@ def build_model(config: TcnConfig, seed: int, norm: NormalizationParams | None =
 
 @dataclass
 class _BlockCache:
-    """What ``_block_backward`` reads of a block's forward pass: its input, the
-    two dropout outputs (the ReLU outputs masked and scaled in place), the block
-    output (in training, these three are views of the arena), and the dropout
-    scale: p_keep where masks were drawn, else 1.0. Each gate is ``value > 0``
-    on one of them (``relu_dropout_backward``)."""
+    """What ``_block_backward`` reads of a block's training pass: its input and,
+    in its arena slots, the two dropout outputs (ReLU outputs masked and scaled
+    in place) and the block output. Each gate is ``value > 0`` on one of them."""
     x: np.ndarray
     d1: np.ndarray
     d2: np.ndarray
     out: np.ndarray
-    scale: float
 
 
-def _block_forward(block: ResidualBlock, x: np.ndarray, p_keep: float,
-                   train: bool, rng: SplitMix64 | None, d1=None, d2=None, out=None):
-    """The block's output and cache, its maps written into the arena slots
-    ``d1``, ``d2`` and ``out`` if given (by ``kernels.causal_conv_forward``, so
-    the two-argument ``causal_conv_forward`` stays replaceable, as perfbench's
-    gate test does), else fresh."""
-    r1 = causal_conv_forward(x, block.conv1) if d1 is None else \
-        kernels.causal_conv_forward(x, block.conv1, out=d1)
-    d1 = dropout(relu(r1, out=r1), p_keep, rng, train)
-    r2 = causal_conv_forward(d1, block.conv2) if d2 is None else \
-        kernels.causal_conv_forward(d1, block.conv2, out=d2)
-    d2 = dropout(relu(r2, out=r2), p_keep, rng, train)
+def _block_forward(block: ResidualBlock, x: np.ndarray) -> np.ndarray:
+    """The block's output at inference (inverted dropout is the identity), its maps
+    fresh from the two-argument ``causal_conv_forward``, which perfbench's gate replaces."""
+    a1 = causal_conv_forward(x, block.conv1)
+    a2 = causal_conv_forward(relu(a1, out=a1), block.conv2)
+    relu(a2, out=a2)
     skip = x if block.downsample is None else causal_conv_forward(x, block.downsample)
-    # never into d2 (cached) or skip (may be the caller's window)
-    out = d2 + skip if out is None else np.add(d2, skip, out=out)
-    return relu(out, out=out), _BlockCache(x, d1, d2, out, p_keep if train else 1.0)
+    a2 += skip  # never into skip: it may be the caller's window
+    return relu(a2, out=a2)
+
+
+def _block_train(block: ResidualBlock, x: np.ndarray, p_keep: float,
+                 rng: SplitMix64, slots: np.ndarray):
+    """The block's training output and cache, its maps written into the arena
+    ``slots``; dropout at p_keep 1 is the identity, without a draw."""
+    d1, d2, out = slots
+    dropout(relu(kernels.causal_conv_forward(x, block.conv1, out=d1), out=d1), p_keep, rng, True)
+    dropout(relu(kernels.causal_conv_forward(d1, block.conv2, out=d2), out=d2), p_keep, rng, True)
+    skip = x if block.downsample is None else causal_conv_forward(x, block.downsample)
+    np.add(d2, skip, out=out)  # never into d2 (cached) or skip (may be the caller's window)
+    return relu(out, out=out), _BlockCache(x, d1, d2, out)
 
 
 def _block_backward(block: ResidualBlock, grad: ResidualBlock, cache: _BlockCache,
-                    grad_y: np.ndarray, input_grad: bool) -> np.ndarray | None:
+                    grad_y: np.ndarray, p_keep: float, input_grad: bool) -> np.ndarray | None:
     """Writes the block's parameter gradients into ``grad``, views into the
     gradient vector, and returns the gradient of its input (None without
     ``input_grad``: the input is the data window)."""
     g_pre = relu_dropout_backward(grad_y, cache.out)
-    g_a2 = relu_dropout_backward(g_pre, cache.d2, cache.scale)
+    g_a2 = relu_dropout_backward(g_pre, cache.d2, p_keep)
     g_d1, grad.conv2.weights[...], grad.conv2.bias[...] = \
         causal_conv_backward(cache.d1, block.conv2, g_a2)
-    g_a1 = relu_dropout_backward(g_d1, cache.d1, cache.scale)
+    g_a1 = relu_dropout_backward(g_d1, cache.d1, p_keep)
     g_x, grad.conv1.weights[...], grad.conv1.bias[...] = \
         causal_conv_backward(cache.x, block.conv1, g_a1, input_grad)
     g_skip = g_pre
@@ -226,9 +226,8 @@ def _check_window(model: TcnModel, window: np.ndarray) -> None:
         )
 
 
-def forward(model: TcnModel, window: np.ndarray, train: bool = False,
-            rng: SplitMix64 | None = None) -> np.ndarray:
-    """Per-step regression output (batch, time); dropout active only in train mode.
+def forward(model: TcnModel, window: np.ndarray) -> np.ndarray:
+    """Per-step regression output (batch, time) at inference.
 
     A float32 window runs in float32 throughout, through views of one
     float32 copy of ``theta``, and gives float32 output; any other window
@@ -240,38 +239,40 @@ def forward(model: TcnModel, window: np.ndarray, train: bool = False,
     else:
         window = window.astype(np.float64, copy=False)
         blocks, head_weights, head_bias = model.blocks, model.head_weights, model.head_bias
-    h = window
     for block in blocks:
-        h, _ = _block_forward(block, h, model.config.p_keep, train, rng)
-    return linear_head_forward(h, head_weights, float(head_bias[0]))
+        window = _block_forward(block, window)
+    return linear_head_forward(window, head_weights, float(head_bias[0]))
 
 
-def forward_with_cache(model: TcnModel, window: np.ndarray, train: bool,
-                       rng: SplitMix64 | None, arena: np.ndarray | None = None):
-    """``forward`` in float64 whatever the window's dtype, keeping what
-    ``backward`` needs: one ``_BlockCache`` per block, in model order. Given
-    ``arena`` (see ``train``), block i's d1, d2 and output are written into
-    ``arena[i, :, :len(window)]``, overwriting the previous call's caches."""
+def new_arena(model: TcnModel, batch: int) -> np.ndarray:
+    """One training step's block maps for up to ``batch`` windows (README,
+    "Activation arena"): block i's d1, d2 and output at ``[i, 0..2]``."""
+    cfg = model.config
+    return np.empty((len(model.blocks), 3, batch, cfg.filters, cfg.input_window))
+
+
+def forward_with_cache(model: TcnModel, window: np.ndarray, rng: SplitMix64,
+                       arena: np.ndarray):
+    """``forward`` in training: float64 whatever the window's dtype, dropout drawn
+    from ``rng`` at ``config.p_keep``, and one ``_BlockCache`` per block for
+    ``backward``, its maps in ``arena[i, :, :len(window)]`` (``new_arena``)."""
     _check_window(model, window)
-    h = window.astype(np.float64, copy=False)
-    slots = [()] * len(model.blocks) if arena is None else arena[:, :, :len(h)]
-    caches = []
-    for block, block_slots in zip(model.blocks, slots, strict=True):
-        h, cache = _block_forward(block, h, model.config.p_keep, train, rng, *block_slots)
+    h, caches = window.astype(np.float64, copy=False), []
+    for block, slots in zip(model.blocks, arena[:, :, :len(h)], strict=True):
+        h, cache = _block_train(block, h, model.config.p_keep, rng, slots)
         caches.append(cache)
-    y = linear_head_forward(h, model.head_weights, float(model.head_bias[0]))
-    return y, caches
+    return linear_head_forward(h, model.head_weights, float(model.head_bias[0])), caches
 
 
 def backward(model: TcnModel, cache, grad_y: np.ndarray) -> np.ndarray:
     """Gradient of every parameter: one float64 vector in ``theta``'s layout,
     each slot written by the layer it belongs to."""
-    grad = np.empty_like(model.theta)
+    grad, p_keep = np.empty_like(model.theta), model.config.p_keep
     _, grad_blocks, grad_hw, grad_hb = _views(model.config, grad)
     # the last block's output is the head's input
     g_h, grad_hw[...], grad_hb[0] = linear_head_backward(cache[-1].out, model.head_weights, grad_y)
     for i in reversed(range(len(cache))):  # block 0's input is the data: no gradient
-        g_h = _block_backward(model.blocks[i], grad_blocks[i], cache[i], g_h, i > 0)
+        g_h = _block_backward(model.blocks[i], grad_blocks[i], cache[i], g_h, p_keep, i > 0)
     return grad
 
 

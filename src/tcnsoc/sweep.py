@@ -180,8 +180,15 @@ def run_sweep(
         raise ValueError("held-out protocol needs at least two cycles")
     if jobs < 1:
         raise ValueError(f"jobs must be >= 1, got {jobs}")
+    if stride < 1:
+        raise ValueError(f"stride must be >= 1, got {stride}")
     _check_latency_args(latency_warmup, latency_iterations)
     train_cfg.validate()
+    configs = [TcnConfig(stacks=s, input_window=w, kernel_size=kernel_size,
+                         filters=filters, p_keep=p_keep)
+               for w in sorted(window_lengths) for s in sorted(stack_counts)]
+    for config in configs:
+        config.validate()
 
     if protocol == "held-out":
         train_cycles, eval_cycles = list(cycles[:-1]), [cycles[-1]]
@@ -189,18 +196,13 @@ def run_sweep(
         train_cycles = list(cycles)
         eval_cycles = list(cycles)
 
-    grid = [(s, w) for w in sorted(window_lengths) for s in sorted(stack_counts)]
     seed_rng = SplitMix64(train_cfg.seed)
-    cell_seeds = [int(seed_rng.next_u64()) for _ in grid]
+    cell_seeds = [int(seed_rng.next_u64()) for _ in configs]
     with (tempfile.TemporaryDirectory(prefix="tcn_sweep_") if out_dir is None
           else contextlib.nullcontext(out_dir)) as out_dir:
         os.makedirs(out_dir, exist_ok=True)
-        cell_args = [
-            (TcnConfig(stacks=s, input_window=w, kernel_size=kernel_size,
-                       filters=filters, p_keep=p_keep),
-             cell_seeds[i], train_cycles, eval_cycles, train_cfg, stride, out_dir)
-            for i, (s, w) in enumerate(grid)
-        ]
+        cell_args = [(config, seed, train_cycles, eval_cycles, train_cfg, stride, out_dir)
+                     for config, seed in zip(configs, cell_seeds)]
         if jobs > 1:
             with ProcessPoolExecutor(max_workers=jobs) as pool:
                 rows = list(pool.map(_train_cell, cell_args))

@@ -16,7 +16,7 @@ import numpy as np
 
 from .data import DriveCycle, WindowedDataset, _window_cutter, apply_normalization
 from .kernels import AdamState, _slab_rows, adam_step, mse_loss
-from .model import TcnModel, backward, forward, forward_with_cache
+from .model import TcnModel, backward, forward, forward_with_cache, new_arena
 from .rng import SplitMix64
 
 
@@ -101,9 +101,7 @@ def train(
     state = AdamState(np.zeros_like(model.theta), np.zeros_like(model.theta),
                       lr=config.learning_rate)
     dropout_rng = rng.spawn()
-    # each step's block activations (README, "Activation arena")
-    arena = np.empty((len(model.blocks), 3, min(config.batch_size, len(train_idx)),
-                      model.config.filters, model.config.input_window))
+    arena = new_arena(model, min(config.batch_size, len(train_idx)))
 
     history: list[EpochStats] = []
     best_val = math.inf
@@ -116,7 +114,7 @@ def train(
         for i in range(0, len(order), config.batch_size):
             batch = train_idx[order[i:i + config.batch_size]]
             xb, yb = dataset.x[batch], dataset.y[batch]
-            y_full, cache = forward_with_cache(model, xb, True, dropout_rng, arena)
+            y_full, cache = forward_with_cache(model, xb, dropout_rng, arena)
             loss, grad_pred = mse_loss(y_full[:, -1], yb)
             grad_y = np.zeros_like(y_full)
             grad_y[:, -1] = grad_pred

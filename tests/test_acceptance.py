@@ -30,6 +30,7 @@ from tcnsoc.model import (
     build_model,
     forward,
     forward_with_cache,
+    new_arena,
     parameter_count,
     receptive_field,
 )
@@ -66,7 +67,7 @@ def _activation_margin(model, x) -> float:
     than crossing the kink.
     """
     margin, h = math.inf, x
-    for block in model.blocks:  # the eval-mode block, dropout the identity
+    for block in model.blocks:  # the inference block, dropout the identity
         a1 = causal_conv_forward(h, block.conv1)
         a2 = causal_conv_forward(relu(a1), block.conv2)
         skip = h if block.downsample is None else causal_conv_forward(h, block.downsample)
@@ -94,7 +95,8 @@ def test_criterion_01_gradients_match_finite_differences():
     checked = total = 0
     worst = 0.0
     for case_no, kw in enumerate(configs):
-        cfg = TcnConfig(**kw)
+        # at p_keep 1 the training pass is the inference forward the loss reads
+        cfg = TcnConfig(**kw, p_keep=1.0)
         model = build_model(cfg, seed=1000 + case_no)
         rng = SplitMix64(2000 + case_no)
         # keep every live pre-activation clear of the ReLU kink so the
@@ -108,7 +110,7 @@ def test_criterion_01_gradients_match_finite_differences():
             pytest.fail(f"case {case_no}: no kink-free input found")
         target = rng.uniform(0.0, 1.0, 2)
 
-        y, cache = forward_with_cache(model, x, train=False, rng=None)
+        y, cache = forward_with_cache(model, x, SplitMix64(0), new_arena(model, len(x)))
         _, grad_pred = mse_loss(y[:, -1], target)
         grad_y = np.zeros_like(y)
         grad_y[:, -1] = grad_pred

@@ -6,6 +6,7 @@ import sys
 import numpy as np
 import pytest
 
+import tcnsoc.cli
 import tcnsoc.training
 from tcnsoc.cli import _train_config, build_parser, main
 from tcnsoc.data import DriveCycle, NormalizationParams, load_csv, save_csv
@@ -160,6 +161,29 @@ def test_train_rejects_a_non_finite_learning_rate_before_training(tmp_path, caps
     assert code == 1
     assert "learning_rate" in capsys.readouterr().err
     assert not (tmp_path / "m.bin").exists()
+
+
+@pytest.mark.parametrize("flag, value, field", [
+    ("--kernel", "0", "kernel_size"),
+    ("--filters", "0", "filters"),
+    ("--stacks", "0", "stacks"),
+    ("--p-keep", "0", "p_keep"),
+    ("--batch-size", "0", "batch_size"),
+    ("--val-fraction", "0.9", "validation_fraction"),
+    ("--stride", "0", "stride"),
+])
+def test_train_rejects_a_bad_setting_before_reading_data(tmp_path, capsys, monkeypatch,
+                                                         flag, value, field):
+    data = tmp_path / "d.csv"
+    make_labeled_csv(data)
+    loaded = []
+    monkeypatch.setattr(tcnsoc.cli, "load_csv", loaded.append)
+    code = run_cli("train", "--data", str(data), "--out", str(tmp_path / "m.bin"),
+                   "--history", str(tmp_path / "h.csv"), "--window", "20", flag, value)
+    assert code == 1
+    err = capsys.readouterr().err
+    assert field in err and "model:" not in err
+    assert loaded == [] and sorted(p.name for p in tmp_path.iterdir()) == ["d.csv"]
 
 
 def test_train_warns_when_receptive_field_short(tmp_path, capsys):

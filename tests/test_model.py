@@ -25,6 +25,7 @@ from tcnsoc.model import (
     build_model,
     forward,
     forward_with_cache,
+    new_arena,
     parameter_count,
     predict,
     receptive_field,
@@ -90,6 +91,13 @@ def test_config_validation():
         TcnConfig(stacks=1, input_window=10, p_keep=1.2).validate()
     with pytest.raises(ValueError):
         TcnConfig(stacks=1, input_window=10, kernel_size=-2).validate()
+    # bool is an int, but TCN1 would store "True", which no reader parses
+    with pytest.raises(ValueError, match="stacks"):
+        TcnConfig(stacks=True, input_window=10).validate()
+    with pytest.raises(ValueError, match="filters"):
+        TcnConfig(stacks=1, input_window=10, filters=True).validate()
+    with pytest.raises(ValueError, match="p_keep"):
+        TcnConfig(stacks=1, input_window=10, p_keep=True).validate()
 
 
 # ------------------------------------------------------------ param counts
@@ -209,11 +217,34 @@ def test_forward_eval_deterministic_and_train_seeded():
     m = build_model(cfg, seed=2)
     x = SplitMix64(3).uniform(-1, 1, (2, 4, cfg.input_window))
     assert np.array_equal(forward(m, x), forward(m, x))
-    t1 = forward(m, x, train=True, rng=SplitMix64(11))
-    t2 = forward(m, x, train=True, rng=SplitMix64(11))
-    t3 = forward(m, x, train=True, rng=SplitMix64(12))
+
+    def train_pass(seed):
+        return forward_with_cache(m, x, SplitMix64(seed), new_arena(m, len(x)))[0]
+
+    t1, t2, t3 = train_pass(11), train_pass(11), train_pass(12)
     assert np.array_equal(t1, t2)
     assert not np.array_equal(t1, t3)
+
+
+def test_inference_draws_no_dropout(monkeypatch):
+    # inverted dropout is the identity outside training: not even a call
+    calls = []
+
+    def spy(*args):
+        calls.append(args)
+        return args[0]
+
+    monkeypatch.setattr(tcnsoc.model, "dropout", spy)
+    monkeypatch.setattr(tcnsoc.kernels, "dropout", spy)
+    cfg = tiny_config()
+    m = build_model(cfg, seed=8)
+    x = SplitMix64(9).uniform(-1, 1, (2, 4, cfg.input_window))
+    for window in (x, x.astype(np.float32)):
+        forward(m, window)
+        predict(m, window)
+    assert calls == []
+    forward_with_cache(m, x, SplitMix64(10), new_arena(m, len(x)))
+    assert len(calls) == 2 * len(m.blocks)
 
 
 def test_forward_rejects_bad_window():
@@ -312,7 +343,8 @@ def _finite_difference_check(m, grad, loss, step=1e-5) -> int:
 
 
 def test_model_gradients_match_finite_differences():
-    cfg = tiny_config(input_window=9, kernel_size=2, filters=2, blocks_per_stack=2)
+    # at p_keep 1 the training pass is the inference forward the loss reads
+    cfg = tiny_config(input_window=9, kernel_size=2, filters=2, blocks_per_stack=2, p_keep=1.0)
     m = build_model(cfg, seed=13)
     rng = SplitMix64(14)
     x = rng.uniform(-1, 1, (3, 4, 9))
@@ -322,7 +354,7 @@ def test_model_gradients_match_finite_differences():
         p = forward(m, x)[:, -1]
         return float(np.mean((p - target) ** 2))
 
-    y, cache = forward_with_cache(m, x, train=False, rng=None)
+    y, cache = forward_with_cache(m, x, SplitMix64(15), new_arena(m, len(x)))
     diff = y[:, -1] - target
     grad_y = np.zeros_like(y)
     grad_y[:, -1] = 2.0 * diff / diff.size
@@ -340,7 +372,7 @@ def test_gradients_with_train_mode_dropout_mask():
     x = SplitMix64(22).uniform(-1, 1, (2, 4, 8))
     target = np.array([0.3, 0.6])
 
-    y, cache = forward_with_cache(m, x, train=True, rng=SplitMix64(23))
+    y, cache = forward_with_cache(m, x, SplitMix64(23), new_arena(m, len(x)))
     diff = y[:, -1] - target
     grad_y = np.zeros_like(y)
     grad_y[:, -1] = 2.0 * diff / diff.size
@@ -348,7 +380,7 @@ def test_gradients_with_train_mode_dropout_mask():
 
     # replaying the identical mask stream reproduces the same loss surface
     def loss() -> float:
-        p = forward(m, x, train=True, rng=SplitMix64(23))[:, -1]
+        p = forward_with_cache(m, x, SplitMix64(23), new_arena(m, len(x)))[0][:, -1]
         return float(np.mean((p - target) ** 2))
 
     assert _finite_difference_check(m, grad, loss) == parameter_count(cfg)
@@ -358,7 +390,7 @@ def test_zero_grad_output_gives_zero_param_grads():
     cfg = tiny_config()
     m = build_model(cfg, seed=1)
     x = SplitMix64(2).uniform(-1, 1, (2, 4, cfg.input_window))
-    y, cache = forward_with_cache(m, x, train=False, rng=None)
+    y, cache = forward_with_cache(m, x, SplitMix64(3), new_arena(m, len(x)))
     grad = backward(m, cache, np.zeros_like(y))
     assert grad.shape == m.theta.shape and not grad.any()
 
@@ -387,46 +419,19 @@ def test_forward_gives_the_bytes_of_the_composed_block(case):
         assert predict(m, xd).tobytes() == want[:, -1].tobytes()
 
 
-# ids without a p_keep are the default 0.9
-GRADIENT_CASES = [
-    pytest.param(case, train, p_keep,
-                 id=f"{case}-{train}" + ("" if p_keep == 0.9 else f"-p{p_keep}"))
-    for p_keep in (0.9, 0.5, 1.0) for train in (True, False) for case in BLOCK_CASES
-]
-
-
-@pytest.mark.parametrize("case,train,p_keep", GRADIENT_CASES)
-def test_gradients_equal_those_of_the_composed_block(case, train, p_keep):
-    """The cache keeps the dropout outputs and one scale instead of
-    pre-activations and masks; the one gate read from each, and so every
-    gradient, gives the bytes of separate ReLU and dropout gradients."""
-    cfg, batch = BLOCK_CASES[case]
-    cfg = replace(cfg, p_keep=p_keep)
-    m = build_model(cfg, seed=33)
-    rng = SplitMix64(34)
-    x = rng.uniform(-1, 1, (batch, 4, cfg.input_window))
-    grad_y = rng.uniform(-1, 1, (batch, cfg.input_window))
-    y, cache = forward_with_cache(m, x, train, SplitMix64(35) if train else None)
-    want_y, want_cache = model_forward_composed(m, x, train, SplitMix64(35) if train else None)
-    assert np.array_equal(y, want_y)
-    # every slot of the vector is written: it holds the bytes of the list oracle
-    got = backward(m, cache, grad_y)
-    want = np.concatenate([g.ravel() for g in model_backward_composed(m, want_cache, grad_y)])
-    assert got.dtype == np.float64 and got.shape == m.theta.shape
-    assert got.tobytes() == want.tobytes()
-
-
 # a full batch and a short last batch of each block case, as train() runs them
-ARENA_CASES = [
-    pytest.param(case, short, train, p_keep,
-                 id=f"{case}-{'short' if short else 'full'}-{train}-p{p_keep}")
-    for case in BLOCK_CASES for short in (False, True)
-    for train in (True, False) for p_keep in (0.5, 0.9, 1.0)
+TRAIN_CASES = [
+    pytest.param(case, short, p_keep, id=f"{case}-{'short' if short else 'full'}-p{p_keep}")
+    for case in BLOCK_CASES for short in (False, True) for p_keep in (0.5, 0.9, 1.0)
 ]
 
 
-@pytest.mark.parametrize("case,short,train,p_keep", ARENA_CASES)
-def test_arena_gives_the_bytes_of_fresh_activations(case, short, train, p_keep):
+@pytest.mark.parametrize("case,short,p_keep", TRAIN_CASES)
+def test_training_pass_gives_the_bytes_of_the_composed_block(case, short, p_keep):
+    """The arena keeps the dropout outputs instead of pre-activations and
+    masks, whatever an earlier step left in it; the one gate read from each,
+    and so every gradient, gives the bytes of separate ReLU and dropout
+    gradients."""
     cfg, batch = BLOCK_CASES[case]
     cfg = replace(cfg, p_keep=p_keep)
     m = build_model(cfg, seed=51)
@@ -434,34 +439,36 @@ def test_arena_gives_the_bytes_of_fresh_activations(case, short, train, p_keep):
     rng = SplitMix64(52)
     x = rng.uniform(-1, 1, (rows, 4, cfg.input_window))
     grad_y = rng.uniform(-1, 1, (rows, cfg.input_window))
-
-    def stream(seed):
-        return SplitMix64(seed) if train else None
-
-    want_y, want_cache = forward_with_cache(m, x, train, stream(53))
-    arena = np.full((len(m.blocks), 3, batch, cfg.filters, cfg.input_window), np.nan)
+    arena = new_arena(m, batch)
+    assert arena.shape == (len(m.blocks), 3, batch, cfg.filters, cfg.input_window)
+    arena.fill(np.nan)
     # a previous full step leaves its maps in every slot
-    forward_with_cache(m, rng.uniform(-1, 1, (batch, 4, cfg.input_window)), train,
-                       stream(54), arena)
-    y, cache = forward_with_cache(m, x, train, stream(53), arena)
+    forward_with_cache(m, rng.uniform(-1, 1, (batch, 4, cfg.input_window)), SplitMix64(54),
+                       arena)
+    y, cache = forward_with_cache(m, x, SplitMix64(53), arena)
+    want_y, (want_caches, head_input) = model_forward_composed(m, x, True, SplitMix64(53))
     assert y.tobytes() == want_y.tobytes()
-    for i, (got, want) in enumerate(zip(cache, want_cache, strict=True)):
-        assert got.scale == want.scale
-        assert got.x.tobytes() == want.x.tobytes()
+    assert cache[-1].out.tobytes() == head_input.tobytes()
+    for i, (got, want) in enumerate(zip(cache, want_caches, strict=True)):
+        assert got.x.tobytes() == want.x.tobytes(), i
+        assert got.d1.tobytes() == want.d1.tobytes(), i
         for j, name in enumerate(("d1", "d2", "out")):
             a = getattr(got, name)
-            assert a.tobytes() == getattr(want, name).tobytes(), (i, name)
             assert a.shape == (rows, cfg.filters, cfg.input_window)
             assert np.shares_memory(a, arena[i, j, :rows]), (i, name)
-    assert backward(m, cache, grad_y).tobytes() == backward(m, want_cache, grad_y).tobytes()
+    # every slot of the vector is written: it holds the bytes of the list oracle
+    got = backward(m, cache, grad_y)
+    want = model_backward_composed(m, (want_caches, head_input), grad_y)
+    assert got.dtype == np.float64 and got.shape == m.theta.shape
+    assert got.tobytes() == np.concatenate([g.ravel() for g in want]).tobytes()
 
 
 def test_arena_for_another_block_count_is_refused():
     cfg, batch = BLOCK_CASES["identity-skip"]
     m = build_model(cfg, seed=55)
-    arena = np.empty((len(m.blocks) - 1, 3, batch, cfg.filters, cfg.input_window))
+    arena = new_arena(m, batch)[1:]
     with pytest.raises(ValueError):
-        forward_with_cache(m, np.zeros((batch, 4, cfg.input_window)), False, None, arena)
+        forward_with_cache(m, np.zeros((batch, 4, cfg.input_window)), SplitMix64(56), arena)
 
 
 def test_backward_builds_no_gradient_for_the_data(monkeypatch):
@@ -470,7 +477,7 @@ def test_backward_builds_no_gradient_for_the_data(monkeypatch):
     cfg, batch = BLOCK_CASES["train-shape"]
     m = build_model(cfg, seed=36)
     x = SplitMix64(37).uniform(-1, 1, (batch, 4, cfg.input_window))
-    y, cache = forward_with_cache(m, x, True, SplitMix64(38))
+    y, cache = forward_with_cache(m, x, SplitMix64(38), new_arena(m, batch))
     grad_y = SplitMix64(39).uniform(-1, 1, y.shape)
     want = backward(m, cache, grad_y)
     taps, conv_backward = tcnsoc.kernels._taps, tcnsoc.model.causal_conv_backward
@@ -510,8 +517,6 @@ def test_model_leaves_the_window_unchanged_and_takes_a_read_only_one():
         y = forward(m, x)
         assert y.tobytes() == forward(m, np.array(x)).tobytes()
         assert np.array_equal(predict(m, x), y[:, -1])
-        forward(m, x, train=True, rng=SplitMix64(43))
-        for train in (False, True):
-            out, cache = forward_with_cache(m, x, train, SplitMix64(44) if train else None)
-            backward(m, cache, np.ones_like(out))
+        out, cache = forward_with_cache(m, x, SplitMix64(44), new_arena(m, len(x)))
+        backward(m, cache, np.ones_like(out))
         assert x.tobytes() == before

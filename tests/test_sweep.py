@@ -24,14 +24,15 @@ def small_train_cfg(epochs=1):
     return TrainConfig(epochs=epochs, batch_size=16, seed=5)
 
 
-def small_sweep(tmp_path, train_config=None, **kw):
+def small_sweep(tmp_path, train_config=None, stack_counts=(1,), window_lengths=(20,), **kw):
     cycles = [sim_cycle(seed=0), sim_cycle(seed=1), sim_cycle(seed=2)]
     defaults = dict(
         kernel_size=3, filters=3, stride=10, out_dir=str(tmp_path),
         latency_warmup=2, latency_iterations=20,
     )
     defaults.update(kw)
-    return run_sweep([1], [20], cycles, train_config or small_train_cfg(), **defaults)
+    return run_sweep(list(stack_counts), list(window_lengths), cycles,
+                     train_config or small_train_cfg(), **defaults)
 
 
 # ---------------------------------------------------------------- latency
@@ -186,6 +187,12 @@ def test_sweep_default_out_dir_is_temporary():
     (dict(latency_warmup=-1), "warmup must be >= 0"),
     (dict(latency_iterations=0), "iterations must be >= 1"),
     (dict(train_config=TrainConfig(learning_rate=float("nan"))), "learning_rate"),
+    (dict(kernel_size=0), "kernel_size"),
+    (dict(filters=0), "filters"),
+    (dict(p_keep=1.5), "p_keep"),
+    (dict(stride=0), "stride"),
+    (dict(stack_counts=[1, 0]), "stacks"),
+    (dict(window_lengths=[20, 0]), "input_window"),
 ])
 def test_sweep_rejects_bad_arguments_before_training_a_cell(tmp_path, monkeypatch,
                                                             bad, message):
