@@ -419,19 +419,55 @@ def test_forward_gives_the_bytes_of_the_composed_block(case):
         assert predict(m, xd).tobytes() == want[:, -1].tobytes()
 
 
-# a full batch and a short last batch of each block case, as train() runs them
-TRAIN_CASES = [
-    pytest.param(case, short, p_keep, id=f"{case}-{'short' if short else 'full'}-p{p_keep}")
-    for case in BLOCK_CASES for short in (False, True) for p_keep in (0.5, 0.9, 1.0)
+# ids without a p_keep are the default 0.9; train False (no dropout) is the
+# training pass at p_keep 1, the one case in which it draws nothing
+GRADIENT_CASES = [
+    pytest.param(case, train, p_keep,
+                 id=f"{case}-{train}" + ("" if p_keep == 0.9 else f"-p{p_keep}"))
+    for p_keep in (0.9, 0.5, 1.0) for train in (True, False) for case in BLOCK_CASES
+    if train or p_keep == 1.0
 ]
 
 
-@pytest.mark.parametrize("case,short,p_keep", TRAIN_CASES)
-def test_training_pass_gives_the_bytes_of_the_composed_block(case, short, p_keep):
-    """The arena keeps the dropout outputs instead of pre-activations and
-    masks, whatever an earlier step left in it; the one gate read from each,
-    and so every gradient, gives the bytes of separate ReLU and dropout
-    gradients."""
+def _stream(train, seed):
+    return SplitMix64(seed) if train else None
+
+
+@pytest.mark.parametrize("case,train,p_keep", GRADIENT_CASES)
+def test_gradients_equal_those_of_the_composed_block(case, train, p_keep):
+    """The cache keeps the dropout outputs instead of pre-activations and
+    masks; the one gate read from each, and so every gradient, gives the
+    bytes of separate ReLU and dropout gradients."""
+    cfg, batch = BLOCK_CASES[case]
+    cfg = replace(cfg, p_keep=p_keep)
+    m = build_model(cfg, seed=33)
+    rng = SplitMix64(34)
+    x = rng.uniform(-1, 1, (batch, 4, cfg.input_window))
+    grad_y = rng.uniform(-1, 1, (batch, cfg.input_window))
+    y, cache = forward_with_cache(m, x, _stream(train, 35), new_arena(m, batch))
+    want_y, want_cache = model_forward_composed(m, x, train, _stream(train, 35))
+    assert np.array_equal(y, want_y)
+    # every slot of the vector is written: it holds the bytes of the list oracle
+    got = backward(m, cache, grad_y)
+    want = np.concatenate([g.ravel() for g in model_backward_composed(m, want_cache, grad_y)])
+    assert got.dtype == np.float64 and got.shape == m.theta.shape
+    assert got.tobytes() == want.tobytes()
+
+
+# a full batch and a short last batch of each block case, as train() runs them
+ARENA_CASES = [
+    pytest.param(case, short, train, p_keep,
+                 id=f"{case}-{'short' if short else 'full'}-{train}-p{p_keep}")
+    for case in BLOCK_CASES for short in (False, True)
+    for train in (True, False) for p_keep in (0.5, 0.9, 1.0)
+    if train or p_keep == 1.0
+]
+
+
+@pytest.mark.parametrize("case,short,train,p_keep", ARENA_CASES)
+def test_arena_gives_the_bytes_of_fresh_activations(case, short, train, p_keep):
+    """The arena keeps the dropout outputs and block outputs of the composed
+    block, whatever an earlier step left in it."""
     cfg, batch = BLOCK_CASES[case]
     cfg = replace(cfg, p_keep=p_keep)
     m = build_model(cfg, seed=51)
@@ -443,10 +479,10 @@ def test_training_pass_gives_the_bytes_of_the_composed_block(case, short, p_keep
     assert arena.shape == (len(m.blocks), 3, batch, cfg.filters, cfg.input_window)
     arena.fill(np.nan)
     # a previous full step leaves its maps in every slot
-    forward_with_cache(m, rng.uniform(-1, 1, (batch, 4, cfg.input_window)), SplitMix64(54),
+    forward_with_cache(m, rng.uniform(-1, 1, (batch, 4, cfg.input_window)), _stream(train, 54),
                        arena)
-    y, cache = forward_with_cache(m, x, SplitMix64(53), arena)
-    want_y, (want_caches, head_input) = model_forward_composed(m, x, True, SplitMix64(53))
+    y, cache = forward_with_cache(m, x, _stream(train, 53), arena)
+    want_y, (want_caches, head_input) = model_forward_composed(m, x, train, _stream(train, 53))
     assert y.tobytes() == want_y.tobytes()
     assert cache[-1].out.tobytes() == head_input.tobytes()
     for i, (got, want) in enumerate(zip(cache, want_caches, strict=True)):
@@ -456,10 +492,8 @@ def test_training_pass_gives_the_bytes_of_the_composed_block(case, short, p_keep
             a = getattr(got, name)
             assert a.shape == (rows, cfg.filters, cfg.input_window)
             assert np.shares_memory(a, arena[i, j, :rows]), (i, name)
-    # every slot of the vector is written: it holds the bytes of the list oracle
     got = backward(m, cache, grad_y)
     want = model_backward_composed(m, (want_caches, head_input), grad_y)
-    assert got.dtype == np.float64 and got.shape == m.theta.shape
     assert got.tobytes() == np.concatenate([g.ravel() for g in want]).tobytes()
 
 
