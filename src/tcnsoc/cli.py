@@ -183,11 +183,8 @@ def _cmd_train(args) -> int:
     config = TcnConfig(stacks=args.stacks, input_window=args.window,
                        kernel_size=args.kernel, filters=args.filters,
                        p_keep=args.p_keep)
-    train_config = _train_config(args)
-    # before any file is read or a model fact printed
-    config.validate()
-    train_config.validate()
-    if args.stride < 1:
+    train_config = _train_config(args)  # both configs check themselves when built
+    if args.stride < 1:  # before any file is read or a model fact printed
         raise ValueError(f"stride must be >= 1, got {args.stride}")
     cycles = [_load_labeled(p, args.capacity_ah, args.initial_soc) for p in args.data]
     _info(f"model: {parameter_count(config)} parameters, "
@@ -251,7 +248,8 @@ def _cmd_bench(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
-    cycles = [_load_labeled(p, args.capacity_ah, args.initial_soc) for p in args.data]
+    # read lazily: run_sweep checks every setting before the first file
+    cycles = (_load_labeled(p, args.capacity_ah, args.initial_soc) for p in args.data)
     report = run_sweep(
         args.stacks, args.windows, cycles, _train_config(args),
         kernel_size=args.kernel, filters=args.filters, p_keep=args.p_keep,

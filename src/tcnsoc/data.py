@@ -11,7 +11,7 @@ from __future__ import annotations
 import csv
 import math
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -199,9 +199,10 @@ def coulomb_count(
     return replace(cycle, soc=soc)
 
 
-@dataclass
+@dataclass(frozen=True)
 class NormalizationParams:
-    """Per-feature min-max ranges fitted on training data only."""
+    """Per-feature min-max ranges fitted on training data only. Checked when
+    built, however built, and frozen: every bound finite, every max > min."""
 
     voltage_min: float
     voltage_max: float
@@ -212,37 +213,34 @@ class NormalizationParams:
     soc_min: float
     soc_max: float
 
+    def __post_init__(self):
+        for key, value in self.as_dict().items():
+            if not math.isfinite(value):
+                raise ValueError(f"normalization bound {key}={value!r} is not finite")
+        for name in CHANNEL_NAMES:
+            lo, hi = self.bounds(name)
+            if not lo < hi:
+                raise ValueError(f"normalization bound {name}_max={hi!r} "
+                                 f"is not above {name}_min={lo!r}")
+
     def bounds(self, feature: str) -> tuple[float, float]:
         return getattr(self, f"{feature}_min"), getattr(self, f"{feature}_max")
 
     def as_dict(self) -> dict[str, float]:
-        return {
-            f"{name}_{end}": getattr(self, f"{name}_{end}")
-            for name in CHANNEL_NAMES
-            for end in ("min", "max")
-        }
+        return asdict(self)
 
 
 def fit_normalization(cycles: list[DriveCycle]) -> NormalizationParams:
     """Global per-feature extremes across the given (training) cycles."""
     if not cycles:
         raise ValueError("fit_normalization needs at least one cycle")
+    for cycle in cycles:
+        if cycle.soc is None:
+            raise ValueError(f"cycle {cycle.name!r} has no SOC labels; run coulomb_count first")
     values: dict[str, float] = {}
     for feature, column in _CHANNEL_COLUMNS.items():
-        lows, highs = [], []
-        for cycle in cycles:
-            col = getattr(cycle, column)
-            if col is None:
-                raise ValueError(
-                    f"cycle {cycle.name!r} has no SOC labels; run coulomb_count first"
-                )
-            lows.append(col.min())
-            highs.append(col.max())
-        lo, hi = float(np.min(lows)), float(np.max(highs))
-        if hi == lo:
-            raise ValueError(f"feature {feature!r} is constant ({lo}); cannot normalize")
-        values[f"{feature}_min"] = lo
-        values[f"{feature}_max"] = hi
+        values[f"{feature}_min"] = float(np.min([getattr(c, column).min() for c in cycles]))
+        values[f"{feature}_max"] = float(np.max([getattr(c, column).max() for c in cycles]))
     return NormalizationParams(**values)
 
 

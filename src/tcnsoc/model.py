@@ -31,9 +31,10 @@ from .kernels import (
 from .rng import SplitMix64
 
 
-@dataclass
+@dataclass(frozen=True)
 class TcnConfig:
-    """Architecture hyperparameters.
+    """Architecture hyperparameters, checked when built (``replace`` too) and
+    immutable after: a ``TcnConfig`` that exists is a valid one.
 
     input_features covers (voltage, current, temperature, past SOC). The
     dilation schedule is not a setting: ``_layout`` doubles it per block.
@@ -47,13 +48,18 @@ class TcnConfig:
     blocks_per_stack: int = 4
     p_keep: float = 0.9
 
-    def validate(self) -> None:
+    def __post_init__(self):
         for name in CONFIG_INT_FIELDS:
             value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, int) or value < 1:
+            if not is_int(value) or value < 1:
                 raise ValueError(f"config field {name} must be a positive integer, got {value!r}")
         if isinstance(self.p_keep, bool) or not 0.0 < self.p_keep <= 1.0:
             raise ValueError(f"config field p_keep must be in (0, 1], got {self.p_keep}")
+
+
+def is_int(value) -> bool:
+    """The rule of integer settings: a bool is an int, but not a count."""
+    return isinstance(value, int) and not isinstance(value, bool)
 
 
 # the integer fields of TcnConfig in declaration order, as the TCN1 header lists them
@@ -150,7 +156,6 @@ def build_model(config: TcnConfig, seed: int, norm: NormalizationParams | None =
     One child stream per layer, spawned in parameter order; each layer draws
     uniform weights then bias in [-1/sqrt(fan_in), +1/sqrt(fan_in)].
     """
-    config.validate()
     model = TcnModel(config, np.empty(parameter_count(config)), norm=norm, seed=seed)
     parent = SplitMix64(seed)
     for conv in model.layers:

@@ -15,19 +15,20 @@ Layout (all integers little-endian):
 Floats in the header use Python's shortest round-trip repr, so a
 serialize/deserialize/serialize cycle is byte-identical. The header carries
 no timestamps: identical models produce identical files. Non-finite weights
-and non-finite or empty normalization ranges are rejected.
+are rejected here; the config and the normalization ranges check themselves
+when built, so a bad header value is a ``ModelFormatError`` naming it.
 """
 
 from __future__ import annotations
 
-import math
+import dataclasses
 import struct
 import zlib
 from pathlib import Path
 
 import numpy as np
 
-from .data import CHANNEL_NAMES, NormalizationParams
+from .data import NormalizationParams
 from .model import CONFIG_INT_FIELDS, TcnConfig, TcnModel, _conv_sizes
 
 MAGIC = b"TCN1"
@@ -80,11 +81,10 @@ def _parse_header(text: str, path: Path) -> tuple[TcnConfig, NormalizationParams
         ints = {name: int(fields[name]) for name in CONFIG_INT_FIELDS}
         dilation_base = int(fields["dilation_base"])
         cfg = TcnConfig(**ints, p_keep=float(fields["p_keep"]))
-        cfg.validate()
         if dilation_base != 2:
             raise ValueError(f"config field dilation_base is fixed at 2, got {dilation_base}")
         seed = int(fields["seed"])
-        norm_keys = [f"{name}_{end}" for name in CHANNEL_NAMES for end in ("min", "max")]
+        norm_keys = [f.name for f in dataclasses.fields(NormalizationParams)]
         if not any(f"norm_{key}" in fields for key in norm_keys):
             return cfg, None, seed
         norm = NormalizationParams(**{key: float(fields[f"norm_{key}"]) for key in norm_keys})
@@ -92,15 +92,6 @@ def _parse_header(text: str, path: Path) -> tuple[TcnConfig, NormalizationParams
         raise ModelFormatError(f"{path}: header is missing key {exc}") from None
     except ValueError as exc:
         raise ModelFormatError(f"{path}: bad header value ({exc})") from None
-    for key, value in norm.as_dict().items():
-        if not math.isfinite(value):
-            raise ModelFormatError(f"{path}: header norm_{key}={value!r} is not finite")
-    for name in CHANNEL_NAMES:
-        lo, hi = norm.bounds(name)
-        if not lo < hi:
-            raise ModelFormatError(
-                f"{path}: header norm_{name}_max={hi!r} is not above norm_{name}_min={lo!r}"
-            )
     return cfg, norm, seed
 
 

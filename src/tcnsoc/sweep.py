@@ -13,6 +13,7 @@ import contextlib
 import os
 import tempfile
 import time
+from collections.abc import Iterable
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 
@@ -150,7 +151,7 @@ def _train_cell(args) -> SweepRow:
 def run_sweep(
     stack_counts: list[int],
     window_lengths: list[int],
-    cycles: list[DriveCycle],
+    cycles: Iterable[DriveCycle],
     train_cfg: TrainConfig,
     *,
     kernel_size: int = TcnConfig.kernel_size,
@@ -169,32 +170,34 @@ def run_sweep(
     the last; protocol 'train-on-all' trains on the hybrid of all cycles
     and averages metrics over evaluations on each of them. Rows are ordered
     by (window, stacks) ascending. Cells that fail are reported in place
-    and the sweep continues; bad arguments raise before any cell trains.
-    Model files go to out_dir, or to a temporary directory removed on return.
+    and the sweep continues. Bad settings, a repeated grid value among them,
+    raise before ``cycles`` (any iterable) is read, and too few cycles before
+    any cell trains. Model files go to out_dir, or to a temporary directory
+    removed on return.
     """
     if not stack_counts or not window_lengths:
         raise ValueError("stack_counts and window_lengths must be non-empty")
     if protocol not in ("held-out", "train-on-all"):
         raise ValueError(f"protocol must be 'held-out' or 'train-on-all', got {protocol!r}")
-    if protocol == "held-out" and len(cycles) < 2:
-        raise ValueError("held-out protocol needs at least two cycles")
     if jobs < 1:
         raise ValueError(f"jobs must be >= 1, got {jobs}")
     if stride < 1:
         raise ValueError(f"stride must be >= 1, got {stride}")
     _check_latency_args(latency_warmup, latency_iterations)
-    train_cfg.validate()
     configs = [TcnConfig(stacks=s, input_window=w, kernel_size=kernel_size,
                          filters=filters, p_keep=p_keep)
                for w in sorted(window_lengths) for s in sorted(stack_counts)]
-    for config in configs:
-        config.validate()
+    for a, b in zip(configs, configs[1:]):
+        if a == b:  # two cells would write one model file
+            raise ValueError(f"grid cell stacks={a.stacks} window={a.input_window} is listed twice")
 
+    cycles = list(cycles)  # read only now that every setting has passed
     if protocol == "held-out":
-        train_cycles, eval_cycles = list(cycles[:-1]), [cycles[-1]]
+        if len(cycles) < 2:
+            raise ValueError("held-out protocol needs at least two cycles")
+        train_cycles, eval_cycles = cycles[:-1], [cycles[-1]]
     else:
-        train_cycles = list(cycles)
-        eval_cycles = list(cycles)
+        train_cycles = eval_cycles = cycles
 
     seed_rng = SplitMix64(train_cfg.seed)
     cell_seeds = [int(seed_rng.next_u64()) for _ in configs]

@@ -16,12 +16,14 @@ import numpy as np
 
 from .data import DriveCycle, WindowedDataset, _window_cutter, apply_normalization
 from .kernels import AdamState, _slab_rows, adam_step, mse_loss
-from .model import TcnModel, backward, forward, forward_with_cache, new_arena
+from .model import TcnModel, backward, forward, forward_with_cache, is_int, new_arena
 from .rng import SplitMix64
 
 
-@dataclass
+@dataclass(frozen=True)
 class TrainConfig:
+    """Training settings; like ``TcnConfig``, checked when built and frozen."""
+
     learning_rate: float = 1e-3
     batch_size: int = 32
     epochs: int = 30
@@ -29,20 +31,18 @@ class TrainConfig:
     seed: int = 0
     early_stop_patience: int = 10  # 0 disables early stopping
 
-    def validate(self) -> None:
+    def __post_init__(self):
         if not (math.isfinite(self.learning_rate) and self.learning_rate > 0):
             raise ValueError(f"learning_rate must be finite and positive, got {self.learning_rate}")
-        if self.batch_size < 1:
-            raise ValueError(f"batch_size must be >= 1, got {self.batch_size}")
-        if self.epochs < 0:
-            raise ValueError(f"epochs must be >= 0, got {self.epochs}")
+        for name, low in (("batch_size", 1), ("epochs", 0), ("early_stop_patience", 0)):
+            value = getattr(self, name)
+            if not is_int(value) or value < low:
+                raise ValueError(f"{name} must be an integer >= {low}, got {value!r}")
+        if not is_int(self.seed):
+            raise ValueError(f"seed must be an integer, got {self.seed!r}")
         if not 0.0 <= self.validation_fraction <= 0.5:
             raise ValueError(
                 f"validation_fraction must be in [0, 0.5], got {self.validation_fraction}"
-            )
-        if self.early_stop_patience < 0:
-            raise ValueError(
-                f"early_stop_patience must be >= 0, got {self.early_stop_patience}"
             )
 
 
@@ -79,7 +79,6 @@ def train(
     early stopping enabled and a validation split present, the weights of
     the best validation epoch are restored at the end.
     """
-    config.validate()
     if len(dataset) == 0:
         raise ValueError("dataset is empty")
     if dataset.window != model.config.input_window:

@@ -311,6 +311,33 @@ def test_sweep_cli_reports_cell_failure(tmp_path, capsys):
     assert "failed" in captured.err
 
 
+@pytest.mark.parametrize("flag, values, field", [
+    ("--kernel", ["0"], "kernel_size"),
+    ("--filters", ["0"], "filters"),
+    ("--p-keep", ["0"], "p_keep"),
+    ("--stacks", ["1", "0"], "stacks"),
+    ("--windows", ["20", "0"], "input_window"),
+    ("--batch-size", ["0"], "batch_size"),
+    ("--val-fraction", ["0.9"], "validation_fraction"),
+    ("--stride", ["0"], "stride"),
+    ("--jobs", ["0"], "jobs"),
+    ("--stacks", ["1", "1"], "stacks=1 window=20 is listed twice"),
+])
+def test_sweep_rejects_a_bad_setting_before_reading_data(tmp_path, capsys, monkeypatch,
+                                                         flag, values, field):
+    d1, d2 = tmp_path / "a.csv", tmp_path / "b.csv"
+    make_labeled_csv(d1, seed=1)
+    make_labeled_csv(d2, seed=2)
+    loaded = []
+    monkeypatch.setattr(tcnsoc.cli, "load_csv", loaded.append)
+    code = run_cli("sweep", "--data", str(d1), str(d2), "--windows", "20",
+                   "--out-dir", str(tmp_path / "models"), "--csv", str(tmp_path / "r.csv"),
+                   flag, *values)
+    assert code == 1
+    assert field in capsys.readouterr().err
+    assert loaded == [] and sorted(p.name for p in tmp_path.iterdir()) == ["a.csv", "b.csv"]
+
+
 # ---------------------------------------------------------------- flags
 
 

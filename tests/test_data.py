@@ -302,6 +302,22 @@ def test_fit_normalization_rejects_constant_feature():
         fit_normalization([c])
 
 
+UNIT_RANGES = dict(voltage_min=0.0, voltage_max=1.0, current_min=0.0, current_max=1.0,
+                   temperature_min=0.0, temperature_max=1.0, soc_min=0.0, soc_max=1.0)
+
+
+@pytest.mark.parametrize("key, value, message", [
+    ("voltage_min", math.nan, "voltage_min=nan is not finite"),
+    ("current_max", math.inf, "current_max=inf is not finite"),
+    ("soc_min", -math.inf, "soc_min=-inf is not finite"),
+    ("temperature_max", 0.0, "temperature_max=0.0 is not above temperature_min=0.0"),
+    ("voltage_min", 2.0, "voltage_max=1.0 is not above voltage_min=2.0"),
+])
+def test_hand_built_normalization_range_is_checked(key, value, message):
+    with pytest.raises(ValueError, match=f"normalization bound {message}"):
+        NormalizationParams(**{**UNIT_RANGES, key: value})
+
+
 def test_fit_normalization_requires_labels():
     with pytest.raises(ValueError, match="SOC"):
         fit_normalization([toy_cycle(soc=False)])

@@ -1,6 +1,6 @@
 """Tests for the network assembly: blocks, forward/backward, receptive field."""
 
-from dataclasses import replace
+from dataclasses import FrozenInstanceError, replace
 
 import numpy as np
 import pytest
@@ -17,7 +17,7 @@ from helpers import (
     model_forward_composed,
     model_forward_oracle,
 )
-from tcnsoc.data import _window_cutter
+from tcnsoc.data import NormalizationParams, _window_cutter
 from tcnsoc.model import (
     TcnConfig,
     TcnModel,
@@ -32,6 +32,7 @@ from tcnsoc.model import (
 )
 from tcnsoc.modelio import deserialize, serialize
 from tcnsoc.rng import SplitMix64
+from tcnsoc.training import TrainConfig
 
 
 def tiny_config(**kw):
@@ -84,20 +85,29 @@ def test_dilations_reset_each_stack():
 
 def test_config_validation():
     with pytest.raises(ValueError):
-        TcnConfig(stacks=0, input_window=10).validate()
+        TcnConfig(stacks=0, input_window=10)
     with pytest.raises(ValueError):
-        TcnConfig(stacks=1, input_window=10, p_keep=0.0).validate()
+        TcnConfig(stacks=1, input_window=10, p_keep=0.0)
     with pytest.raises(ValueError):
-        TcnConfig(stacks=1, input_window=10, p_keep=1.2).validate()
+        TcnConfig(stacks=1, input_window=10, p_keep=1.2)
     with pytest.raises(ValueError):
-        TcnConfig(stacks=1, input_window=10, kernel_size=-2).validate()
+        TcnConfig(stacks=1, input_window=10, kernel_size=-2)
     # bool is an int, but TCN1 would store "True", which no reader parses
     with pytest.raises(ValueError, match="stacks"):
-        TcnConfig(stacks=True, input_window=10).validate()
+        TcnConfig(stacks=True, input_window=10)
     with pytest.raises(ValueError, match="filters"):
-        TcnConfig(stacks=1, input_window=10, filters=True).validate()
+        TcnConfig(stacks=1, input_window=10, filters=True)
     with pytest.raises(ValueError, match="p_keep"):
-        TcnConfig(stacks=1, input_window=10, p_keep=True).validate()
+        TcnConfig(stacks=1, input_window=10, p_keep=True)
+
+
+def test_settings_cannot_be_changed_once_checked():
+    unit = NormalizationParams(0.0, 1.0, 0.0, 1.0, 0.0, 1.0, 0.0, 1.0)
+    for settings, name in [(TcnConfig(stacks=1, input_window=10), "stacks"),
+                           (TrainConfig(), "epochs"), (unit, "soc_max")]:
+        with pytest.raises(FrozenInstanceError):
+            setattr(settings, name, 0)
+        assert getattr(settings, name) != 0
 
 
 # ------------------------------------------------------------ param counts

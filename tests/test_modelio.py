@@ -359,11 +359,22 @@ def test_serialize_refuses_weights_not_finite_in_float32(tmp_path):
     assert not (tmp_path / "m.bin").exists()
 
 
+def norm_case(old, new, message, problem):
+    """A bad norm_* line, refused by NormalizationParams' own check; the id
+    names the header line and its problem."""
+    return pytest.param(old, new, r"bad header value \(normalization bound " + message,
+                        id=f"{old}-{new}-header {problem}")
+
+
 @pytest.mark.parametrize("old, new, message", [
-    ("norm_soc_max=1.0", "norm_soc_max=nan", "header norm_soc_max=nan is not finite"),
-    ("norm_voltage_min=3.0", "norm_voltage_min=inf", "header norm_voltage_min=inf is not finite"),
-    ("norm_voltage_min=3.0", "norm_voltage_min=4.2", "header norm_voltage_max=4.2 is not above"),
-    ("norm_voltage_min=3.0", "norm_voltage_min=5.0", "header norm_voltage_max=4.2 is not above"),
+    norm_case("norm_soc_max=1.0", "norm_soc_max=nan", "soc_max=nan is not finite",
+              "norm_soc_max=nan is not finite"),
+    norm_case("norm_voltage_min=3.0", "norm_voltage_min=inf", "voltage_min=inf is not finite",
+              "norm_voltage_min=inf is not finite"),
+    norm_case("norm_voltage_min=3.0", "norm_voltage_min=4.2",
+              "voltage_max=4.2 is not above voltage_min=4.2", "norm_voltage_max=4.2 is not above"),
+    norm_case("norm_voltage_min=3.0", "norm_voltage_min=5.0",
+              "voltage_max=4.2 is not above voltage_min=5.0", "norm_voltage_max=4.2 is not above"),
     ("norm_soc_max=1.0\n", "", "header is missing key 'norm_soc_max'"),
     ("p_keep=0.9", "p_keep=nan", r"bad header value \(config field p_keep"),
     ("stacks=1", "stacks=0", r"bad header value \(config field stacks"),

@@ -20,8 +20,8 @@ def sim_cycle(kind="urban", seed=0, duration=120.0, dt=0.5):
                         name=f"{kind}{seed}")
 
 
-def small_train_cfg(epochs=1):
-    return TrainConfig(epochs=epochs, batch_size=16, seed=5)
+def small_train_cfg(epochs=1, **kw):
+    return TrainConfig(epochs=epochs, batch_size=16, seed=5, **kw)
 
 
 def small_sweep(tmp_path, train_config=None, stack_counts=(1,), window_lengths=(20,), **kw):
@@ -186,13 +186,15 @@ def test_sweep_default_out_dir_is_temporary():
     (dict(jobs=0), "jobs must be >= 1"),
     (dict(latency_warmup=-1), "warmup must be >= 0"),
     (dict(latency_iterations=0), "iterations must be >= 1"),
-    (dict(train_config=TrainConfig(learning_rate=float("nan"))), "learning_rate"),
+    (dict(train=dict(learning_rate=float("nan"))), "learning_rate"),
     (dict(kernel_size=0), "kernel_size"),
     (dict(filters=0), "filters"),
     (dict(p_keep=1.5), "p_keep"),
     (dict(stride=0), "stride"),
     (dict(stack_counts=[1, 0]), "stacks"),
     (dict(window_lengths=[20, 0]), "input_window"),
+    (dict(stack_counts=[1, 2, 1]), "stacks=1 window=20 is listed twice"),
+    (dict(stack_counts=[2], window_lengths=[20, 20]), "stacks=2 window=20 is listed twice"),
 ])
 def test_sweep_rejects_bad_arguments_before_training_a_cell(tmp_path, monkeypatch,
                                                             bad, message):
@@ -200,8 +202,9 @@ def test_sweep_rejects_bad_arguments_before_training_a_cell(tmp_path, monkeypatc
     train_cell = sweep_module._train_cell
     monkeypatch.setattr(sweep_module, "_train_cell",
                         lambda args: trained.append(args) or train_cell(args))
+    kw = dict(bad)
     with pytest.raises(ValueError, match=message):
-        small_sweep(tmp_path, **bad)
+        small_sweep(tmp_path, small_train_cfg(**kw.pop("train", {})), **kw)
     assert trained == []
 
 

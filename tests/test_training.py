@@ -215,13 +215,21 @@ def test_train_rejects_empty_dataset():
 def test_train_config_validation():
     for lr in (0.0, math.nan, math.inf, -math.inf):
         with pytest.raises(ValueError, match="learning_rate"):
-            TrainConfig(learning_rate=lr).validate()
+            TrainConfig(learning_rate=lr)
     with pytest.raises(ValueError):
-        TrainConfig(batch_size=0).validate()
+        TrainConfig(batch_size=0)
     with pytest.raises(ValueError):
-        TrainConfig(epochs=-1).validate()
+        TrainConfig(epochs=-1)
     with pytest.raises(ValueError):
-        TrainConfig(validation_fraction=0.6).validate()
+        TrainConfig(validation_fraction=0.6)
+    # integers only: a float batch failed inside train, epochs=True trained one epoch
+    for name, value in [("batch_size", 2.5), ("batch_size", True), ("epochs", 1.0),
+                        ("epochs", True), ("early_stop_patience", -1),
+                        ("early_stop_patience", 2.0), ("early_stop_patience", False),
+                        ("seed", 1.5), ("seed", True), ("seed", "1")]:
+        with pytest.raises(ValueError, match=f"{name} must be an integer"):
+            TrainConfig(**{name: value})
+    assert TrainConfig(epochs=0, early_stop_patience=0, seed=-3).seed == -3
 
 
 # ---------------------------------------------------------------- metrics
