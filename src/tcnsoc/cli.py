@@ -48,15 +48,17 @@ def _info(message: str) -> None:
     print(message, file=sys.stderr)
 
 
-def _load_labeled(path: str, capacity_ah: float, initial_soc: float):
-    """Load a cycle CSV, coulomb counting the label column if it is absent."""
-    cycle = load_csv(path)
-    if cycle.soc is None:
-        _info(f"{path}: no soc column, coulomb counting from "
-              f"initial_soc={initial_soc} capacity_ah={capacity_ah}")
-        spec = BatterySpec(rated_capacity_ah=capacity_ah)
-        cycle = coulomb_count(cycle, spec, initial_soc=initial_soc)
-    return cycle
+def _load_labeled(args, paths):
+    """Yield each cycle CSV in ``paths``, coulomb counting the label column if
+    it is absent, from a cell checked before the first file is read."""
+    spec = BatterySpec(rated_capacity_ah=args.capacity_ah)
+    for path in paths:
+        cycle = load_csv(path)
+        if cycle.soc is None:
+            _info(f"{path}: no soc column, coulomb counting from "
+                  f"initial_soc={args.initial_soc} capacity_ah={args.capacity_ah}")
+            cycle = coulomb_count(cycle, spec, initial_soc=args.initial_soc)
+        yield cycle
 
 
 def _add_train_args(p: argparse.ArgumentParser) -> None:
@@ -186,7 +188,7 @@ def _cmd_train(args) -> int:
     train_config = _train_config(args)  # both configs check themselves when built
     if args.stride < 1:  # before any file is read or a model fact printed
         raise ValueError(f"stride must be >= 1, got {args.stride}")
-    cycles = [_load_labeled(p, args.capacity_ah, args.initial_soc) for p in args.data]
+    cycles = list(_load_labeled(args, args.data))
     _info(f"model: {parameter_count(config)} parameters, "
           f"receptive field {receptive_field(config)} samples, "
           f"window {config.input_window}")
@@ -215,7 +217,7 @@ def _cmd_train(args) -> int:
 
 def _cmd_eval(args) -> int:
     model = deserialize(args.model)
-    cycle = _load_labeled(args.data, args.capacity_ah, args.initial_soc)
+    (cycle,) = _load_labeled(args, [args.data])
     metrics, trace = evaluate(model, cycle, mode=args.mode)
     print(f"mode={args.mode}")
     print(f"n={metrics.n}")
@@ -249,7 +251,7 @@ def _cmd_bench(args) -> int:
 
 def _cmd_sweep(args) -> int:
     # read lazily: run_sweep checks every setting before the first file
-    cycles = (_load_labeled(p, args.capacity_ah, args.initial_soc) for p in args.data)
+    cycles = _load_labeled(args, args.data)
     report = run_sweep(
         args.stacks, args.windows, cycles, _train_config(args),
         kernel_size=args.kernel, filters=args.filters, p_keep=args.p_keep,

@@ -33,6 +33,17 @@ SOC_LABEL_BAND = (-0.01, 1.01)
 _FLOAT_MAX = sys.float_info.max  # every finite float lies within +-_FLOAT_MAX
 
 
+def is_int(value) -> bool:
+    """The rule of integer settings: a bool is an int, but not a count."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def is_real(value) -> bool:
+    """The rule of real settings: a finite int or float, but not a bool, nor
+    a numpy scalar, whose repr (``np.float64(0.9)``) no TCN1 reader parses."""
+    return type(value) in (int, float) and math.isfinite(value)
+
+
 @dataclass
 class BatterySpec:
     """Cell ratings; defaults describe a 2.9 Ah NCA-type 18650 cell."""
@@ -43,8 +54,9 @@ class BatterySpec:
     max_voltage: float = 4.2
 
     def __post_init__(self):
-        if self.rated_capacity_ah <= 0:
-            raise ValueError(f"rated_capacity_ah must be > 0, got {self.rated_capacity_ah}")
+        if not is_real(self.rated_capacity_ah) or self.rated_capacity_ah <= 0:
+            raise ValueError(f"rated_capacity_ah must be a finite number > 0, "
+                             f"got {self.rated_capacity_ah!r}")
         if not self.min_voltage < self.nominal_voltage < self.max_voltage:
             raise ValueError(
                 f"need min < nominal < max voltage, got "

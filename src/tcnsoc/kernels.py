@@ -144,10 +144,10 @@ def causal_conv_forward(x: np.ndarray, params: ConvParams,
 def causal_conv_backward(
     x: np.ndarray, params: ConvParams, grad_out: np.ndarray, input_grad: bool = True
 ) -> tuple[np.ndarray | None, np.ndarray, np.ndarray]:
-    """Exact gradients of sum(grad_out * forward(x)) w.r.t. x, weights, bias.
-    grad_x is the (in, out*k) weights times the anti-causal taps of grad_out;
-    without ``input_grad`` (x is the data) it is None and neither is built.
-    Both tap matrices are built per batch slab; grad_weights sums over rows once."""
+    """Exact gradients of sum(grad_out * forward(x)) w.r.t. x, weights, bias from
+    one tap matrix per batch slab, the anti-causal taps G of grad_out (row o*k + j
+    holds grad_out[o, t + (k-1-j)*d]): grad_weights sums G @ x^T over the batch;
+    grad_x is the (in, out*k) weights times G, or None without ``input_grad``."""
     _check_input(x, params)
     b, c, t = x.shape
     o = params.out_channels
@@ -156,19 +156,22 @@ def causal_conv_backward(
             f"grad_out shape {grad_out.shape} does not match forward output {(b, o, t)}"
         )
     k, d = params.kernel_size, params.dilation
-    grad_out = np.ascontiguousarray(grad_out)  # sums must not depend on its layout
+    # the sums must not depend on either input's memory layout
+    x, grad_out = np.ascontiguousarray(x), np.ascontiguousarray(grad_out)
     grad_bias = grad_out.sum(axis=(0, 2))
     w_t = params.weights.transpose(1, 0, 2).reshape(c, -1)
     dtype = np.result_type(x, grad_out)
-    rows = _slab_rows(max(c, o), k, t, dtype.itemsize)
-    per_row = np.empty((b, o, c * k), dtype)
+    rows = _slab_rows(o, k, t, dtype.itemsize)
+    per_row = np.empty((b, o * k, c), dtype)
     grad_x = np.empty((b, c, t), dtype) if input_grad else None
     for lo in range(0, b, rows):
         s = slice(lo, lo + rows)
-        np.matmul(grad_out[s], _taps(x[s], k, d).transpose(0, 2, 1), out=per_row[s])
+        g_taps = _taps(grad_out[s], k, d, causal=False)
+        np.matmul(g_taps, x[s].transpose(0, 2, 1), out=per_row[s])
         if input_grad:
-            np.matmul(w_t, _taps(grad_out[s], k, d, causal=False), out=grad_x[s])
-    grad_weights = per_row.sum(axis=0).reshape(params.weights.shape)
+            np.matmul(w_t, g_taps, out=grad_x[s])
+        del g_taps  # freed before the next slab's taps are allocated
+    grad_weights = per_row.sum(axis=0).reshape(o, k, c).transpose(0, 2, 1)
     return grad_x, grad_weights, grad_bias
 
 

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field, fields
 import numpy as np
 
 from . import kernels
-from .data import NormalizationParams
+from .data import NormalizationParams, is_int, is_real
 from .kernels import (
     ConvParams,
     causal_conv_backward,
@@ -53,13 +53,8 @@ class TcnConfig:
             value = getattr(self, name)
             if not is_int(value) or value < 1:
                 raise ValueError(f"config field {name} must be a positive integer, got {value!r}")
-        if isinstance(self.p_keep, bool) or not 0.0 < self.p_keep <= 1.0:
-            raise ValueError(f"config field p_keep must be in (0, 1], got {self.p_keep}")
-
-
-def is_int(value) -> bool:
-    """The rule of integer settings: a bool is an int, but not a count."""
-    return isinstance(value, int) and not isinstance(value, bool)
+        if not is_real(self.p_keep) or not 0.0 < self.p_keep <= 1.0:
+            raise ValueError(f"config field p_keep must be a number in (0, 1], got {self.p_keep!r}")
 
 
 # the integer fields of TcnConfig in declaration order, as the TCN1 header lists them

@@ -14,9 +14,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import DriveCycle, WindowedDataset, _window_cutter, apply_normalization
+from .data import DriveCycle, WindowedDataset, _window_cutter, apply_normalization, is_int, is_real
 from .kernels import AdamState, _slab_rows, adam_step, mse_loss
-from .model import TcnModel, backward, forward, forward_with_cache, is_int, new_arena
+from .model import TcnModel, backward, forward, forward_with_cache, new_arena
 from .rng import SplitMix64
 
 
@@ -32,18 +32,18 @@ class TrainConfig:
     early_stop_patience: int = 10  # 0 disables early stopping
 
     def __post_init__(self):
-        if not (math.isfinite(self.learning_rate) and self.learning_rate > 0):
-            raise ValueError(f"learning_rate must be finite and positive, got {self.learning_rate}")
+        if not is_real(self.learning_rate) or self.learning_rate <= 0:
+            raise ValueError(f"learning_rate must be a finite number > 0, "
+                             f"got {self.learning_rate!r}")
         for name, low in (("batch_size", 1), ("epochs", 0), ("early_stop_patience", 0)):
             value = getattr(self, name)
             if not is_int(value) or value < low:
                 raise ValueError(f"{name} must be an integer >= {low}, got {value!r}")
         if not is_int(self.seed):
             raise ValueError(f"seed must be an integer, got {self.seed!r}")
-        if not 0.0 <= self.validation_fraction <= 0.5:
-            raise ValueError(
-                f"validation_fraction must be in [0, 0.5], got {self.validation_fraction}"
-            )
+        if not is_real(self.validation_fraction) or not 0.0 <= self.validation_fraction <= 0.5:
+            raise ValueError(f"validation_fraction must be a number in [0, 0.5], "
+                             f"got {self.validation_fraction!r}")
 
 
 @dataclass

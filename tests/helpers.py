@@ -55,6 +55,26 @@ def tap_stack_sliced(x: np.ndarray, kernel_size: int, dilation: int) -> np.ndarr
     return taps.reshape(b, c * kernel_size, t)
 
 
+def anti_causal_tap_stack_sliced(g: np.ndarray, kernel_size: int, dilation: int) -> np.ndarray:
+    """``tap_stack_sliced`` mirrored: row o*k + j at time t holds
+    g[o, t + (k-1-j)*d], and 0 past the end."""
+    b, o, t = g.shape
+    taps = np.zeros((b, o, kernel_size, t), dtype=g.dtype)
+    for j in range(kernel_size):
+        s = (kernel_size - 1 - j) * dilation
+        if s < t:
+            taps[:, :, j, :t - s] = g[:, :, s:]
+    return taps.reshape(b, o * kernel_size, t)
+
+
+def conv_weight_grad_anti_causal(x: np.ndarray, params, grad_out: np.ndarray) -> np.ndarray:
+    """The weight gradient from the anti-causal taps G of grad_out: row
+    o*k + j of G @ x^T, summed over the batch, is grad_weights[o, :, j]."""
+    o, c, k = params.weights.shape
+    taps = anti_causal_tap_stack_sliced(grad_out, k, params.dilation)
+    return (taps @ x.transpose(0, 2, 1)).sum(axis=0).reshape(o, k, c).transpose(0, 2, 1)
+
+
 def conv_forward_sliced(x: np.ndarray, params) -> np.ndarray:
     """The earlier forward kernel: sliced taps, one matmul, bias added in place."""
     taps = tap_stack_sliced(x, params.kernel_size, params.dilation)

@@ -186,6 +186,32 @@ def test_train_rejects_a_bad_setting_before_reading_data(tmp_path, capsys, monke
     assert loaded == [] and sorted(p.name for p in tmp_path.iterdir()) == ["d.csv"]
 
 
+@pytest.mark.parametrize("capacity", ["nan", "inf", "0"])
+@pytest.mark.parametrize("command", ["train", "eval", "sweep"])
+def test_a_bad_capacity_is_refused_before_reading_data(tmp_path, capsys, monkeypatch,
+                                                       command, capacity):
+    # nan blamed the labels, inf labelled every step initial_soc and trained on
+    data = tmp_path / "d.csv"
+    cycle = make_labeled_csv(data)
+    save_csv(DriveCycle(cycle.time_s, cycle.voltage_v, cycle.current_a,
+                        cycle.temperature_c, None, "unlabeled"), data)
+    serialize(build_model(TcnConfig(stacks=1, input_window=20), seed=1), tmp_path / "m.bin")
+    files = sorted(p.name for p in tmp_path.iterdir())
+    loaded = []
+    monkeypatch.setattr(tcnsoc.cli, "load_csv", loaded.append)
+    argv = {
+        "train": ("--data", str(data), "--out", str(tmp_path / "new.bin"),
+                  "--history", str(tmp_path / "h.csv"), "--window", "20"),
+        "eval": ("--model", str(tmp_path / "m.bin"), "--data", str(data),
+                 "--trace", str(tmp_path / "t.csv")),
+        "sweep": ("--data", str(data), str(data), "--windows", "20",
+                  "--out-dir", str(tmp_path / "models"), "--csv", str(tmp_path / "r.csv")),
+    }[command]
+    assert run_cli(command, *argv, f"--capacity-ah={capacity}") == 1
+    assert "rated_capacity_ah" in capsys.readouterr().err
+    assert loaded == [] and sorted(p.name for p in tmp_path.iterdir()) == files
+
+
 def test_train_warns_when_receptive_field_short(tmp_path, capsys):
     data = tmp_path / "d.csv"
     make_labeled_csv(data, n=300)

@@ -281,6 +281,14 @@ def test_battery_spec_validation():
         BatterySpec(min_voltage=3.7)
 
 
+def test_battery_spec_refuses_a_capacity_that_is_not_a_finite_positive_number():
+    # inf made every coulomb-counted label initial_soc; nan made them all nan
+    for value in (math.nan, math.inf, -math.inf, 0, -2.9, True, "2.9", np.float64(2.9)):
+        with pytest.raises(ValueError, match="rated_capacity_ah must be a finite number > 0"):
+            BatterySpec(rated_capacity_ah=value)
+    assert BatterySpec(rated_capacity_ah=3).capacity_as == 3 * 3600.0
+
+
 # ---------------------------------------------------------------- normalize
 
 

@@ -14,6 +14,7 @@ from helpers import (
     conv_backward_sliced,
     conv_forward_sliced,
     conv_oracle,
+    conv_weight_grad_anti_causal,
     dropout_composed,
     float32_tolerance,
 )
@@ -260,10 +261,11 @@ def test_backward_matches_sliced_kernel(batch, in_ch, out_ch, k, d, steps):
     g = rng.uniform(-1.0, 1.0, (batch, out_ch, steps))
     gx, gw, gb = causal_conv_backward(x, params, g)
     ref_x, ref_w, ref_b = conv_backward_sliced(x, params, g)
-    # only the input gradient sums in another order
-    assert gx.shape == ref_x.shape and gx.dtype == ref_x.dtype
-    assert np.max(np.abs(gx - ref_x)) <= 1e-12 * max(1.0, float(np.max(np.abs(ref_x))))
-    assert np.array_equal(gw, ref_w)
+    # both gradients read the anti-causal taps of g: they sum in another order
+    for got, ref in ((gx, ref_x), (gw, ref_w)):
+        assert got.shape == ref.shape and got.dtype == ref.dtype
+        assert np.max(np.abs(got - ref)) <= 1e-12 * max(1.0, float(np.max(np.abs(ref))))
+    assert np.array_equal(gw, conv_weight_grad_anti_causal(x, params, g))
     assert np.array_equal(gb, ref_b)
 
 
@@ -346,11 +348,12 @@ def test_slabbed_kernels_match_sliced_kernels_at_slab_boundaries(dtype, batch, c
         assert np.array_equal(y, conv_forward_sliced(x, params)), d
         gx, gw, gb = causal_conv_backward(x, params, g)
         ref_x, ref_w, ref_b = conv_backward_sliced(x, params, g)
-        assert np.array_equal(gw, ref_w), d
+        assert np.array_equal(gw, conv_weight_grad_anti_causal(x, params, g)), d
         assert np.array_equal(gb, ref_b), d
         tol = 1e-12 if dtype == np.float64 else FLOAT32_TOL
-        assert gx.dtype == ref_x.dtype
-        assert np.max(np.abs(gx - ref_x)) <= tol * max(1.0, float(np.max(np.abs(ref_x)))), d
+        for got, ref in ((gx, ref_x), (gw, ref_w)):
+            assert got.dtype == ref.dtype
+            assert np.max(np.abs(got - ref)) <= tol * max(1.0, float(np.max(np.abs(ref)))), d
         # every batch row is its own product: a slab gives each row's bytes alone
         alone = [causal_conv_backward(x[i:i + 1], params, g[i:i + 1])[0] for i in range(batch)]
         assert np.concatenate(alone).tobytes() == gx.tobytes(), d

@@ -1,5 +1,6 @@
 """Tests for the network assembly: blocks, forward/backward, receptive field."""
 
+import math
 from dataclasses import FrozenInstanceError, replace
 
 import numpy as np
@@ -18,6 +19,7 @@ from helpers import (
     model_forward_oracle,
 )
 from tcnsoc.data import NormalizationParams, _window_cutter
+from tcnsoc.kernels import _slab_rows
 from tcnsoc.model import (
     TcnConfig,
     TcnModel,
@@ -99,6 +101,12 @@ def test_config_validation():
         TcnConfig(stacks=1, input_window=10, filters=True)
     with pytest.raises(ValueError, match="p_keep"):
         TcnConfig(stacks=1, input_window=10, p_keep=True)
+    # reals: a string raised a bare TypeError; a numpy scalar wrote a TCN1
+    # header line ("p_keep=np.float64(0.9)") that no reader parses
+    for value in (False, "0.5", math.nan, math.inf, np.float64(0.9)):
+        with pytest.raises(ValueError, match="config field p_keep must be a number in"):
+            TcnConfig(stacks=1, input_window=10, p_keep=value)
+    assert TcnConfig(stacks=1, input_window=10, p_keep=1).p_keep == 1
 
 
 def test_settings_cannot_be_changed_once_checked():
@@ -516,8 +524,9 @@ def test_arena_for_another_block_count_is_refused():
 
 
 def test_backward_builds_no_gradient_for_the_data(monkeypatch):
-    # block 0's conv1 and downsample read the window: neither builds the
-    # anti-causal taps of its input gradient, every other convolution does
+    # every conv backward builds one tap matrix per batch slab, the anti-causal
+    # taps of its output gradient, and no causal taps; block 0's conv1 and
+    # downsample read the window and return no input gradient
     cfg, batch = BLOCK_CASES["train-shape"]
     m = build_model(cfg, seed=36)
     x = SplitMix64(37).uniform(-1, 1, (batch, 4, cfg.input_window))
@@ -525,23 +534,28 @@ def test_backward_builds_no_gradient_for_the_data(monkeypatch):
     grad_y = SplitMix64(39).uniform(-1, 1, y.shape)
     want = backward(m, cache, grad_y)
     taps, conv_backward = tcnsoc.kernels._taps, tcnsoc.model.causal_conv_backward
-    anti_causal = []  # per conv backward call: its anti-causal tap builds
+    calls = []  # per conv backward call: [causal taps, anti-causal taps, slabs, no grad_x]
 
     def counting_taps(x, k, d, causal=True):
-        anti_causal[-1] += not causal
+        calls[-1][not causal] += 1
         return taps(x, k, d, causal)
 
-    def counting_backward(*args):
-        anti_causal.append(0)
-        return conv_backward(*args)
+    def counting_backward(x, params, *args):
+        calls.append([0, 0])
+        result = conv_backward(x, params, *args)
+        rows = _slab_rows(params.out_channels, params.kernel_size, x.shape[2], x.itemsize)
+        calls[-1] += [-(-len(x) // rows), result[0] is None]
+        return result
 
     monkeypatch.setattr(tcnsoc.kernels, "_taps", counting_taps)
     monkeypatch.setattr(tcnsoc.model, "causal_conv_backward", counting_backward)
     got = backward(m, cache, grad_y)
     convs = len(m.layers) - 1  # the head is not a conv kernel call
-    assert convs == 17 and len(anti_causal) == convs
-    assert anti_causal[-2:] == [0, 0]  # block 0, which backward visits last
-    assert all(anti_causal[:-2])
+    assert convs == 17 and len(calls) == convs
+    assert all(causal == 0 and anti == slabs for causal, anti, slabs, _ in calls)
+    assert max(slabs for _, _, slabs, _ in calls) == 4  # k=8 convs: 32 rows in slabs of 10
+    # block 0, which backward visits last: conv2, then conv1 and downsample
+    assert [no_grad_x for *_, no_grad_x in calls] == [False] * (convs - 2) + [True, True]
     assert got.tobytes() == want.tobytes()
 
 

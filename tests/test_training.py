@@ -230,6 +230,15 @@ def test_train_config_validation():
         with pytest.raises(ValueError, match=f"{name} must be an integer"):
             TrainConfig(**{name: value})
     assert TrainConfig(epochs=0, early_stop_patience=0, seed=-3).seed == -3
+    # reals: learning_rate=True trained at 1.0, validation_fraction=False passed
+    # as 0, and a string raised a bare TypeError
+    for name, value in [("learning_rate", True), ("learning_rate", "1e-3"),
+                        ("learning_rate", np.float64(1e-3)), ("validation_fraction", False),
+                        ("validation_fraction", "0.1"), ("validation_fraction", math.nan),
+                        ("validation_fraction", math.inf), ("validation_fraction", -math.inf)]:
+        with pytest.raises(ValueError, match=f"{name} must be a"):
+            TrainConfig(**{name: value})
+    assert TrainConfig(learning_rate=1, validation_fraction=0).learning_rate == 1
 
 
 # ---------------------------------------------------------------- metrics
