@@ -23,6 +23,7 @@ from .data import (
     DEFAULT_CELL,
     BatterySpec,
     build_hybrid,
+    check_initial_soc,
     coulomb_count,
     fit_normalization,
     load_csv,
@@ -50,8 +51,9 @@ def _info(message: str) -> None:
 
 def _load_labeled(args, paths):
     """Yield each cycle CSV in ``paths``, coulomb counting the label column if
-    it is absent, from a cell checked before the first file is read."""
+    it is absent, from a cell and a start checked before the first file is read."""
     spec = BatterySpec(rated_capacity_ah=args.capacity_ah)
+    check_initial_soc(args.initial_soc)
     for path in paths:
         cycle = load_csv(path)
         if cycle.soc is None:

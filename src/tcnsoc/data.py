@@ -44,6 +44,12 @@ def is_real(value) -> bool:
     return type(value) in (int, float) and math.isfinite(value)
 
 
+def check_initial_soc(initial_soc: float) -> None:
+    """Refuses a starting charge fraction outside [0, 1], NaN included."""
+    if not 0.0 <= initial_soc <= 1.0:
+        raise ValueError(f"initial_soc must be in [0, 1], got {initial_soc}")
+
+
 @dataclass
 class BatterySpec:
     """Cell ratings; defaults describe a 2.9 Ah NCA-type 18650 cell."""
@@ -194,8 +200,7 @@ def coulomb_count(
     soc(t) = initial_soc - (1/Q_rated) * integral of I dt; positive current
     (discharge) decreases SOC.
     """
-    if not 0.0 <= initial_soc <= 1.0:
-        raise ValueError(f"initial_soc must be in [0, 1], got {initial_soc}")
+    check_initial_soc(initial_soc)
     current = cycle.current_a
     charge = np.concatenate(
         [[0.0], np.cumsum(0.5 * (current[1:] + current[:-1]) * np.diff(cycle.time_s))]
@@ -214,7 +219,8 @@ def coulomb_count(
 @dataclass(frozen=True)
 class NormalizationParams:
     """Per-feature min-max ranges fitted on training data only. Checked when
-    built, however built, and frozen: every bound finite, every max > min."""
+    built, however built, and frozen: every bound a finite int or float (not
+    a bool, a string or a numpy scalar), every max > min."""
 
     voltage_min: float
     voltage_max: float
@@ -227,8 +233,9 @@ class NormalizationParams:
 
     def __post_init__(self):
         for key, value in self.as_dict().items():
-            if not math.isfinite(value):
-                raise ValueError(f"normalization bound {key}={value!r} is not finite")
+            if not is_real(value):  # only a float can be a non-finite real
+                why = "is not finite" if type(value) is float else "is not an int or float"
+                raise ValueError(f"normalization bound {key}={value!r} {why}")
         for name in CHANNEL_NAMES:
             lo, hi = self.bounds(name)
             if not lo < hi:

@@ -23,54 +23,80 @@ p = 1, where that threshold would be 2**64, every draw passes.
 Splitting draws one raw value from the parent and uses it as the child
 key, so child streams are independent of how much of the parent has been
 consumed afterwards.
+
+The stream is computed two ways, with the same definition and values. A
+scalar draw (``next_u64``, ``spawn``, ``uniform()``) runs mix64 on Python
+integers. An array draw (``_raw``) adds its offset ``k + counter * golden``
+to a table of ``(i + 1) * golden`` built once at import, then mixes that
+fresh array in place.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 
 import numpy as np
 
-_GOLDEN = np.uint64(0x9E3779B97F4A7C15)
-_MIX1 = np.uint64(0xBF58476D1CE4E5B9)
-_MIX2 = np.uint64(0x94D049BB133111EB)
+_GOLDEN = 0x9E3779B97F4A7C15
+_MIX1 = 0xBF58476D1CE4E5B9
+_MIX2 = 0x94D049BB133111EB
 _MASK = 0xFFFFFFFFFFFFFFFF
 _INV_2_53 = 2.0 ** -53
+# (i + 1) * golden mod 2**64 for i < 2**16 (512 KB), enough for a dropout mask
+# at the paper's training shape (32 * 4 * 500 = 64,000 draws): an array draw
+# adds its offset to a slice of it; a larger draw computes its own steps
+_STEPS = np.arange(1, 2 ** 16 + 1, dtype=np.uint64) * np.uint64(_GOLDEN)
+_STEPS.setflags(write=False)  # mixing in place must never reach the table
+
+
+def _mix64_int(z: int) -> int:
+    z = ((z ^ (z >> 30)) * _MIX1) & _MASK
+    z = ((z ^ (z >> 27)) * _MIX2) & _MASK
+    return z ^ (z >> 31)
 
 
 def _mix64(z: np.ndarray) -> np.ndarray:
-    z = (z ^ (z >> np.uint64(30))) * _MIX1
-    z = (z ^ (z >> np.uint64(27))) * _MIX2
-    return z ^ (z >> np.uint64(31))
+    """mix64 of every element of a uint64 array, in place; returns it."""
+    z ^= z >> np.uint64(30)
+    z *= np.uint64(_MIX1)
+    z ^= z >> np.uint64(27)
+    z *= np.uint64(_MIX2)
+    z ^= z >> np.uint64(31)
+    return z
 
 
 class SplitMix64:
     """Counter-based SplitMix64 stream with a documented wire format."""
 
     def __init__(self, seed: int):
-        self.key = np.uint64(seed & _MASK)
+        self.key = operator.index(seed) & _MASK
         self.counter = 0
 
     def _raw(self, n: int) -> np.ndarray:
-        idx = np.arange(self.counter + 1, self.counter + n + 1, dtype=np.uint64)
+        # offset in Python ints: numpy's uint64 scalar arithmetic warns on wrap
+        offset = np.uint64((self.key + self.counter * _GOLDEN) & _MASK)
         self.counter += n
-        return _mix64(self.key + idx * _GOLDEN)
+        steps = (_STEPS if n <= _STEPS.size
+                 else np.arange(1, n + 1, dtype=np.uint64) * np.uint64(_GOLDEN))
+        return _mix64(steps[:n] + offset)
 
     def next_u64(self) -> int:
-        return int(self._raw(1)[0])
+        self.counter += 1
+        return _mix64_int((self.key + self.counter * _GOLDEN) & _MASK)
 
     def spawn(self) -> "SplitMix64":
         """Independent child stream keyed off the next raw parent value."""
         return SplitMix64(self.next_u64())
 
     def uniform(self, low: float = 0.0, high: float = 1.0, size=None):
-        """Uniform doubles in [low, high); scalar when size is None."""
-        n = 1 if size is None else int(np.prod(size))
-        u = (self._raw(n) >> np.uint64(11)).astype(np.float64) * _INV_2_53
-        out = low + u * (high - low)
+        """Uniform doubles in [low, high); scalar when size is None. The
+        scalar is the float the array path gives, in the same order."""
         if size is None:
-            return float(out[0])
-        return out.reshape(size)
+            u = (self.next_u64() >> 11) * _INV_2_53
+            return float(low) + u * float(high - low)
+        u = (self._raw(int(np.prod(size))) >> np.uint64(11)).astype(np.float64) * _INV_2_53
+        return (low + u * (high - low)).reshape(size)
 
     def bernoulli(self, p: float, size) -> np.ndarray:
         """Boolean array equal to ``uniform(size=size) < p``, drawn without floats."""

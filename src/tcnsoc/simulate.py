@@ -19,12 +19,13 @@ Per step (a = exp(-dt/(R1*C1)), aT = exp(-dt/cooling_tau)):
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.signal import lfilter
 
-from .data import BatterySpec, DriveCycle
+from .data import BatterySpec, DriveCycle, check_initial_soc
 from .rng import SplitMix64
 
 PROFILE_KINDS = ["highway", "aggressive", "urban", "mixed"]
@@ -91,10 +92,9 @@ def simulate_ecm(
     If the SOC trajectory would leave [0, 1] the simulation stops at the
     boundary step and the returned cycle is marked truncated.
     """
-    if dt <= 0:
-        raise ValueError(f"dt must be positive, got {dt}")
-    if not 0.0 <= initial_soc <= 1.0:
-        raise ValueError(f"initial_soc must be in [0, 1], got {initial_soc}")
+    if not 0 < dt < math.inf:  # refuses NaN too
+        raise ValueError(f"dt must be a finite number > 0, got {dt!r}")
+    check_initial_soc(initial_soc)
     current = np.asarray(profile, dtype=np.float64)
     if current.ndim != 1 or current.size == 0:
         raise ValueError(f"profile must be a non-empty 1-D array, got shape {current.shape}")
@@ -226,10 +226,10 @@ def generate_profile(kind: str, duration: float, dt: float = 0.1, seed: int = 0)
     """
     if kind not in _BUILDERS:
         raise ValueError(f"unknown profile kind {kind!r}; valid kinds: {PROFILE_KINDS}")
-    if duration <= 0:
-        raise ValueError(f"duration must be positive, got {duration}")
-    if dt <= 0:
-        raise ValueError(f"dt must be positive, got {dt}")
+    if not 0 < duration < math.inf:  # refuses NaN too
+        raise ValueError(f"duration must be a finite number > 0, got {duration!r}")
+    if not 0 < dt < math.inf:
+        raise ValueError(f"dt must be a finite number > 0, got {dt!r}")
     n = int(round(duration / dt))
     if n < 1:
         raise ValueError(f"duration {duration} shorter than one step dt={dt}")

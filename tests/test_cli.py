@@ -78,6 +78,17 @@ def test_simulate_bad_duration_is_error_exit(tmp_path, capsys):
     assert "error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("value", ["nan", "inf"])
+@pytest.mark.parametrize("flag", ["duration", "dt"])
+def test_simulate_refuses_a_non_finite_duration_or_step(tmp_path, capsys, flag, value):
+    # nan failed with "cannot convert float NaN to integer", naming no flag
+    code = run_cli("simulate", "--kind", "urban", f"--{flag}={value}",
+                   "--out", str(tmp_path / "x.csv"))
+    assert code == 1
+    assert f"error: {flag} must be a finite number > 0, got {value}" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
 # ---------------------------------------------------------------- train
 
 
@@ -186,11 +197,10 @@ def test_train_rejects_a_bad_setting_before_reading_data(tmp_path, capsys, monke
     assert loaded == [] and sorted(p.name for p in tmp_path.iterdir()) == ["d.csv"]
 
 
-@pytest.mark.parametrize("capacity", ["nan", "inf", "0"])
-@pytest.mark.parametrize("command", ["train", "eval", "sweep"])
-def test_a_bad_capacity_is_refused_before_reading_data(tmp_path, capsys, monkeypatch,
-                                                       command, capacity):
-    # nan blamed the labels, inf labelled every step initial_soc and trained on
+def run_unlabeled(tmp_path, monkeypatch, command, flag):
+    """Run ``command`` with ``flag`` on an unlabeled CSV, with ``load_csv``
+    spied on; returns its exit code and whether it read no CSV and wrote no
+    file."""
     data = tmp_path / "d.csv"
     cycle = make_labeled_csv(data)
     save_csv(DriveCycle(cycle.time_s, cycle.voltage_v, cycle.current_a,
@@ -207,9 +217,32 @@ def test_a_bad_capacity_is_refused_before_reading_data(tmp_path, capsys, monkeyp
         "sweep": ("--data", str(data), str(data), "--windows", "20",
                   "--out-dir", str(tmp_path / "models"), "--csv", str(tmp_path / "r.csv")),
     }[command]
-    assert run_cli(command, *argv, f"--capacity-ah={capacity}") == 1
+    code = run_cli(command, *argv, flag)
+    return code, loaded == [] and sorted(p.name for p in tmp_path.iterdir()) == files
+
+
+@pytest.mark.parametrize("capacity", ["nan", "inf", "0"])
+@pytest.mark.parametrize("command", ["train", "eval", "sweep"])
+def test_a_bad_capacity_is_refused_before_reading_data(tmp_path, capsys, monkeypatch,
+                                                       command, capacity):
+    # nan blamed the labels, inf labelled every step initial_soc and trained on
+    code, untouched = run_unlabeled(tmp_path, monkeypatch, command,
+                                    f"--capacity-ah={capacity}")
+    assert code == 1 and untouched
     assert "rated_capacity_ah" in capsys.readouterr().err
-    assert loaded == [] and sorted(p.name for p in tmp_path.iterdir()) == files
+
+
+@pytest.mark.parametrize("initial_soc", ["nan", "-0.1", "1.5"])
+@pytest.mark.parametrize("command", ["train", "eval", "sweep"])
+def test_a_bad_initial_soc_is_refused_before_reading_data(tmp_path, capsys, monkeypatch,
+                                                          command, initial_soc):
+    # it was refused only after a CSV had been read and its coulomb count announced
+    code, untouched = run_unlabeled(tmp_path, monkeypatch, command,
+                                    f"--initial-soc={initial_soc}")
+    assert code == 1 and untouched
+    err = capsys.readouterr().err
+    assert f"initial_soc must be in [0, 1], got {initial_soc}" in err
+    assert "coulomb counting" not in err
 
 
 def test_train_warns_when_receptive_field_short(tmp_path, capsys):

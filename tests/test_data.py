@@ -320,6 +320,9 @@ UNIT_RANGES = dict(voltage_min=0.0, voltage_max=1.0, current_min=0.0, current_ma
     ("soc_min", -math.inf, "soc_min=-inf is not finite"),
     ("temperature_max", 0.0, "temperature_max=0.0 is not above temperature_min=0.0"),
     ("voltage_min", 2.0, "voltage_max=1.0 is not above voltage_min=2.0"),
+    ("voltage_min", False, "voltage_min=False is not an int or float"),
+    ("soc_max", True, "soc_max=True is not an int or float"),
+    ("current_max", "1.0", "current_max='1.0' is not an int or float"),
 ])
 def test_hand_built_normalization_range_is_checked(key, value, message):
     with pytest.raises(ValueError, match=f"normalization bound {message}"):

@@ -1,5 +1,6 @@
 """Tests for the splittable random stream."""
 
+import hashlib
 import math
 
 import numpy as np
@@ -22,8 +23,8 @@ def _mix64_int(z: int) -> int:
     return z
 
 
-def _stream_int(seed: int, n: int) -> list[int]:
-    return [_mix64_int((seed + (i + 1) * _GOLDEN) & _MASK) for i in range(n)]
+def _stream_int(seed: int, n: int, start: int = 0) -> list[int]:
+    return [_mix64_int((seed + (i + 1) * _GOLDEN) & _MASK) for i in range(start, start + n)]
 
 
 def test_matches_pure_int_oracle():
@@ -31,6 +32,15 @@ def test_matches_pure_int_oracle():
         rng = SplitMix64(seed)
         got = [rng.next_u64() for _ in range(20)]
         assert got == _stream_int(seed, 20)
+    # array draws, on both sides of the 2**16-entry golden-step table, with a
+    # wrapping key and a counter past 32 bits; then a scalar draw after them
+    for seed, counter in ((2**64 - 1, 0), (2**64 - 1, 2**32 + 7), (42, 2**32 + 7)):
+        rng = SplitMix64(seed)
+        rng.counter = counter
+        for n in (1, 2**16, 2**16 + 1):
+            start = rng.counter
+            assert rng._raw(n).tolist() == _stream_int(seed, n, start)
+        assert rng.next_u64() == _stream_int(seed, 1, rng.counter - 1)[0]
 
 
 def test_known_answer_seed_zero():
@@ -59,6 +69,12 @@ def test_scalar_and_vector_draws_agree():
     vec = a.uniform(size=50)
     scalars = np.array([b.uniform() for _ in range(50)])
     assert np.array_equal(vec, scalars)
+    # scalars are computed on Python numbers, arrays in numpy: same floats
+    for low, high in ((-2.4, -1.4), (0.0, 2.0 * math.pi), (220.0, 420.0), (1, 4), (-3, 2.5)):
+        vec = a.uniform(low, high, size=50)
+        scalars = [b.uniform(low, high) for _ in range(50)]
+        assert all(type(u) is float for u in scalars)
+        assert np.array_equal(vec, scalars)
 
 
 def test_uniform_range_and_mean():
@@ -97,6 +113,14 @@ def test_bernoulli_equals_uniform_threshold(p):
         assert mask.dtype == np.bool_
         assert np.array_equal(mask, b.uniform(size=size) < p)
         assert a.counter == b.counter
+
+
+def test_bernoulli_known_answer():
+    # a (batch, filters, window) dropout mask of the train shape; the stream
+    # is defined by its formula, so this digest never changes
+    mask = SplitMix64(2020).bernoulli(0.9, (32, 8, 100))
+    assert (hashlib.sha256(mask.tobytes()).hexdigest()
+            == "828cc0c6fd4f3d44f28393ee8a34c79ce33be5d87c1e79862d7449d532756757")
 
 
 @pytest.mark.parametrize("p", BERNOULLI_PS + (0.0, 0.1, 0.7))

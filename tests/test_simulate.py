@@ -135,6 +135,11 @@ def test_simulate_input_validation():
     ecm = EcmConfig()
     with pytest.raises(ValueError):
         simulate_ecm(np.ones(10), ecm, DEFAULT_CELL, 0.5, dt=0.0)
+    with pytest.raises(ValueError, match="dt must be a finite number > 0, got nan"):
+        simulate_ecm(np.ones(10), ecm, DEFAULT_CELL, 0.5, dt=float("nan"))
+    # a numpy float step, as np.diff of a time column gives, is a finite number
+    assert len(simulate_ecm(np.ones(10), ecm, DEFAULT_CELL, 0.5, dt=np.float64(0.1))) == 10
+    assert generate_profile("urban", np.float64(6.0), dt=np.float64(0.1)).size == 60
     with pytest.raises(ValueError):
         simulate_ecm(np.ones(10), ecm, DEFAULT_CELL, 1.5, dt=0.1)
     with pytest.raises(ValueError):
