@@ -219,8 +219,8 @@ def coulomb_count(
 @dataclass(frozen=True)
 class NormalizationParams:
     """Per-feature min-max ranges fitted on training data only. Checked when
-    built, however built, and frozen: every bound a finite int or float (not
-    a bool, a string or a numpy scalar), every max > min."""
+    built, however built, and frozen: every bound a finite int or float (not a
+    bool, a string or a numpy scalar), SOC ones in SOC_LABEL_BAND, max > min."""
 
     voltage_min: float
     voltage_max: float
@@ -236,6 +236,10 @@ class NormalizationParams:
             if not is_real(value):  # only a float can be a non-finite real
                 why = "is not finite" if type(value) is float else "is not an int or float"
                 raise ValueError(f"normalization bound {key}={value!r} {why}")
+        for key in ("soc_min", "soc_max"):  # fitted bounds always are: labels are band-checked
+            if not SOC_LABEL_BAND[0] <= getattr(self, key) <= SOC_LABEL_BAND[1]:
+                raise ValueError(f"normalization bound {key}={getattr(self, key)!r} is "
+                                 f"outside the SOC label band {list(SOC_LABEL_BAND)}")
         for name in CHANNEL_NAMES:
             lo, hi = self.bounds(name)
             if not lo < hi:

@@ -108,19 +108,14 @@ class SplitMix64:
         raw = self._raw(int(np.prod(size)))
         return (raw < np.uint64(math.ceil(p * 2.0 ** 53) << 11)).reshape(size)
 
-    def below(self, n: int) -> int:
-        """Integer in [0, n). Bias is O(n / 2**53), negligible for n << 2**53."""
-        if n <= 0:
-            raise ValueError(f"below() needs n >= 1, got {n}")
-        return min(int(self.uniform() * n), n - 1)
-
     def permutation(self, n: int) -> np.ndarray:
-        """Fisher-Yates permutation of range(n)."""
-        perm = np.arange(n)
+        """Fisher-Yates permutation of range(n): for i = n-1 down to 1, swap
+        i and min(int(u * (i + 1)), i), with every u drawn in one array."""
         if n < 2:
-            return perm
-        u = self.uniform(size=n - 1)
-        for i in range(n - 1, 0, -1):
-            j = min(int(u[n - 1 - i] * (i + 1)), i)
-            perm[i], perm[j] = perm[j], perm[i]
-        return perm
+            return np.arange(n)
+        i = np.arange(n - 1, 0, -1)
+        j = np.minimum((self.uniform(size=n - 1) * (i + 1)).astype(np.int64), i)
+        perm = list(range(n))
+        for a, b in zip(i.tolist(), j.tolist()):
+            perm[a], perm[b] = perm[b], perm[a]
+        return np.array(perm)

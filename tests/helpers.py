@@ -25,6 +25,37 @@ def float32_tolerance(reference: np.ndarray) -> float:
     return FLOAT32_TOL * max(1.0, float(np.max(np.abs(reference))))
 
 
+def lag_oracle(a: float, b: float, x: np.ndarray) -> np.ndarray:
+    """y[0] = 0, y[k] = a*y[k-1] + b*x[k-1], one sample at a time: the
+    sequential first-order lag, bit for bit what scipy.signal's
+    lfilter([0, b], [1, -a], x) computes."""
+    y = np.zeros(len(x))
+    for k in range(1, len(x)):
+        y[k] = a * y[k - 1] + b * x[k - 1]
+    return y
+
+
+def below(rng, n: int) -> int:
+    """Integer in [0, n) from one scalar draw of ``rng``. Bias is O(n / 2**53),
+    negligible for n << 2**53."""
+    if n <= 0:
+        raise ValueError(f"below() needs n >= 1, got {n}")
+    return min(int(rng.uniform() * n), n - 1)
+
+
+def permutation_oracle(rng, n: int) -> np.ndarray:
+    """Fisher-Yates permutation of range(n), swapping numpy array elements
+    one at a time, from the same draws as SplitMix64.permutation."""
+    perm = np.arange(n)
+    if n < 2:
+        return perm
+    u = rng.uniform(size=n - 1)
+    for i in range(n - 1, 0, -1):
+        j = min(int(u[n - 1 - i] * (i + 1)), i)
+        perm[i], perm[j] = perm[j], perm[i]
+    return perm
+
+
 def conv_oracle(x: np.ndarray, w: np.ndarray, b: np.ndarray, d: int) -> np.ndarray:
     """Defining sum of the left-padded causal convolution, loops only."""
     batch, channels, steps = x.shape

@@ -15,7 +15,7 @@ import time
 import numpy as np
 import pytest
 
-from helpers import make_positive
+from helpers import below, make_positive
 from tcnsoc.data import (
     DEFAULT_CELL,
     DriveCycle,
@@ -160,7 +160,7 @@ def test_criterion_02_causality_50_random_models():
         w = cfg.input_window
         x = rng.uniform(-1.0, 1.0, (2, 4, w))
         base = forward(model, x)
-        t = 1 + rng.below(w - 1)
+        t = 1 + below(rng, w - 1)
         x2 = x.copy()
         x2[:, :, t:] = rng.uniform(-1.0, 1.0, (2, 4, w - t))
         bumped = forward(model, x2)
@@ -404,7 +404,7 @@ def test_criterion_09_metric_identity_and_mse_oracle():
     summation oracle to 1e-12."""
     rng = SplitMix64(5000)
     for case in range(500):
-        n = 1 + rng.below(200)
+        n = 1 + below(rng, 200)
         truth = rng.uniform(0.0, 1.0, n)
         pred = truth + rng.uniform(-1.0, 1.0, n) * rng.uniform(0.0, 0.8)
         m = compute_metrics(pred, truth)

@@ -440,6 +440,16 @@ def test_module_entry_point_runs():
     assert "sweep" in proc.stdout
 
 
+def test_import_loads_no_scipy():
+    # every tcn-soc command, sweep worker and library user pays for what the
+    # package imports; scipy is not one of its dependencies
+    code = ("import sys, tcnsoc, tcnsoc.cli, tcnsoc.sweep, tcnsoc.simulate; "
+            "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+
+
 def test_console_script_matches_module(tmp_path):
     a = subprocess.run(
         [sys.executable, "-m", "tcnsoc", "simulate", "--kind", "urban",

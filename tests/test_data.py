@@ -6,6 +6,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from helpers import below
 
 from tcnsoc.data import (
     DEFAULT_CELL,
@@ -179,8 +180,8 @@ def test_fuzzed_csv_loads_valid_or_raises_value_error(tmp_path):
     rng = SplitMix64(77)
     for case in range(300):
         data = bytearray(text)
-        at = rng.below(len(data))
-        char = alphabet[rng.below(len(alphabet))]
+        at = below(rng, len(data))
+        char = alphabet[below(rng, len(alphabet))]
         if case % 3 == 0:
             data[at] = char
         elif case % 3 == 1:
@@ -323,6 +324,8 @@ UNIT_RANGES = dict(voltage_min=0.0, voltage_max=1.0, current_min=0.0, current_ma
     ("voltage_min", False, "voltage_min=False is not an int or float"),
     ("soc_max", True, "soc_max=True is not an int or float"),
     ("current_max", "1.0", "current_max='1.0' is not an int or float"),
+    ("soc_min", -0.5, r"soc_min=-0.5 is outside the SOC label band \[-0.01, 1.01\]"),
+    ("soc_max", 2.95, r"soc_max=2.95 is outside the SOC label band \[-0.01, 1.01\]"),
 ])
 def test_hand_built_normalization_range_is_checked(key, value, message):
     with pytest.raises(ValueError, match=f"normalization bound {message}"):

@@ -8,6 +8,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from helpers import below
 
 from tcnsoc.data import DriveCycle, NormalizationParams
 from tcnsoc.model import TcnConfig, TcnModel, build_model, forward, parameter_count
@@ -184,14 +185,14 @@ def test_fuzzed_files_raise_format_errors(tmp_path):
     rng = SplitMix64(2024)
     for case in range(450):
         data = bytearray(blob)
-        at = rng.below(len(blob))
+        at = below(rng, len(blob))
         if case % 3 == 0:
-            data[at] ^= 1 + rng.below(255)
+            data[at] ^= 1 + below(rng, 255)
         elif case % 3 == 1:
             data = data[:at]
         else:
-            size = min(1 + rng.below(8), len(blob) - at)
-            data[at:at + size] = bytes(rng.below(256) for _ in range(size))
+            size = min(1 + below(rng, 8), len(blob) - at)
+            data[at:at + size] = bytes(below(rng, 256) for _ in range(size))
         if data == blob:
             continue
         path.write_bytes(bytes(data))
@@ -391,4 +392,18 @@ def test_bad_header_value_rejected(tmp_path, old, new, message):
     bad = header.replace(old, new, 1).encode()
     path.write_bytes(blob[:8] + struct.pack("<I", len(bad)) + bad + blob[12 + header_len:])
     with pytest.raises(ModelFormatError, match=f"m\\.bin: {message}"):
+        deserialize(path)
+
+
+def test_one_byte_soc_bound_edit_rejected(tmp_path):
+    # a header edit the CRC does not cover: one byte moves soc_max 0.95 -> 2.95
+    norm = NormalizationParams(3.0, 4.2, -2.0, 5.0, 20.0, 45.0, 0.1, 0.95)
+    path = tmp_path / "m.bin"
+    serialize(build_model(TcnConfig(stacks=1, input_window=20, kernel_size=3, filters=3),
+                          seed=0, norm=norm), path)
+    blob = path.read_bytes()
+    assert blob.count(b"norm_soc_max=0.95\n") == 1
+    path.write_bytes(blob.replace(b"norm_soc_max=0.95\n", b"norm_soc_max=2.95\n"))
+    with pytest.raises(ModelFormatError, match=r"m\.bin: bad header value \(normalization "
+                       r"bound soc_max=2\.95 is outside the SOC label band"):
         deserialize(path)

@@ -5,6 +5,7 @@ import math
 
 import numpy as np
 import pytest
+from helpers import below, permutation_oracle
 
 from tcnsoc.rng import SplitMix64
 
@@ -187,7 +188,7 @@ def test_spawn_key_is_next_raw_value():
 
 def test_below_in_range():
     rng = SplitMix64(77)
-    draws = [rng.below(10) for _ in range(2_000)]
+    draws = [below(rng, 10) for _ in range(2_000)]
     assert min(draws) >= 0
     assert max(draws) <= 9
     assert len(set(draws)) == 10  # all buckets hit at this sample size
@@ -196,9 +197,9 @@ def test_below_in_range():
 def test_below_rejects_nonpositive():
     rng = SplitMix64(0)
     with pytest.raises(ValueError):
-        rng.below(0)
+        below(rng, 0)
     with pytest.raises(ValueError):
-        rng.below(-3)
+        below(rng, -3)
 
 
 def test_permutation_is_valid():
@@ -206,6 +207,15 @@ def test_permutation_is_valid():
     for n in (0, 1, 2, 5, 64, 257):
         perm = rng.permutation(n)
         assert sorted(perm.tolist()) == list(range(n))
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 3, 309, 36000])
+def test_permutation_matches_numpy_swap_oracle(n):
+    for seed in (0, 7, 2**64 - 1):
+        got = SplitMix64(seed).permutation(n)
+        want = permutation_oracle(SplitMix64(seed), n)
+        assert got.dtype == want.dtype == np.int64
+        assert np.array_equal(got, want)
 
 
 def test_permutation_seeded_reproducible():

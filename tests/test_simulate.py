@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from helpers import lag_oracle
 
 from tcnsoc.data import DEFAULT_CELL
 from tcnsoc.simulate import (
@@ -55,18 +56,44 @@ def test_rc_branch_settles_to_ir1():
     assert np.all(np.diff(v1) > -1e-12)  # monotone rise to the plateau
 
 
-def test_rc_branch_matches_recurrence_oracle():
+def _square_wave(n):
+    # 150 s discharge / 150 s charge at dt = 1: v1 swings through zero
+    return np.where(np.arange(n) // 150 % 2 == 0, 3.0, -3.0)
+
+
+@pytest.mark.parametrize("current, initial_soc, dt", [
+    pytest.param(1.5 + np.sin(np.linspace(0, 4, 200) * 3.0), 0.9, 0.5, id="sine-200"),
+    pytest.param(generate_profile("urban", 3600.0, seed=2), 0.95, 0.1, id="urban-3600s"),
+    pytest.param(_square_wave(1200), 0.5, 1.0, id="charge-discharge"),
+    pytest.param(np.array([2.0]), 0.5, 0.1, id="n1"),
+    pytest.param(np.array([2.0, -1.0]), 0.5, 0.1, id="n2"),
+])
+def test_lags_match_recurrence_oracle(current, initial_soc, dt):
+    # both first-order lags, the RC voltage and the temperature rise, agree
+    # with the sequential loop to 1e-12 of their largest magnitude; reading
+    # a lag back out of the voltage or temperature adds up to one ulp of it
     ecm = EcmConfig()
-    dt = 0.5
-    rng = np.linspace(0, 4, 200)
-    current = 1.5 + np.sin(rng * 3.0)
-    cycle = simulate_ecm(current, ecm, DEFAULT_CELL, initial_soc=0.9, dt=dt)
+    cycle = simulate_ecm(current, ecm, DEFAULT_CELL, initial_soc=initial_soc, dt=dt)
+    assert len(cycle) == len(current)
     v1 = ecm.ocv(cycle.soc) - current * ecm.r0 - cycle.voltage_v
     a = np.exp(-dt / (ecm.r1 * ecm.c1))
-    want = np.zeros(len(current))
-    for k in range(1, len(current)):
-        want[k] = a * want[k - 1] + (1 - a) * ecm.r1 * current[k - 1]
-    assert np.allclose(v1, want, atol=1e-12)
+    a_t = np.exp(-dt / ecm.cooling_tau_s)
+    for got, want, read_from in [
+        (v1, lag_oracle(a, (1 - a) * ecm.r1, current), cycle.voltage_v),
+        (cycle.temperature_c - ecm.ambient_c,
+         lag_oracle(a_t, ecm.heat_coeff * ecm.r0 * dt, current * current), cycle.temperature_c),
+    ]:
+        tol = 1e-12 * np.abs(want).max() + np.spacing(np.abs(read_from)).max()
+        assert np.abs(got - want).max() <= tol
+
+
+def test_rc_voltage_changes_sign_under_charge_discharge():
+    # the charge-discharge oracle case covers a lag whose sign changes
+    ecm = EcmConfig()
+    current = _square_wave(1200)
+    cycle = simulate_ecm(current, ecm, DEFAULT_CELL, initial_soc=0.5, dt=1.0)
+    v1 = ecm.ocv(cycle.soc) - current * ecm.r0 - cycle.voltage_v
+    assert v1.min() < -0.02 and v1.max() > 0.02
 
 
 def test_soc_rectangle_integration_exact():

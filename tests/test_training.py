@@ -6,7 +6,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from helpers import float32_tolerance, make_positive
+from helpers import below, float32_tolerance, make_positive
 
 import tcnsoc.model
 import tcnsoc.training
@@ -247,7 +247,7 @@ def test_train_config_validation():
 def test_accuracy_identity_is_exact():
     rng = SplitMix64(10)
     for _ in range(200):
-        n = 1 + rng.below(50)
+        n = 1 + below(rng, 50)
         truth = rng.uniform(0.0, 1.0, n)
         pred = truth + rng.uniform(-0.9, 0.9, n) * rng.uniform()
         m = compute_metrics(pred, truth)
