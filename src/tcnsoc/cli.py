@@ -32,7 +32,7 @@ from .data import (
 from .model import TcnConfig, build_model, parameter_count, receptive_field
 from .modelio import deserialize, serialize
 from .simulate import PROFILE_KINDS, EcmConfig, generate_profile, simulate_ecm
-from .sweep import measure_latency, run_sweep
+from .sweep import _check_latency_args, measure_latency, run_sweep
 from .training import TrainConfig, evaluate, train
 
 
@@ -218,8 +218,8 @@ def _cmd_train(args) -> int:
 
 
 def _cmd_eval(args) -> int:
+    (cycle,) = _load_labeled(args, [args.data])  # its flags are checked before any read
     model = deserialize(args.model)
-    (cycle,) = _load_labeled(args, [args.data])
     metrics, trace = evaluate(model, cycle, mode=args.mode)
     print(f"mode={args.mode}")
     print(f"n={metrics.n}")
@@ -240,6 +240,7 @@ def _cmd_eval(args) -> int:
 def _cmd_bench(args) -> int:
     import os
 
+    _check_latency_args(args.warmup, args.iterations)  # before the model is read
     model = deserialize(args.model)
     sample = np.zeros((1, model.config.input_features, model.config.input_window))
     stats = measure_latency(model, sample, warmup=args.warmup,

@@ -6,7 +6,8 @@ every stack and doubles per block (1, 2, 4, 8 for the default four blocks),
 so every input step stays covered while the receptive field grows
 exponentially with depth. A per-step linear head turns the last block's map
 into the SOC estimate, read at the final step. ``forward`` is inference;
-``forward_with_cache`` is the training pass, with dropout and an arena.
+``forward_with_cache`` trains, with dropout, and keeps nothing per step but
+the arena of block maps that ``backward`` reads with the window.
 """
 
 from __future__ import annotations
@@ -161,17 +162,6 @@ def build_model(config: TcnConfig, seed: int, norm: NormalizationParams | None =
     return model
 
 
-@dataclass
-class _BlockCache:
-    """What ``_block_backward`` reads of a block's training pass: its input and,
-    in its arena slots, the two dropout outputs (ReLU outputs masked and scaled
-    in place) and the block output. Each gate is ``value > 0`` on one of them."""
-    x: np.ndarray
-    d1: np.ndarray
-    d2: np.ndarray
-    out: np.ndarray
-
-
 def _block_forward(block: ResidualBlock, x: np.ndarray) -> np.ndarray:
     """The block's output at inference (inverted dropout is the identity), its maps
     fresh from the two-argument ``causal_conv_forward``, which perfbench's gate replaces."""
@@ -184,33 +174,35 @@ def _block_forward(block: ResidualBlock, x: np.ndarray) -> np.ndarray:
 
 
 def _block_train(block: ResidualBlock, x: np.ndarray, p_keep: float,
-                 rng: SplitMix64, slots: np.ndarray):
-    """The block's training output and cache, its maps written into the arena
-    ``slots``; dropout at p_keep 1 is the identity, without a draw."""
+                 rng: SplitMix64, slots: np.ndarray) -> np.ndarray:
+    """The block's training output, its maps written into the arena ``slots``
+    (d1 and d2, the ReLU outputs masked and scaled in place, then the output);
+    dropout at p_keep 1 is the identity, without a draw."""
     d1, d2, out = slots
     dropout(relu(kernels.causal_conv_forward(x, block.conv1, out=d1), out=d1), p_keep, rng, True)
     dropout(relu(kernels.causal_conv_forward(d1, block.conv2, out=d2), out=d2), p_keep, rng, True)
     skip = x if block.downsample is None else causal_conv_forward(x, block.downsample)
-    np.add(d2, skip, out=out)  # never into d2 (cached) or skip (may be the caller's window)
-    return relu(out, out=out), _BlockCache(x, d1, d2, out)
+    np.add(d2, skip, out=out)  # never into d2 (backward reads it) or skip (may be the window)
+    return relu(out, out=out)
 
 
-def _block_backward(block: ResidualBlock, grad: ResidualBlock, cache: _BlockCache,
+def _block_backward(block: ResidualBlock, grad: ResidualBlock, x: np.ndarray, slots: np.ndarray,
                     grad_y: np.ndarray, p_keep: float, input_grad: bool) -> np.ndarray | None:
     """Writes the block's parameter gradients into ``grad``, views into the
-    gradient vector, and returns the gradient of its input (None without
-    ``input_grad``: the input is the data window)."""
-    g_pre = relu_dropout_backward(grad_y, cache.out)
-    g_a2 = relu_dropout_backward(g_pre, cache.d2, p_keep)
+    gradient vector, and returns the gradient of its input ``x`` (None without
+    ``input_grad``: ``x`` is the data window), each gate read from ``slots``."""
+    d1, d2, out = slots
+    g_pre = relu_dropout_backward(grad_y, out)
+    g_a2 = relu_dropout_backward(g_pre, d2, p_keep)
     g_d1, grad.conv2.weights[...], grad.conv2.bias[...] = \
-        causal_conv_backward(cache.d1, block.conv2, g_a2)
-    g_a1 = relu_dropout_backward(g_d1, cache.d1, p_keep)
+        causal_conv_backward(d1, block.conv2, g_a2)
+    g_a1 = relu_dropout_backward(g_d1, d1, p_keep)
     g_x, grad.conv1.weights[...], grad.conv1.bias[...] = \
-        causal_conv_backward(cache.x, block.conv1, g_a1, input_grad)
+        causal_conv_backward(x, block.conv1, g_a1, input_grad)
     g_skip = g_pre
     if block.downsample is not None:
         g_skip, grad.downsample.weights[...], grad.downsample.bias[...] = \
-            causal_conv_backward(cache.x, block.downsample, g_pre, input_grad)
+            causal_conv_backward(x, block.downsample, g_pre, input_grad)
     if g_x is not None:
         g_x += g_skip
     return g_x
@@ -252,27 +244,30 @@ def new_arena(model: TcnModel, batch: int) -> np.ndarray:
 
 
 def forward_with_cache(model: TcnModel, window: np.ndarray, rng: SplitMix64,
-                       arena: np.ndarray):
+                       arena: np.ndarray) -> np.ndarray:
     """``forward`` in training: float64 whatever the window's dtype, dropout drawn
-    from ``rng`` at ``config.p_keep``, and one ``_BlockCache`` per block for
-    ``backward``, its maps in ``arena[i, :, :len(window)]`` (``new_arena``)."""
+    from ``rng`` at ``config.p_keep``, and block i's maps left in
+    ``arena[i, :, :len(window)]`` (``new_arena``) for ``backward``."""
     _check_window(model, window)
-    h, caches = window.astype(np.float64, copy=False), []
+    h = window.astype(np.float64, copy=False)
     for block, slots in zip(model.blocks, arena[:, :, :len(h)], strict=True):
-        h, cache = _block_train(block, h, model.config.p_keep, rng, slots)
-        caches.append(cache)
-    return linear_head_forward(h, model.head_weights, float(model.head_bias[0])), caches
+        h = _block_train(block, h, model.config.p_keep, rng, slots)
+    return linear_head_forward(h, model.head_weights, float(model.head_bias[0]))
 
 
-def backward(model: TcnModel, cache, grad_y: np.ndarray) -> np.ndarray:
-    """Gradient of every parameter: one float64 vector in ``theta``'s layout,
-    each slot written by the layer it belongs to."""
+def backward(model: TcnModel, window: np.ndarray, arena: np.ndarray,
+             grad_y: np.ndarray) -> np.ndarray:
+    """Gradient of every parameter, read from the ``arena`` and ``window`` of
+    ``forward_with_cache``: one float64 vector in ``theta``'s layout, each slot
+    written by the layer it belongs to."""
     grad, p_keep = np.empty_like(model.theta), model.config.p_keep
     _, grad_blocks, grad_hw, grad_hb = _views(model.config, grad)
+    slots = arena[:, :, :len(window)]
     # the last block's output is the head's input
-    g_h, grad_hw[...], grad_hb[0] = linear_head_backward(cache[-1].out, model.head_weights, grad_y)
-    for i in reversed(range(len(cache))):  # block 0's input is the data: no gradient
-        g_h = _block_backward(model.blocks[i], grad_blocks[i], cache[i], g_h, p_keep, i > 0)
+    g_h, grad_hw[...], grad_hb[0] = linear_head_backward(slots[-1, 2], model.head_weights, grad_y)
+    for i in reversed(range(len(slots))):  # block 0's input is the data: no gradient
+        x = slots[i - 1, 2] if i else window.astype(np.float64, copy=False)
+        g_h = _block_backward(model.blocks[i], grad_blocks[i], x, slots[i], g_h, p_keep, i > 0)
     return grad
 
 

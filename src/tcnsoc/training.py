@@ -113,11 +113,11 @@ def train(
         for i in range(0, len(order), config.batch_size):
             batch = train_idx[order[i:i + config.batch_size]]
             xb, yb = dataset.x[batch], dataset.y[batch]
-            y_full, cache = forward_with_cache(model, xb, dropout_rng, arena)
+            y_full = forward_with_cache(model, xb, dropout_rng, arena)
             loss, grad_pred = mse_loss(y_full[:, -1], yb)
             grad_y = np.zeros_like(y_full)
             grad_y[:, -1] = grad_pred
-            adam_step(model.theta, backward(model, cache, grad_y), state)
+            adam_step(model.theta, backward(model, xb, arena, grad_y), state)
             sq_sum += loss * len(batch)
         train_mse = sq_sum / len(train_idx)
 

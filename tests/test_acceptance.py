@@ -110,11 +110,12 @@ def test_criterion_01_gradients_match_finite_differences():
             pytest.fail(f"case {case_no}: no kink-free input found")
         target = rng.uniform(0.0, 1.0, 2)
 
-        y, cache = forward_with_cache(model, x, SplitMix64(0), new_arena(model, len(x)))
+        arena = new_arena(model, len(x))
+        y = forward_with_cache(model, x, SplitMix64(0), arena)
         _, grad_pred = mse_loss(y[:, -1], target)
         grad_y = np.zeros_like(y)
         grad_y[:, -1] = grad_pred
-        grad = backward(model, cache, grad_y)
+        grad = backward(model, x, arena, grad_y)
         theta = model.theta
         assert grad.dtype == np.float64 and grad.shape == theta.shape
 

@@ -1,5 +1,6 @@
 """Tests for the command-line interface (in-process where possible)."""
 
+import argparse
 import subprocess
 import sys
 
@@ -78,17 +79,6 @@ def test_simulate_bad_duration_is_error_exit(tmp_path, capsys):
     assert "error" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("value", ["nan", "inf"])
-@pytest.mark.parametrize("flag", ["duration", "dt"])
-def test_simulate_refuses_a_non_finite_duration_or_step(tmp_path, capsys, flag, value):
-    # nan failed with "cannot convert float NaN to integer", naming no flag
-    code = run_cli("simulate", "--kind", "urban", f"--{flag}={value}",
-                   "--out", str(tmp_path / "x.csv"))
-    assert code == 1
-    assert f"error: {flag} must be a finite number > 0, got {value}" in capsys.readouterr().err
-    assert list(tmp_path.iterdir()) == []
-
-
 # ---------------------------------------------------------------- train
 
 
@@ -156,93 +146,6 @@ def test_train_missing_file_fails_cleanly(tmp_path, capsys):
                    "--out", str(tmp_path / "m.bin"))
     assert code == 1
     assert "error" in capsys.readouterr().err
-
-
-@pytest.mark.parametrize("lr", ["nan", "inf", "-inf"])
-def test_train_rejects_a_non_finite_learning_rate_before_training(tmp_path, capsys,
-                                                                  monkeypatch, lr):
-    def no_step(*args):
-        raise AssertionError("a training step ran")
-
-    monkeypatch.setattr(tcnsoc.training, "forward_with_cache", no_step)
-    data = tmp_path / "d.csv"
-    make_labeled_csv(data)
-    code = run_cli("train", "--data", str(data), "--out", str(tmp_path / "m.bin"),
-                   "--window", "20", "--stacks", "1", f"--lr={lr}")
-    assert code == 1
-    assert "learning_rate" in capsys.readouterr().err
-    assert not (tmp_path / "m.bin").exists()
-
-
-@pytest.mark.parametrize("flag, value, field", [
-    ("--kernel", "0", "kernel_size"),
-    ("--filters", "0", "filters"),
-    ("--stacks", "0", "stacks"),
-    ("--p-keep", "0", "p_keep"),
-    ("--batch-size", "0", "batch_size"),
-    ("--val-fraction", "0.9", "validation_fraction"),
-    ("--stride", "0", "stride"),
-])
-def test_train_rejects_a_bad_setting_before_reading_data(tmp_path, capsys, monkeypatch,
-                                                         flag, value, field):
-    data = tmp_path / "d.csv"
-    make_labeled_csv(data)
-    loaded = []
-    monkeypatch.setattr(tcnsoc.cli, "load_csv", loaded.append)
-    code = run_cli("train", "--data", str(data), "--out", str(tmp_path / "m.bin"),
-                   "--history", str(tmp_path / "h.csv"), "--window", "20", flag, value)
-    assert code == 1
-    err = capsys.readouterr().err
-    assert field in err and "model:" not in err
-    assert loaded == [] and sorted(p.name for p in tmp_path.iterdir()) == ["d.csv"]
-
-
-def run_unlabeled(tmp_path, monkeypatch, command, flag):
-    """Run ``command`` with ``flag`` on an unlabeled CSV, with ``load_csv``
-    spied on; returns its exit code and whether it read no CSV and wrote no
-    file."""
-    data = tmp_path / "d.csv"
-    cycle = make_labeled_csv(data)
-    save_csv(DriveCycle(cycle.time_s, cycle.voltage_v, cycle.current_a,
-                        cycle.temperature_c, None, "unlabeled"), data)
-    serialize(build_model(TcnConfig(stacks=1, input_window=20), seed=1), tmp_path / "m.bin")
-    files = sorted(p.name for p in tmp_path.iterdir())
-    loaded = []
-    monkeypatch.setattr(tcnsoc.cli, "load_csv", loaded.append)
-    argv = {
-        "train": ("--data", str(data), "--out", str(tmp_path / "new.bin"),
-                  "--history", str(tmp_path / "h.csv"), "--window", "20"),
-        "eval": ("--model", str(tmp_path / "m.bin"), "--data", str(data),
-                 "--trace", str(tmp_path / "t.csv")),
-        "sweep": ("--data", str(data), str(data), "--windows", "20",
-                  "--out-dir", str(tmp_path / "models"), "--csv", str(tmp_path / "r.csv")),
-    }[command]
-    code = run_cli(command, *argv, flag)
-    return code, loaded == [] and sorted(p.name for p in tmp_path.iterdir()) == files
-
-
-@pytest.mark.parametrize("capacity", ["nan", "inf", "0"])
-@pytest.mark.parametrize("command", ["train", "eval", "sweep"])
-def test_a_bad_capacity_is_refused_before_reading_data(tmp_path, capsys, monkeypatch,
-                                                       command, capacity):
-    # nan blamed the labels, inf labelled every step initial_soc and trained on
-    code, untouched = run_unlabeled(tmp_path, monkeypatch, command,
-                                    f"--capacity-ah={capacity}")
-    assert code == 1 and untouched
-    assert "rated_capacity_ah" in capsys.readouterr().err
-
-
-@pytest.mark.parametrize("initial_soc", ["nan", "-0.1", "1.5"])
-@pytest.mark.parametrize("command", ["train", "eval", "sweep"])
-def test_a_bad_initial_soc_is_refused_before_reading_data(tmp_path, capsys, monkeypatch,
-                                                          command, initial_soc):
-    # it was refused only after a CSV had been read and its coulomb count announced
-    code, untouched = run_unlabeled(tmp_path, monkeypatch, command,
-                                    f"--initial-soc={initial_soc}")
-    assert code == 1 and untouched
-    err = capsys.readouterr().err
-    assert f"initial_soc must be in [0, 1], got {initial_soc}" in err
-    assert "coulomb counting" not in err
 
 
 def test_train_warns_when_receptive_field_short(tmp_path, capsys):
@@ -370,34 +273,162 @@ def test_sweep_cli_reports_cell_failure(tmp_path, capsys):
     assert "failed" in captured.err
 
 
-@pytest.mark.parametrize("flag, values, field", [
-    ("--kernel", ["0"], "kernel_size"),
-    ("--filters", ["0"], "filters"),
-    ("--p-keep", ["0"], "p_keep"),
-    ("--stacks", ["1", "0"], "stacks"),
-    ("--windows", ["20", "0"], "input_window"),
-    ("--batch-size", ["0"], "batch_size"),
-    ("--val-fraction", ["0.9"], "validation_fraction"),
-    ("--stride", ["0"], "stride"),
-    ("--jobs", ["0"], "jobs"),
-    ("--stacks", ["1", "1"], "stacks=1 window=20 is listed twice"),
-])
-def test_sweep_rejects_a_bad_setting_before_reading_data(tmp_path, capsys, monkeypatch,
-                                                         flag, values, field):
-    d1, d2 = tmp_path / "a.csv", tmp_path / "b.csv"
-    make_labeled_csv(d1, seed=1)
-    make_labeled_csv(d2, seed=2)
-    loaded = []
-    monkeypatch.setattr(tcnsoc.cli, "load_csv", loaded.append)
-    code = run_cli("sweep", "--data", str(d1), str(d2), "--windows", "20",
-                   "--out-dir", str(tmp_path / "models"), "--csv", str(tmp_path / "r.csv"),
-                   flag, *values)
-    assert code == 1
-    assert field in capsys.readouterr().err
-    assert loaded == [] and sorted(p.name for p in tmp_path.iterdir()) == ["a.csv", "b.csv"]
-
-
 # ---------------------------------------------------------------- flags
+
+
+# every numeric flag: (subcommands, flag, whether argparse reads it as an int, the
+# setting its error names, its out-of-range values); any integer is a seed
+NUMERIC_FLAGS = [
+    (("simulate", "train", "sweep"), "--seed", True, "seed", ()),
+    (("simulate",), "--duration", False, "duration", ("0",)),
+    (("simulate",), "--dt", False, "dt", ("0",)),
+    (("simulate", "train", "eval", "sweep"), "--initial-soc", False, "initial_soc",
+     ("-0.1", "1.5")),
+    (("train", "eval", "sweep"), "--capacity-ah", False, "rated_capacity_ah", ("0",)),
+    (("train",), "--window", True, "input_window", ("0",)),
+    (("train",), "--stacks", True, "stacks", ("0",)),
+    (("sweep",), "--windows", True, "input_window", ("20 0",)),
+    (("sweep",), "--stacks", True, "stacks", ("1 0",)),
+    (("sweep",), "--jobs", True, "jobs", ("0",)),
+    (("train", "sweep"), "--kernel", True, "kernel_size", ("0",)),
+    (("train", "sweep"), "--filters", True, "filters", ("0",)),
+    (("train", "sweep"), "--epochs", True, "epochs", ("-1",)),
+    (("train", "sweep"), "--batch-size", True, "batch_size", ("0",)),
+    (("train", "sweep"), "--stride", True, "stride", ("0",)),
+    (("train", "sweep"), "--p-keep", False, "p_keep", ("0",)),
+    (("train", "sweep"), "--lr", False, "learning_rate", ("-inf",)),
+    (("train", "sweep"), "--val-fraction", False, "validation_fraction", ("0.9",)),
+    (("bench",), "--warmup", True, "warmup", ("-1",)),
+    (("bench",), "--iterations", True, "iterations", ("0",)),
+]
+
+
+def _case(command, flag, value, message, id, code=1):
+    return pytest.param(command, flag, value, code, message, id=id)
+
+
+# the cases that earlier tests ran, kept under their names and ids;
+# nan failed with "cannot convert float NaN to integer", naming no flag
+SIMULATE_NON_FINITE = [
+    _case("simulate", f"--{flag}", value,
+          f"error: {flag} must be a finite number > 0, got {value}", f"{flag}-{value}")
+    for flag in ("duration", "dt") for value in ("nan", "inf")
+]
+TRAIN_LR = [_case("train", "--lr", lr, "learning_rate", lr) for lr in ("nan", "inf", "-inf")]
+TRAIN_SETTINGS = [
+    _case("train", flag, value, setting, f"{flag}-{value}-{setting}")
+    for flag, value, setting in [
+        ("--kernel", "0", "kernel_size"),
+        ("--filters", "0", "filters"),
+        ("--stacks", "0", "stacks"),
+        ("--p-keep", "0", "p_keep"),
+        ("--batch-size", "0", "batch_size"),
+        ("--val-fraction", "0.9", "validation_fraction"),
+        ("--stride", "0", "stride"),
+    ]
+]
+# nan blamed the labels, inf labelled every step initial_soc and trained on
+CAPACITY = [_case(command, "--capacity-ah", value, "rated_capacity_ah", f"{command}-{value}")
+            for command in ("train", "eval", "sweep") for value in ("nan", "inf", "0")]
+# it was refused only after a CSV had been read and its coulomb count announced
+INITIAL_SOC = [_case(command, "--initial-soc", value,
+                     f"initial_soc must be in [0, 1], got {value}", f"{command}-{value}")
+               for command in ("train", "eval", "sweep") for value in ("nan", "-0.1", "1.5")]
+SWEEP_SETTINGS = [
+    _case("sweep", flag, value, setting, f"{flag}-values{i}-{setting}")
+    for i, (flag, value, setting) in enumerate([
+        ("--kernel", "0", "kernel_size"),
+        ("--filters", "0", "filters"),
+        ("--p-keep", "0", "p_keep"),
+        ("--stacks", "1 0", "stacks"),
+        ("--windows", "20 0", "input_window"),
+        ("--batch-size", "0", "batch_size"),
+        ("--val-fraction", "0.9", "validation_fraction"),
+        ("--stride", "0", "stride"),
+        ("--jobs", "0", "jobs"),
+        ("--stacks", "1 1", "stacks=1 window=20 is listed twice"),
+    ])
+]
+_EARLIER = {case.values[:3] for cases in (SIMULATE_NON_FINITE, TRAIN_LR, TRAIN_SETTINGS,
+                                          CAPACITY, INITIAL_SOC, SWEEP_SETTINGS)
+            for case in cases}
+
+
+def _bad_flag_cases():
+    """nan, inf and every out-of-range value of every numeric flag that no earlier
+    test runs; argparse refuses an int flag's nan and inf, naming the flag."""
+    for commands, flag, is_int, setting, bad in NUMERIC_FLAGS:
+        for command in commands:
+            for value in ("nan", "inf", *bad):
+                case_id = f"{command}{flag}={value}"
+                if (command, flag, value) in _EARLIER:
+                    continue
+                if is_int and value in ("nan", "inf"):
+                    yield _case(command, flag, value,
+                                f"argument {flag}: invalid int value: '{value}'", case_id, code=2)
+                else:
+                    yield _case(command, flag, value, setting, case_id)
+
+
+def test_the_bad_flag_table_names_every_numeric_flag():
+    sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    numeric = {(command, action.option_strings[0]) for command, parser in sub.choices.items()
+               for action in parser._actions if action.type in (int, float)}
+    assert numeric == {(command, flag) for commands, flag, *_ in NUMERIC_FLAGS
+                       for command in commands}
+
+
+def _refusal_test(cases):
+    """A test that runs each case's ``command`` with a bad ``flag`` ``value``
+    (space-separated values for a list flag) and checks that it exits with
+    ``code`` naming ``message`` before it reads a CSV or a model, takes a training
+    step, or writes a file. The CSV has no label column, so reading it would
+    announce a coulomb count."""
+
+    @pytest.mark.parametrize("command, flag, value, code, message", cases)
+    def test(tmp_path, capsys, monkeypatch, command, flag, value, code, message):
+        data = tmp_path / "d.csv"
+        cycle = make_labeled_csv(data)
+        save_csv(DriveCycle(cycle.time_s, cycle.voltage_v, cycle.current_a,
+                            cycle.temperature_c, None, "unlabeled"), data)
+        serialize(build_model(TcnConfig(stacks=1, input_window=20), seed=1), tmp_path / "m.bin")
+        files = sorted(p.name for p in tmp_path.iterdir())
+        reads = []
+        for module, name in ((tcnsoc.cli, "load_csv"), (tcnsoc.cli, "deserialize"),
+                             (tcnsoc.training, "forward_with_cache")):
+            monkeypatch.setattr(module, name, lambda *args, name=name: reads.append(name))
+        argv = {
+            "simulate": ("--kind", "urban", "--out", str(tmp_path / "u.csv")),
+            "train": ("--data", str(data), "--out", str(tmp_path / "new.bin"),
+                      "--history", str(tmp_path / "h.csv"), "--window", "20"),
+            "eval": ("--model", str(tmp_path / "m.bin"), "--data", str(data),
+                     "--trace", str(tmp_path / "t.csv")),
+            "bench": ("--model", str(tmp_path / "m.bin")),
+            "sweep": ("--data", str(data), str(data), "--windows", "20",
+                      "--out-dir", str(tmp_path / "models"), "--csv", str(tmp_path / "r.csv")),
+        }[command]
+        # one value as --flag=value, so that -inf is not read as a flag
+        argv += (flag, *value.split()) if " " in value else (f"{flag}={value}",)
+        if code == 2:
+            with pytest.raises(SystemExit) as exc:
+                run_cli(command, *argv)
+            assert exc.value.code == 2
+        else:
+            assert run_cli(command, *argv) == 1
+        err = capsys.readouterr().err
+        assert message in err and "model:" not in err and "coulomb counting" not in err
+        assert reads == [] and sorted(p.name for p in tmp_path.iterdir()) == files
+
+    return test
+
+
+test_every_numeric_flag_is_refused_before_any_file_is_read = _refusal_test(list(_bad_flag_cases()))
+test_simulate_refuses_a_non_finite_duration_or_step = _refusal_test(SIMULATE_NON_FINITE)
+test_train_rejects_a_non_finite_learning_rate_before_training = _refusal_test(TRAIN_LR)
+test_train_rejects_a_bad_setting_before_reading_data = _refusal_test(TRAIN_SETTINGS)
+test_a_bad_capacity_is_refused_before_reading_data = _refusal_test(CAPACITY)
+test_a_bad_initial_soc_is_refused_before_reading_data = _refusal_test(INITIAL_SOC)
+test_sweep_rejects_a_bad_setting_before_reading_data = _refusal_test(SWEEP_SETTINGS)
 
 
 @pytest.mark.parametrize("argv", [

@@ -237,7 +237,7 @@ def test_forward_eval_deterministic_and_train_seeded():
     assert np.array_equal(forward(m, x), forward(m, x))
 
     def train_pass(seed):
-        return forward_with_cache(m, x, SplitMix64(seed), new_arena(m, len(x)))[0]
+        return forward_with_cache(m, x, SplitMix64(seed), new_arena(m, len(x)))
 
     t1, t2, t3 = train_pass(11), train_pass(11), train_pass(12)
     assert np.array_equal(t1, t2)
@@ -372,11 +372,12 @@ def test_model_gradients_match_finite_differences():
         p = forward(m, x)[:, -1]
         return float(np.mean((p - target) ** 2))
 
-    y, cache = forward_with_cache(m, x, SplitMix64(15), new_arena(m, len(x)))
+    arena = new_arena(m, len(x))
+    y = forward_with_cache(m, x, SplitMix64(15), arena)
     diff = y[:, -1] - target
     grad_y = np.zeros_like(y)
     grad_y[:, -1] = 2.0 * diff / diff.size
-    grad = backward(m, cache, grad_y)
+    grad = backward(m, x, arena, grad_y)
     assert grad.dtype == np.float64 and grad.shape == m.theta.shape
 
     assert _finite_difference_check(m, grad, loss) == parameter_count(cfg)
@@ -390,15 +391,16 @@ def test_gradients_with_train_mode_dropout_mask():
     x = SplitMix64(22).uniform(-1, 1, (2, 4, 8))
     target = np.array([0.3, 0.6])
 
-    y, cache = forward_with_cache(m, x, SplitMix64(23), new_arena(m, len(x)))
+    arena = new_arena(m, len(x))
+    y = forward_with_cache(m, x, SplitMix64(23), arena)
     diff = y[:, -1] - target
     grad_y = np.zeros_like(y)
     grad_y[:, -1] = 2.0 * diff / diff.size
-    grad = backward(m, cache, grad_y)
+    grad = backward(m, x, arena, grad_y)
 
     # replaying the identical mask stream reproduces the same loss surface
     def loss() -> float:
-        p = forward_with_cache(m, x, SplitMix64(23), new_arena(m, len(x)))[0][:, -1]
+        p = forward_with_cache(m, x, SplitMix64(23), new_arena(m, len(x)))[:, -1]
         return float(np.mean((p - target) ** 2))
 
     assert _finite_difference_check(m, grad, loss) == parameter_count(cfg)
@@ -408,8 +410,9 @@ def test_zero_grad_output_gives_zero_param_grads():
     cfg = tiny_config()
     m = build_model(cfg, seed=1)
     x = SplitMix64(2).uniform(-1, 1, (2, 4, cfg.input_window))
-    y, cache = forward_with_cache(m, x, SplitMix64(3), new_arena(m, len(x)))
-    grad = backward(m, cache, np.zeros_like(y))
+    arena = new_arena(m, len(x))
+    y = forward_with_cache(m, x, SplitMix64(3), arena)
+    grad = backward(m, x, arena, np.zeros_like(y))
     assert grad.shape == m.theta.shape and not grad.any()
 
 
@@ -453,7 +456,7 @@ def _stream(train, seed):
 
 @pytest.mark.parametrize("case,train,p_keep", GRADIENT_CASES)
 def test_gradients_equal_those_of_the_composed_block(case, train, p_keep):
-    """The cache keeps the dropout outputs instead of pre-activations and
+    """The arena keeps the dropout outputs instead of pre-activations and
     masks; the one gate read from each, and so every gradient, gives the
     bytes of separate ReLU and dropout gradients."""
     cfg, batch = BLOCK_CASES[case]
@@ -462,11 +465,12 @@ def test_gradients_equal_those_of_the_composed_block(case, train, p_keep):
     rng = SplitMix64(34)
     x = rng.uniform(-1, 1, (batch, 4, cfg.input_window))
     grad_y = rng.uniform(-1, 1, (batch, cfg.input_window))
-    y, cache = forward_with_cache(m, x, _stream(train, 35), new_arena(m, batch))
+    arena = new_arena(m, batch)
+    y = forward_with_cache(m, x, _stream(train, 35), arena)
     want_y, want_cache = model_forward_composed(m, x, train, _stream(train, 35))
     assert np.array_equal(y, want_y)
     # every slot of the vector is written: it holds the bytes of the list oracle
-    got = backward(m, cache, grad_y)
+    got = backward(m, x, arena, grad_y)
     want = np.concatenate([g.ravel() for g in model_backward_composed(m, want_cache, grad_y)])
     assert got.dtype == np.float64 and got.shape == m.theta.shape
     assert got.tobytes() == want.tobytes()
@@ -499,20 +503,35 @@ def test_arena_gives_the_bytes_of_fresh_activations(case, short, train, p_keep):
     # a previous full step leaves its maps in every slot
     forward_with_cache(m, rng.uniform(-1, 1, (batch, 4, cfg.input_window)), _stream(train, 54),
                        arena)
-    y, cache = forward_with_cache(m, x, _stream(train, 53), arena)
+    y = forward_with_cache(m, x, _stream(train, 53), arena)
     want_y, (want_caches, head_input) = model_forward_composed(m, x, train, _stream(train, 53))
     assert y.tobytes() == want_y.tobytes()
-    assert cache[-1].out.tobytes() == head_input.tobytes()
-    for i, (got, want) in enumerate(zip(cache, want_caches, strict=True)):
-        assert got.x.tobytes() == want.x.tobytes(), i
-        assert got.d1.tobytes() == want.d1.tobytes(), i
-        for j, name in enumerate(("d1", "d2", "out")):
-            a = getattr(got, name)
-            assert a.shape == (rows, cfg.filters, cfg.input_window)
-            assert np.shares_memory(a, arena[i, j, :rows]), (i, name)
-    got = backward(m, cache, grad_y)
+    assert arena[-1, 2, :rows].tobytes() == head_input.tobytes()
+    # block i reads the window or block i-1's output slot, and its own d1 slot
+    for i, want in enumerate(want_caches):
+        block_input = arena[i - 1, 2, :rows] if i else x
+        assert block_input.tobytes() == want.x.tobytes(), i
+        assert arena[i, 0, :rows].tobytes() == want.d1.tobytes(), i
+    got = backward(m, x, arena, grad_y)
     want = model_backward_composed(m, (want_caches, head_input), grad_y)
     assert got.tobytes() == np.concatenate([g.ravel() for g in want]).tobytes()
+
+
+@pytest.mark.parametrize("case", BLOCK_CASES)
+def test_backward_reads_the_arena_and_the_window_without_writing_them(case):
+    # a short batch in a full-size arena, as train()'s last batch runs
+    cfg, batch = BLOCK_CASES[case]
+    m = build_model(cfg, seed=57)
+    rng = SplitMix64(58)
+    x = rng.uniform(-1, 1, (batch - 3, 4, cfg.input_window))
+    grad_y = rng.uniform(-1, 1, (len(x), cfg.input_window))
+    arena = new_arena(m, batch)
+    arena.fill(np.nan)
+    forward_with_cache(m, x, SplitMix64(59), arena)
+    before = arena.tobytes(), x.tobytes()
+    first = backward(m, x, arena, grad_y)
+    assert (arena.tobytes(), x.tobytes()) == before
+    assert backward(m, x, arena, grad_y).tobytes() == first.tobytes()
 
 
 def test_arena_for_another_block_count_is_refused():
@@ -530,9 +549,10 @@ def test_backward_builds_no_gradient_for_the_data(monkeypatch):
     cfg, batch = BLOCK_CASES["train-shape"]
     m = build_model(cfg, seed=36)
     x = SplitMix64(37).uniform(-1, 1, (batch, 4, cfg.input_window))
-    y, cache = forward_with_cache(m, x, SplitMix64(38), new_arena(m, batch))
+    arena = new_arena(m, batch)
+    y = forward_with_cache(m, x, SplitMix64(38), arena)
     grad_y = SplitMix64(39).uniform(-1, 1, y.shape)
-    want = backward(m, cache, grad_y)
+    want = backward(m, x, arena, grad_y)
     taps, conv_backward = tcnsoc.kernels._taps, tcnsoc.model.causal_conv_backward
     calls = []  # per conv backward call: [causal taps, anti-causal taps, slabs, no grad_x]
 
@@ -549,7 +569,7 @@ def test_backward_builds_no_gradient_for_the_data(monkeypatch):
 
     monkeypatch.setattr(tcnsoc.kernels, "_taps", counting_taps)
     monkeypatch.setattr(tcnsoc.model, "causal_conv_backward", counting_backward)
-    got = backward(m, cache, grad_y)
+    got = backward(m, x, arena, grad_y)
     convs = len(m.layers) - 1  # the head is not a conv kernel call
     assert convs == 17 and len(calls) == convs
     assert all(causal == 0 and anti == slabs for causal, anti, slabs, _ in calls)
@@ -575,6 +595,7 @@ def test_model_leaves_the_window_unchanged_and_takes_a_read_only_one():
         y = forward(m, x)
         assert y.tobytes() == forward(m, np.array(x)).tobytes()
         assert np.array_equal(predict(m, x), y[:, -1])
-        out, cache = forward_with_cache(m, x, SplitMix64(44), new_arena(m, len(x)))
-        backward(m, cache, np.ones_like(out))
+        arena = new_arena(m, len(x))
+        out = forward_with_cache(m, x, SplitMix64(44), arena)
+        backward(m, x, arena, np.ones_like(out))
         assert x.tobytes() == before
