@@ -28,6 +28,7 @@ from .data import (
     fit_normalization,
     load_csv,
     save_csv,
+    write_csv,
 )
 from .model import TcnConfig, build_model, parameter_count, receptive_field
 from .modelio import deserialize, serialize
@@ -210,10 +211,8 @@ def _cmd_train(args) -> int:
     n = serialize(model, args.out)
     _info(f"wrote {n} bytes to {args.out}")
     if args.history is not None:
-        with open(args.history, "w", encoding="utf-8") as fh:
-            fh.write("epoch,train_mse,val_mse\n")
-            for st in history:
-                fh.write(f"{st.epoch},{st.train_mse!r},{st.val_mse!r}\n")
+        write_csv(args.history, ["epoch", "train_mse", "val_mse"],
+                  [(st.epoch, st.train_mse, st.val_mse) for st in history])
     return 0
 
 
@@ -229,10 +228,8 @@ def _cmd_eval(args) -> int:
     print(f"out_of_range={metrics.out_of_range}")
     print(f"accuracy_pct={metrics.accuracy_percent:.2f}")
     if args.trace is not None:
-        with open(args.trace, "w", encoding="utf-8") as fh:
-            fh.write("time_s,soc_true,soc_pred\n")
-            for t, yt, yp in zip(trace.time_s, trace.soc_true, trace.soc_pred):
-                fh.write(f"{float(t)!r},{float(yt)!r},{float(yp)!r}\n")
+        write_csv(args.trace, ["time_s", "soc_true", "soc_pred"],
+                  np.column_stack([trace.time_s, trace.soc_true, trace.soc_pred]).tolist())
         _info(f"wrote trace to {args.trace}")
     return 0
 

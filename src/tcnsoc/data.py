@@ -52,22 +52,14 @@ def check_initial_soc(initial_soc: float) -> None:
 
 @dataclass
 class BatterySpec:
-    """Cell ratings; defaults describe a 2.9 Ah NCA-type 18650 cell."""
+    """Cell rating; the default describes a 2.9 Ah NCA-type 18650 cell."""
 
     rated_capacity_ah: float = 2.9
-    nominal_voltage: float = 3.6
-    min_voltage: float = 2.5
-    max_voltage: float = 4.2
 
     def __post_init__(self):
         if not is_real(self.rated_capacity_ah) or self.rated_capacity_ah <= 0:
             raise ValueError(f"rated_capacity_ah must be a finite number > 0, "
                              f"got {self.rated_capacity_ah!r}")
-        if not self.min_voltage < self.nominal_voltage < self.max_voltage:
-            raise ValueError(
-                f"need min < nominal < max voltage, got "
-                f"{self.min_voltage}/{self.nominal_voltage}/{self.max_voltage}"
-            )
 
     @property
     def capacity_as(self) -> float:
@@ -91,8 +83,8 @@ class DriveCycle:
     truncated: bool = False
 
     def __post_init__(self):
-        """Rejects unequal column lengths, non-finite values and SOC labels
-        outside SOC_LABEL_BAND, naming the first bad sample and its time."""
+        """Rejects unequal column lengths, non-finite values, SOC labels outside
+        SOC_LABEL_BAND and time_s not strictly increasing, naming the bad sample."""
         for label in CSV_COLUMNS:
             values = getattr(self, label)
             if values is None:
@@ -105,6 +97,12 @@ class DriveCycle:
                 why = "not finite" if not math.isfinite(values[i]) else f"outside [{lo}, {hi}]"
                 raise ValueError(f"cycle {self.name!r}: {label}[{i}] = {float(values[i])!r} "
                                  f"at time_s {float(self.time_s[i])!r} is {why}")
+        back = np.flatnonzero(np.diff(self.time_s) <= 0.0)  # all finite by now
+        if back.size:
+            i = back[0] + 1
+            t, before = float(self.time_s[i]), float(self.time_s[i - 1])
+            raise ValueError(f"cycle {self.name!r}: time_s[{i}] = {t!r} at time_s {t!r} "
+                             f"is not after time_s[{i - 1}] = {before!r}")
 
     def __len__(self) -> int:
         return len(self.time_s)
@@ -172,24 +170,21 @@ def load_csv(path) -> DriveCycle:
     )
 
 
+def write_csv(path, columns, rows) -> None:
+    """Write a header and rows as UTF-8 CSV with ``\\n`` line ends: the one format
+    of every table the package writes. A Python float prints as its shortest
+    round-trip repr; numpy values must come as Python scalars (``.tolist()``)."""
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(columns)
+        writer.writerows(rows)
+
+
 def save_csv(cycle: DriveCycle, path) -> None:
-    """Write a cycle in the documented schema. Floats use their shortest
-    round-trip representation, so re-reading reproduces values exactly."""
-    path = Path(path)
-    has_soc = cycle.soc is not None
-    columns = CSV_COLUMNS if has_soc else CSV_COLUMNS[:4]
-    with path.open("w", newline="", encoding="utf-8") as fh:
-        fh.write(",".join(columns) + "\n")
-        for i in range(len(cycle)):
-            fields = [
-                repr(float(cycle.time_s[i])),
-                repr(float(cycle.voltage_v[i])),
-                repr(float(cycle.current_a[i])),
-                repr(float(cycle.temperature_c[i])),
-            ]
-            if has_soc:
-                fields.append(repr(float(cycle.soc[i])))
-            fh.write(",".join(fields) + "\n")
+    """Write a cycle in the documented schema, exactly re-readable."""
+    columns = CSV_COLUMNS if cycle.soc is not None else CSV_COLUMNS[:4]
+    write_csv(path, columns,
+              np.column_stack([getattr(cycle, c) for c in columns]).astype(float).tolist())
 
 
 def coulomb_count(
@@ -314,6 +309,11 @@ def _window_starts(cycle: DriveCycle, window: int, stride: int) -> np.ndarray:
     return np.arange(0, n - window + 1, stride)
 
 
+def cycle_names(cycles: list[DriveCycle]) -> list[str]:
+    """Each cycle's name, or ``cycle<i>`` by its place in ``cycles``."""
+    return [c.name or f"cycle{i}" for i, c in enumerate(cycles)]
+
+
 @dataclass
 class WindowedDataset:
     """Normalized sliding windows with raw-SOC targets at each window's end.
@@ -355,7 +355,7 @@ def make_windows(
         y=y,
         source=np.zeros(len(starts), dtype=np.int64),
         start=starts.astype(np.int64),
-        cycle_names=[cycle.name or "cycle0"],
+        cycle_names=cycle_names([cycle]),
         norm=params,
     )
 
@@ -395,6 +395,6 @@ def build_hybrid(
         y=y,
         source=source,
         start=start,
-        cycle_names=[c.name or f"cycle{i}" for i, c in enumerate(cycles)],
+        cycle_names=cycle_names(cycles),
         norm=params,
     )

@@ -263,17 +263,17 @@ def mse_loss(pred: np.ndarray, target: np.ndarray) -> tuple[float, np.ndarray]:
     return loss, 2.0 * diff / diff.size
 
 
+ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8  # Kingma & Ba's defaults
+
+
 @dataclass
 class AdamState:
     """Adam's first and second moment estimates, each shaped like the
-    parameter vector, and its hyperparameters."""
+    parameter vector, its learning rate and its step count."""
 
     m: np.ndarray
     v: np.ndarray
     lr: float = 1e-3
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
     step: int = 0
 
 
@@ -282,11 +282,11 @@ def adam_step(theta: np.ndarray, grad: np.ndarray, state: AdamState) -> None:
     if grad.shape != theta.shape:
         raise ValueError(f"grad shape {grad.shape} != param shape {theta.shape}")
     state.step += 1
-    bc1 = 1.0 - state.beta1 ** state.step
-    bc2 = 1.0 - state.beta2 ** state.step
+    bc1 = 1.0 - ADAM_BETA1 ** state.step
+    bc2 = 1.0 - ADAM_BETA2 ** state.step
     m, v = state.m, state.v
-    m *= state.beta1
-    m += (1.0 - state.beta1) * grad
-    v *= state.beta2
-    v += (1.0 - state.beta2) * grad * grad
-    theta -= state.lr * (m / bc1) / (np.sqrt(v / bc2) + state.eps)
+    m *= ADAM_BETA1
+    m += (1.0 - ADAM_BETA1) * grad
+    v *= ADAM_BETA2
+    v += (1.0 - ADAM_BETA2) * grad * grad
+    theta -= state.lr * (m / bc1) / (np.sqrt(v / bc2) + ADAM_EPS)

@@ -19,7 +19,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .data import DriveCycle, build_hybrid, fit_normalization
+from .data import DriveCycle, build_hybrid, cycle_names, fit_normalization, write_csv
 from .model import TcnConfig, TcnModel, build_model, parameter_count, predict
 from .modelio import deserialize, serialize
 from .rng import SplitMix64
@@ -88,14 +88,10 @@ class SweepReport:
     eval_cycles: list[str]
 
     def to_csv(self, path) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(",".join(REPORT_COLUMNS) + "\n")
-            for r in self.rows:
-                fh.write(
-                    f"{r.stacks},{r.window},{r.parameters},{r.mse!r},"
-                    f"{r.file_size_bytes},{r.latency_ms_mean:.6f},"
-                    f"{r.latency_ms_std:.6f},{r.accuracy_pct!r}\n"
-                )
+        write_csv(path, REPORT_COLUMNS, [
+            (r.stacks, r.window, r.parameters, r.mse, r.file_size_bytes,
+             f"{r.latency_ms_mean:.6f}", f"{r.latency_ms_std:.6f}", r.accuracy_pct)
+            for r in self.rows])
 
     def to_text(self) -> str:
         lines = [
@@ -222,9 +218,5 @@ def run_sweep(
             row.latency_ms_mean = stats.mean_s * 1e3
             row.latency_ms_std = stats.std_s * 1e3
 
-    return SweepReport(
-        rows=rows,
-        protocol=protocol,
-        train_cycles=[c.name or f"cycle{i}" for i, c in enumerate(train_cycles)],
-        eval_cycles=[c.name or f"cycle{i}" for i, c in enumerate(eval_cycles)],
-    )
+    names = cycle_names(cycles)  # numbered over all cycles: held-out eval is the last
+    return SweepReport(rows, protocol, names[:len(train_cycles)], names[-len(eval_cycles):])

@@ -43,6 +43,20 @@ def below(rng, n: int) -> int:
     return min(int(rng.uniform() * n), n - 1)
 
 
+def written_rows(path, float_columns) -> list[list[str]]:
+    """The rows of a CSV the package wrote, after checking its format: UTF-8,
+    ``\\n`` line ends with no ``\\r`` anywhere, and every field of the named
+    columns the shortest round-trip repr of its float."""
+    text = path.read_bytes().decode("utf-8")
+    assert "\r" not in text and text.endswith("\n")
+    rows = [line.split(",") for line in text[:-1].split("\n")]
+    for name in float_columns:
+        column = rows[0].index(name)
+        for row in rows[1:]:
+            assert row[column] == repr(float(row[column])), (name, row)
+    return rows
+
+
 def permutation_oracle(rng, n: int) -> np.ndarray:
     """Fisher-Yates permutation of range(n), swapping numpy array elements
     one at a time, from the same draws as SplitMix64.permutation."""

@@ -6,6 +6,7 @@ import sys
 
 import numpy as np
 import pytest
+from helpers import written_rows
 
 import tcnsoc.cli
 import tcnsoc.training
@@ -97,9 +98,9 @@ def test_train_writes_model_and_history(tmp_path, capsys):
     assert model.config.input_window == 20
     assert model.config.stacks == 1
     assert model.norm is not None
-    lines = hist_path.read_text().splitlines()
-    assert lines[0] == "epoch,train_mse,val_mse"
-    assert len(lines) == 3
+    rows = written_rows(hist_path, ["train_mse", "val_mse"])
+    assert rows[0] == ["epoch", "train_mse", "val_mse"]
+    assert [row[0] for row in rows[1:]] == ["0", "1"]
     err = capsys.readouterr().err
     assert "parameters" in err and "epoch" in err
 
@@ -191,11 +192,10 @@ def test_eval_prints_metrics(tmp_path, capsys):
     assert float(lines["mse"]) == 0.0
     assert float(lines["mae"]) == 0.0
     assert int(lines["n"]) == 240 - 20 + 1
-    trace_lines = trace_path.read_text().splitlines()
-    assert trace_lines[0] == "time_s,soc_true,soc_pred"
-    assert len(trace_lines) == 1 + 221
-    first = trace_lines[1].split(",")
-    assert float(first[1]) == 0.5 and float(first[2]) == 0.5
+    trace_rows = written_rows(trace_path, ["time_s", "soc_true", "soc_pred"])
+    assert trace_rows[0] == ["time_s", "soc_true", "soc_pred"]
+    assert len(trace_rows) == 1 + 221
+    assert trace_rows[1][1:] == ["0.5", "0.5"]
 
 
 def test_eval_closed_loop_mode(tmp_path, capsys):

@@ -21,6 +21,7 @@ from tcnsoc.data import (
     load_csv,
     make_windows,
     save_csv,
+    write_csv,
 )
 from tcnsoc.rng import SplitMix64
 
@@ -51,6 +52,17 @@ def test_csv_round_trip_exact(tmp_path):
     assert np.array_equal(back.temperature_c, cycle.temperature_c)
     assert np.array_equal(back.soc, cycle.soc)
     assert back.name == "c"
+
+
+def test_write_csv_bytes(tmp_path):
+    path = tmp_path / "t.csv"
+    f32 = np.array([0.1, 2.5], dtype=np.float32).astype(float).tolist()
+    write_csv(path, ["a", "b", "c", "d"], [
+        (0.1, 7, math.nan, "1.500000"),
+        (1 / 3, -2, f32[0], f32[1]),
+    ])
+    assert path.read_bytes() == (b"a,b,c,d\n0.1,7,nan,1.500000\n"
+                                 b"0.3333333333333333,-2,0.10000000149011612,2.5\n")
 
 
 def test_csv_round_trip_without_soc(tmp_path):
@@ -278,8 +290,6 @@ def test_battery_spec_validation():
     assert DEFAULT_CELL.capacity_as == 2.9 * 3600.0
     with pytest.raises(ValueError):
         BatterySpec(rated_capacity_ah=0.0)
-    with pytest.raises(ValueError):
-        BatterySpec(min_voltage=3.7)
 
 
 def test_battery_spec_refuses_a_capacity_that_is_not_a_finite_positive_number():
@@ -531,6 +541,7 @@ def test_drive_cycle_length_validation():
     ("soc", 5, math.nan, "not finite"),
     ("soc", 5, 1.7, r"outside \[-0.01, 1.01\]"),
     ("soc", 19, -0.5, r"outside \[-0.01, 1.01\]"),
+    ("time_s", 7, 5.5, r"not after time_s\[6\] = 6.0"),  # a step back in time
 ])
 def test_drive_cycle_rejects_bad_telemetry_naming_the_sample(column, index, value, why):
     # an in-memory cycle gets load_csv's checks: before this, a NaN voltage

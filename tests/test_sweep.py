@@ -2,9 +2,11 @@
 
 import os
 import tempfile
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from helpers import written_rows
 
 import tcnsoc.sweep as sweep_module
 from tcnsoc.data import DEFAULT_CELL, fit_normalization
@@ -103,7 +105,7 @@ def test_sweep_csv_schema(tmp_path):
     assert lines[0] == "stacks,window,parameters,mse,file_size_bytes," \
                        "latency_ms_mean,latency_ms_std,accuracy_pct"
     assert lines[0].split(",") == REPORT_COLUMNS
-    fields = lines[1].split(",")
+    fields = written_rows(out, ["mse", "accuracy_pct"])[1]
     assert len(fields) == 8
     row = report.rows[0]
     assert int(fields[0]) == row.stacks
@@ -111,6 +113,15 @@ def test_sweep_csv_schema(tmp_path):
     assert float(fields[3]) == row.mse
     assert int(fields[4]) == row.file_size_bytes
     assert float(fields[7]) == row.accuracy_pct
+
+
+def test_sweep_numbers_unnamed_cycles_over_the_whole_list(tmp_path):
+    # numbered per list, the held-out cycle took the first training cycle's name
+    cycles = [replace(sim_cycle(seed=s), name="") for s in range(3)]
+    report = run_sweep([1], [20], cycles, small_train_cfg(), kernel_size=2, filters=2,
+                       stride=10, out_dir=str(tmp_path), latency_warmup=0, latency_iterations=1)
+    assert report.train_cycles == ["cycle0", "cycle1"]
+    assert report.eval_cycles == ["cycle2"]
 
 
 def test_sweep_text_table(tmp_path):
