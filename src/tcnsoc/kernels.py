@@ -62,20 +62,6 @@ class ConvParams:
         return self.weights.shape[2]
 
 
-def init_conv_params(
-    out_channels: int,
-    in_channels: int,
-    kernel_size: int,
-    dilation: int,
-    rng: SplitMix64,
-) -> ConvParams:
-    """Uniform init in [-1/sqrt(fan_in), +1/sqrt(fan_in)], fan_in = in*k."""
-    bound = 1.0 / np.sqrt(in_channels * kernel_size)
-    weights = rng.uniform(-bound, bound, (out_channels, in_channels, kernel_size))
-    bias = rng.uniform(-bound, bound, (out_channels,))
-    return ConvParams(weights, bias, dilation)
-
-
 def _check_dtype(x: np.ndarray, weights: np.ndarray) -> None:
     if x.dtype != weights.dtype:
         raise ValueError(f"input dtype {x.dtype} does not match weights dtype {weights.dtype}")

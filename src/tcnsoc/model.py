@@ -23,7 +23,6 @@ from .kernels import (
     causal_conv_backward,
     causal_conv_forward,
     dropout,
-    init_conv_params,
     linear_head_backward,
     linear_head_forward,
     relu,
@@ -150,16 +149,16 @@ def build_model(config: TcnConfig, seed: int, norm: NormalizationParams | None =
     """Deterministic weight initialization from a seeded splittable stream.
 
     One child stream per layer, spawned in parameter order; each layer draws
-    uniform weights then bias in [-1/sqrt(fan_in), +1/sqrt(fan_in)].
+    uniform weights then bias in [-1/sqrt(fan_in), +1/sqrt(fan_in)], so
+    ``theta`` is every layer's leading draws, concatenated.
     """
-    model = TcnModel(config, np.empty(parameter_count(config)), norm=norm, seed=seed)
-    parent = SplitMix64(seed)
-    for conv in model.layers:
-        init = init_conv_params(conv.out_channels, conv.in_channels, conv.kernel_size,
-                                conv.dilation, parent.spawn())
-        conv.weights[...] = init.weights
-        conv.bias[...] = init.bias
-    return model
+    counts = list(_conv_sizes(config))
+    fan_in = [in_ch * k for shapes in _layout(config) for _, in_ch, k, _ in shapes]
+    bound = 1.0 / np.sqrt(fan_in)
+    theta = SplitMix64(seed).spawned_uniforms(counts)
+    theta *= np.repeat(bound + bound, counts)
+    theta -= np.repeat(bound, counts)  # -bound + u * (bound + bound), rounded the same
+    return TcnModel(config, theta, norm=norm, seed=seed)
 
 
 def _block_forward(block: ResidualBlock, x: np.ndarray) -> np.ndarray:

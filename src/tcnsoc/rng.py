@@ -89,14 +89,25 @@ class SplitMix64:
         """Independent child stream keyed off the next raw parent value."""
         return SplitMix64(self.next_u64())
 
+    def spawned_uniforms(self, counts) -> np.ndarray:
+        """The first ``counts[l]`` ``uniform()`` draws of each child that
+        ``len(counts)`` ``spawn()`` calls would make, concatenated."""
+        counts = np.asarray(counts, dtype=np.int64)
+        z = np.arange(1, counts.sum() + 1, dtype=np.uint64)  # counter i + 1 in each child
+        z -= np.repeat((np.cumsum(counts) - counts).astype(np.uint64), counts)
+        z *= np.uint64(_GOLDEN)
+        z += np.repeat(self._raw(len(counts)), counts)
+        return (_mix64(z) >> np.uint64(11)).astype(np.float64) * _INV_2_53
+
     def uniform(self, low: float = 0.0, high: float = 1.0, size=None):
-        """Uniform doubles in [low, high); scalar when size is None. The
+        """Uniform doubles in [low, high); scalar when size is None, else an
+        array of shape size, against which low and high may broadcast. The
         scalar is the float the array path gives, in the same order."""
         if size is None:
             u = (self.next_u64() >> 11) * _INV_2_53
             return float(low) + u * float(high - low)
         u = (self._raw(int(np.prod(size))) >> np.uint64(11)).astype(np.float64) * _INV_2_53
-        return (low + u * (high - low)).reshape(size)
+        return low + u.reshape(size) * (high - low)
 
     def bernoulli(self, p: float, size) -> np.ndarray:
         """Boolean array equal to ``uniform(size=size) < p``, drawn without floats."""

@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
@@ -42,6 +43,26 @@ _TARGET_MEAN_A = {
     "aggressive": 2.15,
     "urban": 1.95,
 }
+
+# (lo, hi) draw ranges of the stop-go kinds' segment lengths (s) and currents
+# (A), and the gain of each cruise's wobble
+_STOP_GO = {
+    "urban": dict(idle_s=(8.0, 25.0), accel_s=(6.0, 12.0), peak_a=(3.2, 5.0),
+                  cruise_s=(15.0, 45.0), cruise_a=(1.4, 2.4), regen_s=(4.0, 9.0),
+                  regen_a=(-3.2, -1.8), wobble=0.5),
+    "aggressive": dict(idle_s=(2.0, 8.0), accel_s=(4.0, 9.0), peak_a=(4.6, 5.7),
+                       cruise_s=(8.0, 25.0), cruise_a=(2.0, 3.4), regen_s=(4.0, 8.0),
+                       regen_a=(-4.5, -2.5), wobble=0.9),
+}
+# (lo, hi) of a highway exit-ramp dip and of the gap after it, in s
+_DIP_S, _GAP_S = (10.0, 18.0), (220.0, 420.0)
+
+# each kind's longest minimum segment (s): at a dt up to it every loop iteration
+# of its builder advances, so the profile ends
+_MAX_DT = {kind: max(p[name][0] for name in ("idle_s", "accel_s", "cruise_s", "regen_s"))
+           for kind, p in _STOP_GO.items()}
+_MAX_DT["highway"] = max(_DIP_S[0], _GAP_S[0])
+_MAX_DT["mixed"] = min(_MAX_DT.values())
 
 
 @dataclass
@@ -131,88 +152,94 @@ def _lag(a: float, u: np.ndarray) -> np.ndarray:
     return y
 
 
-def _sinusoid_mix(n: int, dt: float, rng: SplitMix64, periods, amps) -> np.ndarray:
-    t = np.arange(n) * dt
-    out = np.zeros(n)
-    for period, amp in zip(periods, amps):
-        out += amp * np.sin(2.0 * np.pi * t / period + rng.uniform(0.0, 2.0 * np.pi))
-    return out
+def _sinusoid_mix(t: np.ndarray, periods, amps, phases) -> np.ndarray:
+    """Sum of amp * sin(2 pi t / period + phase); a phase may be one per sample."""
+    return sum(amp * np.sin(2.0 * np.pi * t / period + phase)
+               for period, amp, phase in zip(periods, amps, phases))
 
 
-def _ramp_into(out: np.ndarray, start: int, length: int, from_a: float, to_a: float) -> int:
-    """Write a linear ramp segment, clipped to the array end; returns next index."""
-    end = min(start + length, len(out))
-    if end > start:
-        out[start:end] = np.linspace(from_a, to_a, end - start)
-    return end
+def _interleave(*columns) -> np.ndarray:
+    """Row-major flattening of equal-length columns; a scalar fills its column."""
+    return np.stack(np.broadcast_arrays(*columns), 1).ravel()
+
+
+def _offsets(lengths) -> np.ndarray:
+    """Each sample's index within its segment, for segments of these lengths
+    laid end to end."""
+    local = np.arange(lengths.sum())
+    local -= np.repeat(np.cumsum(lengths) - lengths, lengths)
+    return local
+
+
+def _ramps(lengths, from_a, to_a) -> np.ndarray:
+    """np.linspace(a, b, l) of every segment, concatenated, in whole-array passes
+    with linspace's arithmetic: arange * step + a, and the last sample b;
+    arange / div * delta where the step is 0; arange * delta for one sample."""
+    div = np.maximum(lengths - 1, 1)
+    step = (to_a - from_a) / div
+    flat = step == 0
+    ramp = _offsets(lengths) / np.repeat(np.where(flat, div, 1), lengths)
+    ramp *= np.repeat(np.where(flat, to_a - from_a, step), lengths)
+    ramp += np.repeat(from_a, lengths)
+    ramp[np.cumsum(lengths)[lengths > 1] - 1] = to_a[lengths > 1]
+    return ramp
+
 
 def _highway(n: int, dt: float, rng: SplitMix64) -> np.ndarray:
-    """Sustained cruise with slow load swell and occasional exit-ramp regen."""
-    out = 2.45 + _sinusoid_mix(n, dt, rng, (251.0, 89.0, 31.0, 7.3),
-                               (0.45, 0.30, 0.18, 0.08))
-    i = int(120.0 / dt)
-    while i < n:
-        dip_len = int(rng.uniform(10.0, 18.0) / dt)
-        depth = rng.uniform(-2.4, -1.4)
-        half = max(dip_len // 2, 1)
-        j = _ramp_into(out, i, half, out[i], depth)
-        j = _ramp_into(out, j, dip_len - half, depth, 2.3)
-        i = j + int(rng.uniform(220.0, 420.0) / dt)
+    """Sustained cruise with slow load swell and occasional exit-ramp regen. After the
+    swell's four phases, each dip draws its length, its depth and the gap after it."""
+    out = 2.45 + _sinusoid_mix(np.arange(n) * dt, (251.0, 89.0, 31.0, 7.3),
+                               (0.45, 0.30, 0.18, 0.08), rng.uniform(0.0, 2.0 * np.pi, 4))
+    first = int(120.0 / dt)  # each iteration advances at least its minimum dip and gap
+    rows = max(0, -(-(n - first) // (int(_DIP_S[0] / dt) + int(_GAP_S[0] / dt))))
+    dip, depth, gap = rng.uniform(*np.transpose([_DIP_S, (-2.4, -1.4), _GAP_S]), (rows, 3)).T
+    dip, gap = (dip / dt).astype(np.int64), (gap / dt).astype(np.int64)
+    i = first + np.cumsum(dip + gap) - dip - gap
+    live = i < n
+    i, dip, depth = i[live], dip[live], depth[live]
+    # down from the swell over half the dip (at least one sample), up to 2.3 A over the rest
+    mid = np.minimum(i + np.maximum(dip // 2, 1), n)
+    end = np.maximum(np.minimum(i + dip, n), mid)
+    starts = _interleave(i, mid)
+    lengths = _interleave(mid, end) - starts
+    out[np.repeat(starts, lengths) + _offsets(lengths)] = _ramps(
+        lengths, _interleave(out[i], depth), _interleave(depth, 2.3))
     return out
 
 
 def _stop_go(n: int, dt: float, rng: SplitMix64, *, idle_s, accel_s, peak_a,
              cruise_s, cruise_a, regen_s, regen_a, wobble) -> np.ndarray:
-    """Idle / accelerate / cruise / regen-brake cycle with seeded durations."""
-    out = np.zeros(n)
-    i = 0
-    while i < n:
-        i = _ramp_into(out, i, int(rng.uniform(*idle_s) / dt), 0.08, 0.08)
-        peak = rng.uniform(*peak_a)
-        i = _ramp_into(out, i, int(rng.uniform(*accel_s) / dt), 0.3, peak)
-        cruise = rng.uniform(*cruise_a)
-        j = _ramp_into(out, i, int(rng.uniform(*cruise_s) / dt), peak, cruise)
-        if j > i:
-            out[i:j] += wobble * _sinusoid_mix(j - i, dt, rng, (11.0, 3.7), (0.6, 0.4))
-        i = j
-        brake = rng.uniform(*regen_a)
-        i = _ramp_into(out, i, int(rng.uniform(*regen_s) / dt), brake, -0.2)
+    """Idle / accelerate / cruise / regen-brake cycle with seeded durations.
+    Each iteration draws its idle length, peak current, accel length, cruise
+    current, cruise length, two wobble phases, brake current and regen length."""
+    # each iteration advances at least its four minimum lengths
+    rows = -(-n // sum(int(lo / dt) for lo, _ in (idle_s, accel_s, cruise_s, regen_s)))
+    phase = (0.0, 2.0 * np.pi)
+    idle, peak, accel, cruise, cruise_len, phase1, phase2, brake, regen = rng.uniform(*np.transpose(
+        [idle_s, peak_a, accel_s, cruise_a, cruise_s, phase, phase, regen_a, regen_s]), (rows, 9)).T
+    ends = np.minimum(np.cumsum((_interleave(idle, accel, cruise_len, regen) / dt)
+                                .astype(np.int64)), n)
+    lengths = np.diff(ends, prepend=0)
+    # the segments tile the profile, so the ramps are the profile
+    out = _ramps(lengths, _interleave(0.08, 0.3, peak, brake), _interleave(0.08, peak, cruise, -0.2))
+    cruise_n = lengths[2::4]  # each row's cruise length
+    wobble_a = wobble * _sinusoid_mix(_offsets(cruise_n) * dt, (11.0, 3.7), (0.6, 0.4),
+                                      (np.repeat(phase1, cruise_n), np.repeat(phase2, cruise_n)))
+    out[np.repeat(np.arange(lengths.size) % 4 == 2, lengths)] += wobble_a
     return out
 
 
-def _urban(n: int, dt: float, rng: SplitMix64) -> np.ndarray:
-    return _stop_go(
-        n, dt, rng,
-        idle_s=(8.0, 25.0), accel_s=(6.0, 12.0), peak_a=(3.2, 5.0),
-        cruise_s=(15.0, 45.0), cruise_a=(1.4, 2.4), regen_s=(4.0, 9.0),
-        regen_a=(-3.2, -1.8), wobble=0.5,
-    )
-
-
-def _aggressive(n: int, dt: float, rng: SplitMix64) -> np.ndarray:
-    return _stop_go(
-        n, dt, rng,
-        idle_s=(2.0, 8.0), accel_s=(4.0, 9.0), peak_a=(4.6, 5.7),
-        cruise_s=(8.0, 25.0), cruise_a=(2.0, 3.4), regen_s=(4.0, 8.0),
-        regen_a=(-4.5, -2.5), wobble=0.9,
-    )
-
-
 def _mixed(n: int, dt: float, rng: SplitMix64) -> np.ndarray:
-    builders = [_urban, _highway, _aggressive]
-    order = rng.permutation(3)
     bounds = [0, n // 3, 2 * n // 3, n]
-    parts = []
-    for k in range(3):
-        length = bounds[k + 1] - bounds[k]
-        parts.append(builders[order[k]](length, dt, rng.spawn()))
-    return np.concatenate(parts)
+    kinds = ("urban", "highway", "aggressive")
+    return np.concatenate([_BUILDERS[kinds[k]](bounds[i + 1] - bounds[i], dt, rng.spawn())
+                           for i, k in enumerate(rng.permutation(3))])
 
 
 _BUILDERS = {
     "highway": _highway,
-    "urban": _urban,
-    "aggressive": _aggressive,
+    "urban": partial(_stop_go, **_STOP_GO["urban"]),
+    "aggressive": partial(_stop_go, **_STOP_GO["aggressive"]),
     "mixed": _mixed,
 }
 
@@ -231,6 +258,9 @@ def generate_profile(kind: str, duration: float, dt: float = 0.1, seed: int = 0)
         raise ValueError(f"duration must be a finite number > 0, got {duration!r}")
     if not 0 < dt < math.inf:
         raise ValueError(f"dt must be a finite number > 0, got {dt!r}")
+    if dt > _MAX_DT[kind]:
+        raise ValueError(f"dt must be at most {_MAX_DT[kind]} s for kind {kind!r}, its "
+                         f"longest minimum segment, got {dt!r}")
     n = int(round(duration / dt))
     if n < 1:
         raise ValueError(f"duration {duration} shorter than one step dt={dt}")

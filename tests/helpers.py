@@ -5,6 +5,7 @@ from types import SimpleNamespace
 import numpy as np
 
 from tcnsoc.kernels import (
+    ConvParams,
     causal_conv_backward,
     causal_conv_forward,
     dropout_backward,
@@ -33,6 +34,17 @@ def lag_oracle(a: float, b: float, x: np.ndarray) -> np.ndarray:
     for k in range(1, len(x)):
         y[k] = a * y[k - 1] + b * x[k - 1]
     return y
+
+
+def init_conv_params(out_channels: int, in_channels: int, kernel_size: int, dilation: int,
+                     rng) -> ConvParams:
+    """One layer's weights, then bias, drawn from ``rng`` uniform in
+    [-1/sqrt(fan_in), +1/sqrt(fan_in)], fan_in = in*k: the per-layer oracle of
+    ``build_model``, which draws every layer's child stream in one array."""
+    bound = 1.0 / np.sqrt(in_channels * kernel_size)
+    weights = rng.uniform(-bound, bound, (out_channels, in_channels, kernel_size))
+    bias = rng.uniform(-bound, bound, (out_channels,))
+    return ConvParams(weights, bias, dilation)
 
 
 def below(rng, n: int) -> int:

@@ -281,7 +281,7 @@ def test_sweep_cli_reports_cell_failure(tmp_path, capsys):
 NUMERIC_FLAGS = [
     (("simulate", "train", "sweep"), "--seed", True, "seed", ()),
     (("simulate",), "--duration", False, "duration", ("0",)),
-    (("simulate",), "--dt", False, "dt", ("0",)),
+    (("simulate",), "--dt", False, "dt", ("0", "1000")),
     (("simulate", "train", "eval", "sweep"), "--initial-soc", False, "initial_soc",
      ("-0.1", "1.5")),
     (("train", "eval", "sweep"), "--capacity-ah", False, "rated_capacity_ah", ("0",)),

@@ -17,6 +17,7 @@ from helpers import (
     conv_weight_grad_anti_causal,
     dropout_composed,
     float32_tolerance,
+    init_conv_params,
 )
 from numpy.lib.stride_tricks import sliding_window_view
 
@@ -29,7 +30,6 @@ from tcnsoc.kernels import (
     causal_conv_forward,
     dropout,
     dropout_backward,
-    init_conv_params,
     linear_head_backward,
     linear_head_forward,
     mse_loss,

@@ -13,6 +13,7 @@ import tcnsoc.model
 from helpers import (
     conv_oracle,
     float32_tolerance,
+    init_conv_params,
     make_positive,
     model_backward_composed,
     model_forward_composed,
@@ -67,6 +68,23 @@ def test_build_deterministic():
         not np.array_equal(a, b) for a, b in zip(m1.parameters(), m3.parameters())
     )
     assert m1.seed == 42
+
+
+@pytest.mark.parametrize("config", [
+    pytest.param(tiny_config(kernel_size=1), id="k1-downsample"),
+    pytest.param(tiny_config(stacks=2, filters=5), id="S2-F5-downsample"),
+    pytest.param(TcnConfig(stacks=2, input_window=20, blocks_per_stack=2), id="default-widths"),
+])
+@pytest.mark.parametrize("seed", [0, 7, 2**64 - 1, np.uint64(2**63 + 5)], ids=str)
+def test_build_model_equals_one_spawned_child_per_layer(config, seed):
+    # the oracle: each layer in parameter order draws its weights, then its
+    # bias, from its own child of the seed's stream
+    parent, layers = SplitMix64(seed), []
+    for conv in build_model(config, seed=0).layers:
+        init = init_conv_params(conv.out_channels, conv.in_channels, conv.kernel_size,
+                                conv.dilation, parent.spawn())
+        layers += [init.weights.ravel(), init.bias]
+    assert build_model(config, seed=seed).theta.tobytes() == np.concatenate(layers).tobytes()
 
 
 def test_downsample_only_where_channels_change():

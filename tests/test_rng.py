@@ -76,6 +76,11 @@ def test_scalar_and_vector_draws_agree():
         scalars = [b.uniform(low, high) for _ in range(50)]
         assert all(type(u) is float for u in scalars)
         assert np.array_equal(vec, scalars)
+    # bounds that broadcast against the shape: each row draws (lo, hi) pairs in order
+    ranges = [(8.0, 25.0), (3.2, 5.0), (0.0, 2.0 * math.pi), (-3.2, -1.8)]
+    rows = a.uniform(*np.transpose(ranges), (6, len(ranges)))
+    assert rows.tobytes() == np.array([[b.uniform(lo, hi) for lo, hi in ranges]
+                                       for _ in range(6)]).tobytes()
 
 
 def test_uniform_range_and_mean():
@@ -184,6 +189,15 @@ def test_spawn_key_is_next_raw_value():
     expected_key = probe.next_u64()
     child = SplitMix64(31).spawn()
     assert [child.next_u64() for _ in range(4)] == _stream_int(expected_key, 4)
+
+
+@pytest.mark.parametrize("counts", [[3, 1, 5], [0, 2], [], [70_000]])
+def test_spawned_uniforms_are_each_childs_leading_draws(counts):
+    parent, oracle = SplitMix64(2**64 - 3), SplitMix64(2**64 - 3)
+    want = [oracle.spawn().uniform(size=count) for count in counts]
+    got = parent.spawned_uniforms(counts)
+    assert got.tobytes() == np.concatenate([np.empty(0), *want]).tobytes()
+    assert parent.counter == oracle.counter == len(counts)
 
 
 def test_below_in_range():

@@ -1,5 +1,10 @@
 """Tests for the equivalent-circuit cell simulator and profile generators."""
 
+import hashlib
+import re
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 from helpers import lag_oracle
@@ -236,6 +241,54 @@ def test_profile_mean_discharge_targets():
         means[kind] = p.mean()
         assert means[kind] == pytest.approx(want, rel=0.03), kind
     assert means["highway"] > means["mixed"] > means["aggressive"] > means["urban"]
+
+
+# each kind's largest dt: its longest minimum segment (urban and aggressive
+# cruise, the highway gap, and the smallest of the three for mixed)
+DT_BOUND = {"urban": 15.0, "aggressive": 8.0, "highway": 220.0, "mixed": 8.0}
+
+
+@pytest.mark.parametrize("kind", PROFILE_KINDS)
+def test_profile_dt_bound_is_each_kinds_longest_minimum_segment(kind):
+    bound = DT_BOUND[kind]
+    above = float(np.nextafter(bound, np.inf))
+    message = f"dt must be at most {bound} s for kind '{kind}', its longest minimum segment, got {above}"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        generate_profile(kind, 3600.0, dt=above)
+    # at the bound every loop iteration advances; a separate process makes a
+    # regression fail on the timeout instead of hanging the suite
+    code = ("from tcnsoc.simulate import generate_profile; "
+            f"print([generate_profile({kind!r}, 3600.0, dt={bound}, seed=s).size for s in range(20)])")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == str([round(3600.0 / bound)] * 20)
+
+
+# sha256 of the float64 profile bytes; highway at dt 12 and 15 draws dips
+# shorter than one step, which write their first sample over itself
+PROFILE_SHA256 = [
+    ("highway", 3600.0, 0.1, 1, "35857e3a234fdb0ef7bc47e2ed44edae291745b7f6fa8e4e0f25ce65be206f5d"),
+    ("highway", 300.0, 1.0, 5, "09fd9fa18b6b7bccbe9215ec48e282d12b14fdc7fa51efba6a34abc98ce6335c"),
+    ("highway", 3600.0, 220.0, 1, "c6832c15ea87f849191a08faf0988d20201e7f8763def30c2db38da4dc8eaca4"),
+    ("highway", 3600.0, 15.0, 1, "3f130636b0db8b6e4eac767339790f2f8954237450a18ddaa9e3d1038d5776a3"),
+    ("highway", 3600.0, 12.0, 3, "6502d6697eabd96007cfd5dfe31bce0045845881850e3170d3b7613cd969366e"),
+    ("aggressive", 3600.0, 0.1, 1, "cb8d14bd916434a1ab9244306facb5dd6f103091d42dbf1e65eea5b81d33dafd"),
+    ("aggressive", 300.0, 1.0, 5, "f71b93fe2813bec3a43ccc061de7d330c54dc894b67fb2d3080a75977ae6d62f"),
+    ("aggressive", 3600.0, 8.0, 1, "a6db34b0deca0e09c2808b48a51b183f91a4d53b1d1429cc3f0b161ee1d4ce48"),
+    ("urban", 3600.0, 0.1, 1, "67058dcea76922247d681116a3f0d9cc9d3f87cd0a6ac3bb5a0802b13a41cad2"),
+    ("urban", 300.0, 1.0, 5, "7bebb1674518f089a48d1126c5f1fbaa217f0980b0c39a4e617e56a7fc6f6383"),
+    ("urban", 3600.0, 15.0, 1, "2dc3e2e51b8d2c10a9a50c0b225444de0f5681a4ee1cb10709a1f970cae2adac"),
+    ("mixed", 3600.0, 0.1, 1, "5eeae3d74521d3ca93ca9a9a9e9a6d217f9861178b8297d1b1a47c20a1d47347"),
+    ("mixed", 300.0, 1.0, 5, "366d948fe07f895a0ac70e3794e185a05aa8a7a73ac5e29359e8149f24d9e14d"),
+    ("mixed", 3600.0, 8.0, 1, "e17d50f1fb5f96f656cacb2ab99691be8498cdb43bbb97d81736cb91769f707d"),
+]
+
+
+@pytest.mark.parametrize("kind, duration, dt, seed, digest", PROFILE_SHA256,
+                         ids=[f"{c[0]}-{c[1]:g}s-dt{c[2]:g}-seed{c[3]}" for c in PROFILE_SHA256])
+def test_profile_bytes_are_pinned(kind, duration, dt, seed, digest):
+    profile = generate_profile(kind, duration, dt=dt, seed=seed)
+    assert hashlib.sha256(profile.astype("<f8").tobytes()).hexdigest() == digest
 
 
 def test_profile_kind_errors():
