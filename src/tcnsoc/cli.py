@@ -24,6 +24,7 @@ from .data import (
     BatterySpec,
     build_hybrid,
     check_initial_soc,
+    check_stride,
     coulomb_count,
     fit_normalization,
     load_csv,
@@ -189,8 +190,7 @@ def _cmd_train(args) -> int:
                        kernel_size=args.kernel, filters=args.filters,
                        p_keep=args.p_keep)
     train_config = _train_config(args)  # both configs check themselves when built
-    if args.stride < 1:  # before any file is read or a model fact printed
-        raise ValueError(f"stride must be >= 1, got {args.stride}")
+    check_stride(args.stride)  # before any file is read or a model fact printed
     cycles = list(_load_labeled(args, args.data))
     _info(f"model: {parameter_count(config)} parameters, "
           f"receptive field {receptive_field(config)} samples, "

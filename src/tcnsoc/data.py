@@ -50,6 +50,18 @@ def check_initial_soc(initial_soc: float) -> None:
         raise ValueError(f"initial_soc must be in [0, 1], got {initial_soc}")
 
 
+def check_stride(stride: int) -> None:
+    """Refuses a window stride below one sample."""
+    if stride < 1:
+        raise ValueError(f"stride must be >= 1, got {stride}")
+
+
+def check_labeled(cycle: DriveCycle) -> None:
+    """Refuses a cycle without SOC labels."""
+    if cycle.soc is None:
+        raise ValueError(f"cycle {cycle.name!r} has no SOC labels; run coulomb_count first")
+
+
 @dataclass
 class BatterySpec:
     """Cell rating; the default describes a 2.9 Ah NCA-type 18650 cell."""
@@ -70,6 +82,12 @@ class BatterySpec:
 DEFAULT_CELL = BatterySpec()
 
 
+class _SampleError(ValueError):
+    """DriveCycle's refusal of the sample at ``index``, for a caller to say where it is."""
+
+    index: int
+
+
 @dataclass
 class DriveCycle:
     """One telemetry cycle as parallel column arrays."""
@@ -83,8 +101,10 @@ class DriveCycle:
     truncated: bool = False
 
     def __post_init__(self):
-        """Rejects unequal column lengths, non-finite values, SOC labels outside
-        SOC_LABEL_BAND and time_s not strictly increasing, naming the bad sample."""
+        """Rejects unequal column lengths, then names the earliest sample with a value
+        not finite, a SOC label outside SOC_LABEL_BAND or a time_s not above the one
+        before; at one sample, its first bad column in CSV order, then its time order."""
+        faults = []  # (sample, column, why) where each rule first breaks
         for label in CSV_COLUMNS:
             values = getattr(self, label)
             if values is None:
@@ -93,24 +113,28 @@ class DriveCycle:
                 raise ValueError(f"{label} length {len(values)} != {len(self.time_s)}")
             lo, hi = SOC_LABEL_BAND if label == "soc" else (-_FLOAT_MAX, _FLOAT_MAX)
             if len(values) and not lo <= values.min() <= values.max() <= hi:  # NaN fails too
-                i = np.flatnonzero(~((values >= lo) & (values <= hi)))[0]
-                why = "not finite" if not math.isfinite(values[i]) else f"outside [{lo}, {hi}]"
-                raise ValueError(f"cycle {self.name!r}: {label}[{i}] = {float(values[i])!r} "
-                                 f"at time_s {float(self.time_s[i])!r} is {why}")
-        back = np.flatnonzero(np.diff(self.time_s) <= 0.0)  # all finite by now
+                i = int(np.flatnonzero(~((values >= lo) & (values <= hi)))[0])
+                faults.append((i, label, "not finite" if not math.isfinite(values[i])
+                               else f"outside [{lo}, {hi}]"))
+        back = np.flatnonzero(np.diff(self.time_s) <= 0.0)  # a NaN time is in no order
         if back.size:
-            i = back[0] + 1
-            t, before = float(self.time_s[i]), float(self.time_s[i - 1])
-            raise ValueError(f"cycle {self.name!r}: time_s[{i}] = {t!r} at time_s {t!r} "
-                             f"is not after time_s[{i - 1}] = {before!r}")
+            i = int(back[0])  # the sample before the first step back
+            faults.append((i + 1, "time_s", f"not after time_s[{i}] = {float(self.time_s[i])!r}"))
+        if faults:  # the earliest sample; at a tie, the rule checked first
+            i, label, why = min(faults, key=lambda fault: fault[0])
+            error = _SampleError(
+                f"cycle {self.name!r}: {label}[{i}] = {float(getattr(self, label)[i])!r} "
+                f"at time_s {float(self.time_s[i])!r} is {why}")
+            error.index = i
+            raise error
 
     def __len__(self) -> int:
         return len(self.time_s)
 
 
 def load_csv(path) -> DriveCycle:
-    """Parse one drive cycle, validating the header, finite fields, the SOC
-    label band and monotone timestamps."""
+    """Parse one drive cycle, checking the header, each row's field count and
+    numbers; a sample that DriveCycle refuses is named by its file line."""
     path = Path(path)
     with path.open(newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
@@ -138,36 +162,17 @@ def load_csv(path) -> DriveCycle:
                     f"{path}: line {lineno}: expected {n_cols} fields, got {len(row)}"
                 )
             try:
-                values = [float(v) for v in row]
+                rows.append([float(v) for v in row])
             except ValueError:
                 raise ValueError(f"{path}: line {lineno}: unparsable row {row!r}") from None
-            for name, value in zip(CSV_COLUMNS, values):
-                if not math.isfinite(value):
-                    raise ValueError(f"{path}: line {lineno}: {name} is not finite ({value})")
-            if has_soc and not SOC_LABEL_BAND[0] <= values[4] <= SOC_LABEL_BAND[1]:
-                raise ValueError(
-                    f"{path}: line {lineno}: soc {values[4]!r} outside "
-                    f"[{SOC_LABEL_BAND[0]}, {SOC_LABEL_BAND[1]}]"
-                )
-            rows.append(values)
             linenos.append(lineno)
     if not rows:
         raise ValueError(f"{path}: no data rows")
     cols = np.asarray(rows, dtype=np.float64).T
-    time_s = cols[0]
-    bad = np.nonzero(np.diff(time_s) <= 0.0)[0]
-    if bad.size:
-        raise ValueError(
-            f"{path}: line {linenos[bad[0] + 1]}: time_s not strictly increasing"
-        )
-    return DriveCycle(
-        time_s=time_s,
-        voltage_v=cols[1],
-        current_a=cols[2],
-        temperature_c=cols[3],
-        soc=cols[4] if has_soc else None,
-        name=path.stem,
-    )
+    try:
+        return DriveCycle(*cols[:4], soc=cols[4] if has_soc else None, name=path.stem)
+    except _SampleError as exc:
+        raise ValueError(f"{path}: line {linenos[exc.index]}: {exc}") from None
 
 
 def write_csv(path, columns, rows) -> None:
@@ -200,15 +205,10 @@ def coulomb_count(
     charge = np.concatenate(
         [[0.0], np.cumsum(0.5 * (current[1:] + current[:-1]) * np.diff(cycle.time_s))]
     )
-    soc = initial_soc - charge / spec.capacity_as
-    lo, hi = float(soc.min()), float(soc.max())
-    if lo < SOC_LABEL_BAND[0] or hi > SOC_LABEL_BAND[1]:
-        raise ValueError(
-            f"coulomb counting left [{SOC_LABEL_BAND[0]}, {SOC_LABEL_BAND[1]}] "
-            f"(range [{lo:.4f}, {hi:.4f}]): "
-            f"inconsistent capacity or initial SOC"
-        )
-    return replace(cycle, soc=soc)
+    try:
+        return replace(cycle, soc=initial_soc - charge / spec.capacity_as)
+    except _SampleError as exc:
+        raise ValueError(f"coulomb counting: {exc}: inconsistent capacity or initial SOC") from None
 
 
 @dataclass(frozen=True)
@@ -253,8 +253,7 @@ def fit_normalization(cycles: list[DriveCycle]) -> NormalizationParams:
     if not cycles:
         raise ValueError("fit_normalization needs at least one cycle")
     for cycle in cycles:
-        if cycle.soc is None:
-            raise ValueError(f"cycle {cycle.name!r} has no SOC labels; run coulomb_count first")
+        check_labeled(cycle)
     values: dict[str, float] = {}
     for feature, column in _CHANNEL_COLUMNS.items():
         values[f"{feature}_min"] = float(np.min([getattr(c, column).min() for c in cycles]))
@@ -267,8 +266,7 @@ def apply_normalization(cycle: DriveCycle, params: NormalizationParams) -> np.nd
 
     Values outside the fitted range map outside [0, 1] and are not clipped.
     """
-    if cycle.soc is None:
-        raise ValueError(f"cycle {cycle.name!r} has no SOC labels")
+    check_labeled(cycle)
     features = np.empty((len(CHANNEL_NAMES), len(cycle)))
     for row, (feature, column) in zip(features, _CHANNEL_COLUMNS.items()):
         lo, hi = params.bounds(feature)
@@ -299,8 +297,9 @@ def _window_cutter(features: np.ndarray, window: int):
 
 def _window_starts(cycle: DriveCycle, window: int, stride: int) -> np.ndarray:
     """Start index of every window ``make_windows`` cuts from the cycle."""
-    if window < 1 or stride < 1:
-        raise ValueError(f"window and stride must be >= 1, got {window}/{stride}")
+    if window < 1:
+        raise ValueError(f"window must be >= 1, got {window}")
+    check_stride(stride)
     n = len(cycle)
     if n < window:
         raise ValueError(

@@ -145,7 +145,7 @@ class TcnModel:
         return arrays + [self.head_weights, self.head_bias]
 
 
-def build_model(config: TcnConfig, seed: int, norm: NormalizationParams | None = None) -> TcnModel:
+def build_model(config: TcnConfig, seed: int) -> TcnModel:
     """Deterministic weight initialization from a seeded splittable stream.
 
     One child stream per layer, spawned in parameter order; each layer draws
@@ -158,7 +158,7 @@ def build_model(config: TcnConfig, seed: int, norm: NormalizationParams | None =
     theta = SplitMix64(seed).spawned_uniforms(counts)
     theta *= np.repeat(bound + bound, counts)
     theta -= np.repeat(bound, counts)  # -bound + u * (bound + bound), rounded the same
-    return TcnModel(config, theta, norm=norm, seed=seed)
+    return TcnModel(config, theta, seed=seed)
 
 
 def _block_forward(block: ResidualBlock, x: np.ndarray) -> np.ndarray:

@@ -95,6 +95,12 @@ class EcmConfig:
         return np.interp(soc, self.ocv_soc, self.ocv_volts)
 
 
+def _check_positive(name: str, value: float) -> None:
+    """Refuses a time span (a duration or a step) that is not a finite number > 0."""
+    if not 0 < value < math.inf:  # refuses NaN too
+        raise ValueError(f"{name} must be a finite number > 0, got {value!r}")
+
+
 def simulate_ecm(
     profile: np.ndarray,
     ecm: EcmConfig,
@@ -108,8 +114,7 @@ def simulate_ecm(
     If the SOC trajectory would leave [0, 1] the simulation stops at the
     boundary step and the returned cycle is marked truncated.
     """
-    if not 0 < dt < math.inf:  # refuses NaN too
-        raise ValueError(f"dt must be a finite number > 0, got {dt!r}")
+    _check_positive("dt", dt)
     check_initial_soc(initial_soc)
     current = np.asarray(profile, dtype=np.float64)
     if current.ndim != 1 or current.size == 0:
@@ -247,17 +252,18 @@ _BUILDERS = {
 def generate_profile(kind: str, duration: float, dt: float = 0.1, seed: int = 0) -> np.ndarray:
     """Seeded synthetic current demand for one drive-cycle family.
 
-    All kinds include regenerative (negative-current) segments; the profile
-    is rescaled to the kind's target mean discharge rate and clipped to
-    +-PEAK_CURRENT_A. At the default targets a full sweep from SOC 0.95 down
-    to roughly 0.1 takes about 3600 s.
+    Every kind draws regenerative (negative-current) segments; each gets a
+    sample while dt <= 4 s (urban, aggressive, mixed: the shortest regen
+    segment) or 5 s (highway: half its shortest dip), and highway has none
+    from dt 9 s. Highway's first dip starts at 120 s; mixed needs each third
+    long enough to draw one. The profile is rescaled to the kind's target mean
+    discharge rate and clipped to +-PEAK_CURRENT_A. At the default targets a
+    full sweep from SOC 0.95 down to roughly 0.1 takes about 3600 s.
     """
     if kind not in _BUILDERS:
         raise ValueError(f"unknown profile kind {kind!r}; valid kinds: {PROFILE_KINDS}")
-    if not 0 < duration < math.inf:  # refuses NaN too
-        raise ValueError(f"duration must be a finite number > 0, got {duration!r}")
-    if not 0 < dt < math.inf:
-        raise ValueError(f"dt must be a finite number > 0, got {dt!r}")
+    _check_positive("duration", duration)
+    _check_positive("dt", dt)
     if dt > _MAX_DT[kind]:
         raise ValueError(f"dt must be at most {_MAX_DT[kind]} s for kind {kind!r}, its "
                          f"longest minimum segment, got {dt!r}")

@@ -19,7 +19,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .data import DriveCycle, build_hybrid, cycle_names, fit_normalization, write_csv
+from .data import DriveCycle, build_hybrid, check_stride, cycle_names, fit_normalization, write_csv
 from .model import TcnConfig, TcnModel, build_model, parameter_count, predict
 from .modelio import deserialize, serialize
 from .rng import SplitMix64
@@ -177,8 +177,7 @@ def run_sweep(
         raise ValueError(f"protocol must be 'held-out' or 'train-on-all', got {protocol!r}")
     if jobs < 1:
         raise ValueError(f"jobs must be >= 1, got {jobs}")
-    if stride < 1:
-        raise ValueError(f"stride must be >= 1, got {stride}")
+    check_stride(stride)
     _check_latency_args(latency_warmup, latency_iterations)
     configs = [TcnConfig(stacks=s, input_window=w, kernel_size=kernel_size,
                          filters=filters, p_keep=p_keep)

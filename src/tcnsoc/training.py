@@ -14,7 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import DriveCycle, WindowedDataset, _window_cutter, apply_normalization, is_int, is_real
+from .data import (DriveCycle, WindowedDataset, _window_cutter, _window_starts,
+                   apply_normalization, is_int, is_real)
 from .kernels import AdamState, _slab_rows, adam_step, mse_loss
 from .model import TcnModel, backward, forward, forward_with_cache, new_arena
 from .rng import SplitMix64
@@ -169,17 +170,9 @@ def evaluate(
         raise ValueError(f"mode must be 'teacher' or 'closed-loop', got {mode!r}")
     if model.norm is None:
         raise ValueError("model has no normalization parameters; train it first")
-    if cycle.soc is None:
-        raise ValueError(f"cycle {cycle.name!r} has no SOC labels")
     window = model.config.input_window
-    if len(cycle) < window:
-        raise ValueError(
-            f"cycle {cycle.name!r} has {len(cycle)} samples, shorter than the "
-            f"model window {window}"
-        )
-
+    n = len(_window_starts(cycle, window, 1))  # refuses a cycle shorter than the window
     features = apply_normalization(cycle, model.norm)
-    n = len(cycle) - window + 1
     if mode == "teacher":
         # float32 windows run the model in float32, the precision it is stored in
         preds = _predictions(model, n, _window_cutter(features.astype(np.float32), window))

@@ -168,7 +168,8 @@ def perfect_model_files(tmp_path):
     """A zeroed model with head bias 0.5 plus a cycle whose SOC is 0.5."""
     cfg = TcnConfig(stacks=1, input_window=20, kernel_size=3, filters=3)
     unit = NormalizationParams(0.0, 1.0, 0.0, 1.0, 0.0, 1.0, 0.0, 1.0)
-    model = build_model(cfg, seed=0, norm=unit)
+    model = build_model(cfg, seed=0)
+    model.norm = unit
     for p in model.parameters():
         p[...] = 0.0
     model.head_bias[0] = 0.5

@@ -130,21 +130,37 @@ def test_load_rejects_non_increasing_time(tmp_path):
         "1.0,3.0,1.0,25.0\n"
         "1.0,3.0,1.0,25.0\n"
     )
-    with pytest.raises(ValueError, match="strictly increasing"):
+    with pytest.raises(ValueError, match=r"line 4: cycle 'bad': time_s\[2\] = 1.0 at time_s 1.0 "
+                                         r"is not after time_s\[1\] = 1.0"):
         load_csv(path)
 
 
 # ---------------------------------------------------------------- coulomb
 
 
+def _bad_row(row, message, why):
+    return pytest.param(row, message, id=f"{row}-{why}")
+
+
 @pytest.mark.parametrize("row, message", [
-    ("nan,3.0,1.0,25.0,0.5", "time_s is not finite"),
-    ("1.0,nan,1.0,25.0,0.5", "voltage_v is not finite"),
-    ("1.0,3.0,inf,25.0,0.5", "current_a is not finite"),
-    ("1.0,3.0,1.0,-inf,0.5", "temperature_c is not finite"),
-    ("1.0,3.0,1.0,25.0,nan", "soc is not finite"),
-    ("1.0,3.0,1.0,25.0,1.7", "soc 1.7 outside"),
-    ("1.0,3.0,1.0,25.0,-0.02", "soc -0.02 outside"),
+    _bad_row("nan,3.0,1.0,25.0,0.5", r"time_s\[1\] = nan at time_s nan is not finite",
+             "time_s is not finite"),
+    _bad_row("1.0,nan,1.0,25.0,0.5", r"voltage_v\[1\] = nan at time_s 1.0 is not finite",
+             "voltage_v is not finite"),
+    _bad_row("1.0,3.0,inf,25.0,0.5", r"current_a\[1\] = inf at time_s 1.0 is not finite",
+             "current_a is not finite"),
+    _bad_row("1.0,3.0,1.0,-inf,0.5", r"temperature_c\[1\] = -inf at time_s 1.0 is not finite",
+             "temperature_c is not finite"),
+    _bad_row("1.0,3.0,1.0,25.0,nan", r"soc\[1\] = nan at time_s 1.0 is not finite",
+             "soc is not finite"),
+    _bad_row("1.0,3.0,1.0,25.0,1.7", r"soc\[1\] = 1.7 at time_s 1.0 is outside \[-0.01, 1.01\]",
+             "soc 1.7 outside"),
+    _bad_row("1.0,3.0,1.0,25.0,-0.02",
+             r"soc\[1\] = -0.02 at time_s 1.0 is outside \[-0.01, 1.01\]", "soc -0.02 outside"),
+    # two bad lines, the later one in an earlier column: the earliest line is named
+    pytest.param("1.0,3.0,1.0,25.0,1.7\n1.2,3.0,1.0,25.0,0.5\n1.5,nan,1.0,25.0,0.5",
+                 r"soc\[1\] = 1.7 at time_s 1.0 is outside \[-0.01, 1.01\]",
+                 id="soc-on-line-3-and-voltage-on-line-5"),
 ])
 def test_load_rejects_non_finite_and_out_of_band_values(tmp_path, row, message):
     path = tmp_path / "bad.csv"
@@ -154,7 +170,7 @@ def test_load_rejects_non_finite_and_out_of_band_values(tmp_path, row, message):
         f"{row}\n"
         "2.0,3.0,1.0,25.0,0.5\n"
     )
-    with pytest.raises(ValueError, match=f"line 3: {message}"):
+    with pytest.raises(ValueError, match=f"line 3: cycle 'bad': {message}$"):
         load_csv(path)
 
 
@@ -167,7 +183,8 @@ def test_load_counts_blank_lines_in_time_error(tmp_path):
         "1.0,3.0,1.0,25.0\n"
         "1.0,3.0,1.0,25.0\n"
     )
-    with pytest.raises(ValueError, match="line 5: time_s not strictly increasing"):
+    with pytest.raises(ValueError, match=r"line 5: cycle 'bad': time_s\[2\] = 1.0 at time_s 1.0 "
+                                         r"is not after time_s\[1\] = 1.0"):
         load_csv(path)
 
 
@@ -270,7 +287,9 @@ def test_coulomb_rejects_out_of_range():
     t = np.arange(0.0, 7200.0, 1.0)  # two hours at rated current: soc -1
     n = len(t)
     cycle = DriveCycle(t, np.full(n, 3.6), np.full(n, 2.9), np.full(n, 25.0))
-    with pytest.raises(ValueError, match="-0.01"):
+    with pytest.raises(ValueError, match=r"^coulomb counting: cycle '': soc\[36\d\d\] = -0\.01\d* "
+                                         r"at time_s 36\d\d\.0 is outside \[-0\.01, 1\.01\]: "
+                                         r"inconsistent capacity or initial SOC$"):
         coulomb_count(cycle, DEFAULT_CELL, initial_soc=1.0)
     with pytest.raises(ValueError):
         coulomb_count(cycle, DEFAULT_CELL, initial_soc=1.5)
@@ -555,6 +574,27 @@ def test_drive_cycle_rejects_bad_telemetry_naming_the_sample(column, index, valu
         replace(good, **{column: values})
     with pytest.raises(ValueError, match=message):
         DriveCycle(**{**vars(good), column: values})
+
+
+@pytest.mark.parametrize("bad, named", [
+    pytest.param({"time_s": (7, 5.5), "voltage_v": (10, math.nan)},
+                 r"time_s\[7\] = 5.5 at time_s 5.5 is not after time_s\[6\] = 6.0",
+                 id="earlier-sample"),
+    pytest.param({"soc": (12, 1.7), "voltage_v": (12, math.nan)},
+                 r"voltage_v\[12\] = nan at time_s 12.0 is not finite", id="earlier-column"),
+    pytest.param({"time_s": (7, 5.5), "soc": (7, 1.7)},
+                 r"soc\[7\] = 1.7 at time_s 5.5 is outside \[-0.01, 1.01\]",
+                 id="value-before-time-order"),
+])
+def test_drive_cycle_names_the_earliest_bad_sample(bad, named):
+    # the earliest bad sample; at one sample, its first bad column in CSV
+    # order, then its time order
+    columns = {k: v.copy() if isinstance(v, np.ndarray) else v
+               for k, v in vars(toy_cycle()).items()}
+    for column, (index, value) in bad.items():
+        columns[column][index] = value
+    with pytest.raises(ValueError, match=rf"^cycle 'toy': {named}$"):
+        DriveCycle(**columns)
 
 
 def test_drive_cycle_accepts_soc_band_edges():

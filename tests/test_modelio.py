@@ -30,7 +30,9 @@ def small_model(seed=0, **cfg_kw):
     base = dict(stacks=1, input_window=20, kernel_size=3, filters=3)
     base.update(cfg_kw)
     norm = NormalizationParams(3.0, 4.2, -2.0, 5.0, 20.0, 45.0, 0.0, 1.0)
-    return build_model(TcnConfig(**base), seed=seed, norm=norm)
+    model = build_model(TcnConfig(**base), seed=seed)
+    model.norm = norm
+    return model
 
 
 def test_round_trip_second_generation_bit_exact(tmp_path):
@@ -399,8 +401,9 @@ def test_one_byte_soc_bound_edit_rejected(tmp_path):
     # a header edit the CRC does not cover: one byte moves soc_max 0.95 -> 2.95
     norm = NormalizationParams(3.0, 4.2, -2.0, 5.0, 20.0, 45.0, 0.1, 0.95)
     path = tmp_path / "m.bin"
-    serialize(build_model(TcnConfig(stacks=1, input_window=20, kernel_size=3, filters=3),
-                          seed=0, norm=norm), path)
+    model = build_model(TcnConfig(stacks=1, input_window=20, kernel_size=3, filters=3), seed=0)
+    model.norm = norm
+    serialize(model, path)
     blob = path.read_bytes()
     assert blob.count(b"norm_soc_max=0.95\n") == 1
     path.write_bytes(blob.replace(b"norm_soc_max=0.95\n", b"norm_soc_max=2.95\n"))

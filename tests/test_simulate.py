@@ -226,10 +226,17 @@ def test_profile_peak_current_capped():
             assert np.abs(p).max() <= PEAK_CURRENT_A + 1e-12
 
 
+# the largest dt at which generate_profile promises every drawn regen segment a sample
+REGEN_DT = {"urban": 4.0, "aggressive": 4.0, "mixed": 4.0, "highway": 5.0}
+
+
 def test_profile_has_regen_segments():
     for kind in PROFILE_KINDS:
         p = generate_profile(kind, 900.0, seed=3)
         assert p.min() < -0.5, kind
+        for seed in range(10):
+            p = generate_profile(kind, 3600.0, dt=REGEN_DT[kind], seed=seed)
+            assert np.count_nonzero(p < 0.0) > 0, (kind, seed)
 
 
 def test_profile_mean_discharge_targets():

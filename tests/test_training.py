@@ -332,7 +332,9 @@ def test_evaluate_teacher_matches_manual_windows():
 def untrained_model(cycles, window=20):
     cfg = TcnConfig(stacks=1, input_window=window, kernel_size=3, filters=3,
                     blocks_per_stack=2)
-    return build_model(cfg, seed=2, norm=fit_normalization(cycles))
+    model = build_model(cfg, seed=2)
+    model.norm = fit_normalization(cycles)
+    return model
 
 
 def test_evaluate_teacher_across_batch_boundaries_matches_predict(monkeypatch):
@@ -392,8 +394,8 @@ def test_evaluate_teacher_memory_grows_with_the_batch_not_the_cycle():
 def test_evaluate_teacher_memory_is_a_few_cache_sized_batches():
     # a 256-window batch holds 2 MB per activation map and peaked at 25.6 MiB
     n, window = 3000, 500
-    model = build_model(TcnConfig(stacks=1, input_window=window), seed=3,
-                        norm=fit_normalization([sim_cycle(seed=0), sim_cycle(seed=1)]))
+    model = build_model(TcnConfig(stacks=1, input_window=window), seed=3)
+    model.norm = fit_normalization([sim_cycle(seed=0), sim_cycle(seed=1)])
     t = np.arange(n, dtype=np.float64)
     probe = DriveCycle(t, 3.7 + 0.1 * np.sin(t / 50), 2.0 * np.cos(t / 70),
                        25.0 + 0.001 * t, np.linspace(0.9, 0.3, n), "mid")
@@ -461,7 +463,8 @@ def test_evaluate_closed_loop_divergence_raises_at_first_non_finite_step():
     cycles = [sim_cycle(seed=0), sim_cycle(seed=1)]
     cfg = TcnConfig(stacks=1, input_window=20, kernel_size=3, filters=3,
                     blocks_per_stack=2)
-    model = build_model(cfg, seed=2, norm=fit_normalization(cycles))
+    model = build_model(cfg, seed=2)
+    model.norm = fit_normalization(cycles)
     make_positive(model)
     model.head_weights *= 10.0  # every fed-back estimate grows the next one
     probe = sim_cycle(seed=3)
@@ -507,6 +510,7 @@ def test_trained_model_beats_untrained_on_held_out():
     probe = sim_cycle(seed=7)
     trained_metrics, _ = evaluate(model, probe)
 
-    fresh = build_model(model.config, seed=2, norm=model.norm)
+    fresh = build_model(model.config, seed=2)
+    fresh.norm = model.norm
     fresh_metrics, _ = evaluate(fresh, probe)
     assert trained_metrics.mse < fresh_metrics.mse
