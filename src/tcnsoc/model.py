@@ -7,7 +7,7 @@ so every input step stays covered while the receptive field grows
 exponentially with depth. A per-step linear head turns the last block's map
 into the SOC estimate, read at the final step. ``forward`` is inference;
 ``forward_with_cache`` trains, with dropout, and keeps nothing per step but
-the arena of block maps that ``backward`` reads with the window.
+the arena of block maps and gates that ``backward`` reads with the window.
 """
 
 from __future__ import annotations
@@ -172,27 +172,32 @@ def _block_forward(block: ResidualBlock, x: np.ndarray) -> np.ndarray:
     return relu(a2, out=a2)
 
 
-def _block_train(block: ResidualBlock, x: np.ndarray, p_keep: float,
-                 rng: SplitMix64, slots: np.ndarray) -> np.ndarray:
-    """The block's training output, its maps written into the arena ``slots``
-    (d1 and d2, the ReLU outputs masked and scaled in place, then the output);
-    dropout at p_keep 1 is the identity, without a draw."""
-    d1, d2, out = slots
+def _block_train(block: ResidualBlock, x: np.ndarray, p_keep: float, rng: SplitMix64,
+                 maps: np.ndarray, gate: np.ndarray) -> np.ndarray:
+    """The block's training output, its maps written into the arena: d1 (the
+    ReLU output masked and scaled in place) and the output in ``maps``. d2,
+    made the same way in the output slot, is kept only as its ``gate`` d2 > 0
+    before the skip is added. Dropout at p_keep 1 is the identity, without a
+    draw."""
+    d1, out = maps
     dropout(relu(kernels.causal_conv_forward(x, block.conv1, out=d1), out=d1), p_keep, rng, True)
-    dropout(relu(kernels.causal_conv_forward(d1, block.conv2, out=d2), out=d2), p_keep, rng, True)
-    skip = x if block.downsample is None else causal_conv_forward(x, block.downsample)
-    np.add(d2, skip, out=out)  # never into d2 (backward reads it) or skip (may be the window)
+    dropout(relu(kernels.causal_conv_forward(d1, block.conv2, out=out), out=out), p_keep, rng, True)
+    np.greater(out, 0.0, out=gate)
+    out += x if block.downsample is None else causal_conv_forward(x, block.downsample)
     return relu(out, out=out)
 
 
-def _block_backward(block: ResidualBlock, grad: ResidualBlock, x: np.ndarray, slots: np.ndarray,
-                    grad_y: np.ndarray, p_keep: float, input_grad: bool) -> np.ndarray | None:
+def _block_backward(block: ResidualBlock, grad: ResidualBlock, x: np.ndarray, maps: np.ndarray,
+                    gate: np.ndarray, grad_y: np.ndarray, p_keep: float,
+                    input_grad: bool) -> np.ndarray | None:
     """Writes the block's parameter gradients into ``grad``, views into the
     gradient vector, and returns the gradient of its input ``x`` (None without
-    ``input_grad``: ``x`` is the data window), each gate read from ``slots``."""
-    d1, d2, out = slots
+    ``input_grad``: ``x`` is the data window), each gate read from the arena."""
+    d1, out = maps
     g_pre = relu_dropout_backward(grad_y, out)
-    g_a2 = relu_dropout_backward(g_pre, d2, p_keep)
+    g_a2 = g_pre * gate
+    if p_keep != 1.0:
+        g_a2 /= p_keep
     g_d1, grad.conv2.weights[...], grad.conv2.bias[...] = \
         causal_conv_backward(d1, block.conv2, g_a2)
     g_a1 = relu_dropout_backward(g_d1, d1, p_keep)
@@ -235,38 +240,57 @@ def forward(model: TcnModel, window: np.ndarray) -> np.ndarray:
     return linear_head_forward(window, head_weights, float(head_bias[0]))
 
 
-def new_arena(model: TcnModel, batch: int) -> np.ndarray:
+def new_arena(model: TcnModel, batch: int) -> tuple[np.ndarray, np.ndarray]:
     """One training step's block maps for up to ``batch`` windows (README,
-    "Activation arena"): block i's d1, d2 and output at ``[i, 0..2]``."""
-    cfg = model.config
-    return np.empty((len(model.blocks), 3, batch, cfg.filters, cfg.input_window))
+    "Activation arena"): block i's d1 and output at ``maps[i, 0..1]``, and
+    its gate d2 > 0 at ``gates[i]``. Both are views of one block, which keeps
+    glibc's heap trim threshold (twice the largest block it has unmapped) as
+    high as the arena allows: at the benchmark's train shape, repeated
+    training then keeps its heap instead of trimming it and faulting it back."""
+    shape = (len(model.blocks), batch, model.config.filters, model.config.input_window)
+    n = int(np.prod(shape))
+    buffer = np.empty(17 * n, dtype=np.uint8)
+    maps = buffer[:16 * n].view(np.float64).reshape(shape[0], 2, *shape[1:])
+    return maps, buffer[16 * n:].view(bool).reshape(shape)
+
+
+def _arena_rows(model: TcnModel, arena: tuple[np.ndarray, np.ndarray], rows: int):
+    """Per block, its maps and gate for the first ``rows`` windows."""
+    maps, gates = arena
+    if len(maps) != len(model.blocks) or len(gates) != len(model.blocks):
+        raise ValueError(f"arena has maps for {len(maps)} blocks and gates for {len(gates)}, "
+                         f"but the model has {len(model.blocks)} blocks")
+    if rows > maps.shape[2]:
+        raise ValueError(f"batch of {rows} windows, but the arena holds {maps.shape[2]}")
+    return maps[:, :, :rows], gates[:, :rows]
 
 
 def forward_with_cache(model: TcnModel, window: np.ndarray, rng: SplitMix64,
-                       arena: np.ndarray) -> np.ndarray:
+                       arena: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
     """``forward`` in training: float64 whatever the window's dtype, dropout drawn
-    from ``rng`` at ``config.p_keep``, and block i's maps left in
-    ``arena[i, :, :len(window)]`` (``new_arena``) for ``backward``."""
+    from ``rng`` at ``config.p_keep``, and block i's maps and gate left in the
+    first ``len(window)`` rows of the ``arena`` (``new_arena``) for ``backward``."""
     _check_window(model, window)
     h = window.astype(np.float64, copy=False)
-    for block, slots in zip(model.blocks, arena[:, :, :len(h)], strict=True):
-        h = _block_train(block, h, model.config.p_keep, rng, slots)
+    for block, maps, gate in zip(model.blocks, *_arena_rows(model, arena, len(h))):
+        h = _block_train(block, h, model.config.p_keep, rng, maps, gate)
     return linear_head_forward(h, model.head_weights, float(model.head_bias[0]))
 
 
-def backward(model: TcnModel, window: np.ndarray, arena: np.ndarray,
+def backward(model: TcnModel, window: np.ndarray, arena: tuple[np.ndarray, np.ndarray],
              grad_y: np.ndarray) -> np.ndarray:
     """Gradient of every parameter, read from the ``arena`` and ``window`` of
     ``forward_with_cache``: one float64 vector in ``theta``'s layout, each slot
     written by the layer it belongs to."""
     grad, p_keep = np.empty_like(model.theta), model.config.p_keep
     _, grad_blocks, grad_hw, grad_hb = _views(model.config, grad)
-    slots = arena[:, :, :len(window)]
+    maps, gates = _arena_rows(model, arena, len(window))
     # the last block's output is the head's input
-    g_h, grad_hw[...], grad_hb[0] = linear_head_backward(slots[-1, 2], model.head_weights, grad_y)
-    for i in reversed(range(len(slots))):  # block 0's input is the data: no gradient
-        x = slots[i - 1, 2] if i else window.astype(np.float64, copy=False)
-        g_h = _block_backward(model.blocks[i], grad_blocks[i], x, slots[i], g_h, p_keep, i > 0)
+    g_h, grad_hw[...], grad_hb[0] = linear_head_backward(maps[-1, 1], model.head_weights, grad_y)
+    for i in reversed(range(len(maps))):  # block 0's input is the data: no gradient
+        x = maps[i - 1, 1] if i else window.astype(np.float64, copy=False)
+        g_h = _block_backward(model.blocks[i], grad_blocks[i], x, maps[i], gates[i], g_h,
+                              p_keep, i > 0)
     return grad
 
 

@@ -14,7 +14,6 @@ import os
 import tempfile
 import time
 from collections.abc import Iterable
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -202,6 +201,9 @@ def run_sweep(
         cell_args = [(config, seed, train_cycles, eval_cycles, train_cfg, stride, out_dir)
                      for config, seed in zip(configs, cell_seeds)]
         if jobs > 1:
+            # imported here: multiprocessing costs every other run memory at import
+            from concurrent.futures import ProcessPoolExecutor
+
             with ProcessPoolExecutor(max_workers=jobs) as pool:
                 rows = list(pool.map(_train_cell, cell_args))
         else:

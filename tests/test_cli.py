@@ -482,6 +482,15 @@ def test_import_loads_no_scipy():
     assert proc.stdout.strip() == "[]"
 
 
+def test_import_loads_no_process_pool():
+    # only a sweep with jobs > 1 needs the pool, and it imports it there
+    code = ("import sys, tcnsoc, tcnsoc.cli; print(sorted(m for m in sys.modules "
+            "if m.partition('.')[0] in ('concurrent', 'multiprocessing', 'socket')))")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+
+
 def test_console_script_matches_module(tmp_path):
     a = subprocess.run(
         [sys.executable, "-m", "tcnsoc", "simulate", "--kind", "urban",

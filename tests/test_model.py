@@ -506,8 +506,8 @@ ARENA_CASES = [
 
 @pytest.mark.parametrize("case,short,train,p_keep", ARENA_CASES)
 def test_arena_gives_the_bytes_of_fresh_activations(case, short, train, p_keep):
-    """The arena keeps the dropout outputs and block outputs of the composed
-    block, whatever an earlier step left in it."""
+    """The arena keeps the dropout output d1 and the output of the composed
+    block, and d2 only as its gate d2 > 0, whatever an earlier step left in it."""
     cfg, batch = BLOCK_CASES[case]
     cfg = replace(cfg, p_keep=p_keep)
     m = build_model(cfg, seed=51)
@@ -515,21 +515,32 @@ def test_arena_gives_the_bytes_of_fresh_activations(case, short, train, p_keep):
     rng = SplitMix64(52)
     x = rng.uniform(-1, 1, (rows, 4, cfg.input_window))
     grad_y = rng.uniform(-1, 1, (rows, cfg.input_window))
-    arena = new_arena(m, batch)
-    assert arena.shape == (len(m.blocks), 3, batch, cfg.filters, cfg.input_window)
-    arena.fill(np.nan)
-    # a previous full step leaves its maps in every slot
+    arena = maps, gates = new_arena(m, batch)
+    assert maps.shape == (len(m.blocks), 2, batch, cfg.filters, cfg.input_window)
+    assert maps.dtype == np.float64
+    assert gates.shape == (len(m.blocks), batch, cfg.filters, cfg.input_window)
+    assert gates.dtype == np.bool_
+    # one allocation, so that repeated training keeps its heap (README, "Activation arena")
+    assert maps.base is not None and maps.base is gates.base
+    maps.fill(np.nan)
+    gates.fill(True)
+    # a previous full step leaves its maps and gates in every slot
     forward_with_cache(m, rng.uniform(-1, 1, (batch, 4, cfg.input_window)), _stream(train, 54),
                        arena)
     y = forward_with_cache(m, x, _stream(train, 53), arena)
     want_y, (want_caches, head_input) = model_forward_composed(m, x, train, _stream(train, 53))
     assert y.tobytes() == want_y.tobytes()
-    assert arena[-1, 2, :rows].tobytes() == head_input.tobytes()
-    # block i reads the window or block i-1's output slot, and its own d1 slot
+    assert maps[-1, 1, :rows].tobytes() == head_input.tobytes()
+    # block i reads the window or block i-1's output slot, its own d1 slot and its gate
     for i, want in enumerate(want_caches):
-        block_input = arena[i - 1, 2, :rows] if i else x
+        block_input = maps[i - 1, 1, :rows] if i else x
         assert block_input.tobytes() == want.x.tobytes(), i
-        assert arena[i, 0, :rows].tobytes() == want.d1.tobytes(), i
+        assert maps[i, 0, :rows].tobytes() == want.d1.tobytes(), i
+        want_gate = want.a2 > 0.0
+        if want.mask2 is not None:
+            want_gate &= want.mask2
+        assert (want.mask2 is None) == (not train or p_keep == 1.0)
+        assert np.array_equal(gates[i, :rows], want_gate), i
     got = backward(m, x, arena, grad_y)
     want = model_backward_composed(m, (want_caches, head_input), grad_y)
     assert got.tobytes() == np.concatenate([g.ravel() for g in want]).tobytes()
@@ -543,21 +554,40 @@ def test_backward_reads_the_arena_and_the_window_without_writing_them(case):
     rng = SplitMix64(58)
     x = rng.uniform(-1, 1, (batch - 3, 4, cfg.input_window))
     grad_y = rng.uniform(-1, 1, (len(x), cfg.input_window))
-    arena = new_arena(m, batch)
-    arena.fill(np.nan)
+    arena = maps, gates = new_arena(m, batch)
+    maps.fill(np.nan)
+    gates.fill(True)
     forward_with_cache(m, x, SplitMix64(59), arena)
-    before = arena.tobytes(), x.tobytes()
+    before = maps.tobytes(), gates.tobytes(), x.tobytes()
     first = backward(m, x, arena, grad_y)
-    assert (arena.tobytes(), x.tobytes()) == before
+    assert (maps.tobytes(), gates.tobytes(), x.tobytes()) == before
     assert backward(m, x, arena, grad_y).tobytes() == first.tobytes()
 
 
 def test_arena_for_another_block_count_is_refused():
     cfg, batch = BLOCK_CASES["identity-skip"]
     m = build_model(cfg, seed=55)
-    arena = new_arena(m, batch)[1:]
-    with pytest.raises(ValueError):
-        forward_with_cache(m, np.zeros((batch, 4, cfg.input_window)), SplitMix64(56), arena)
+    maps, gates = new_arena(m, batch)
+    x = np.zeros((batch, 4, cfg.input_window))
+    for arena in ((maps[1:], gates[1:]), (maps, gates[1:]), (maps[1:], gates)):
+        message = (f"arena has maps for {len(arena[0])} blocks and gates for {len(arena[1])}, "
+                   f"but the model has {len(m.blocks)} blocks")
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            forward_with_cache(m, x, SplitMix64(56), arena)
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            backward(m, x, arena, np.zeros((batch, cfg.input_window)))
+
+
+def test_arena_for_a_smaller_batch_is_refused():
+    cfg, batch = BLOCK_CASES["identity-skip"]
+    m = build_model(cfg, seed=55)
+    arena = new_arena(m, batch)
+    x = np.zeros((batch + 1, 4, cfg.input_window))
+    message = f"^batch of {batch + 1} windows, but the arena holds {batch}$"
+    with pytest.raises(ValueError, match=message):
+        forward_with_cache(m, x, SplitMix64(56), arena)
+    with pytest.raises(ValueError, match=message):
+        backward(m, x, arena, np.zeros((batch + 1, cfg.input_window)))
 
 
 def test_backward_builds_no_gradient_for_the_data(monkeypatch):

@@ -146,15 +146,17 @@ def test_keep_all_dropout_run_keeps_history_and_model_bytes(monkeypatch, tmp_pat
 
 
 def test_train_memory_is_one_activation_arena_plus_a_step():
-    # the benchmark's train shape; fresh copies of every block's d1, d2 and
-    # output per step, two steps of them alive at once, peaked at 10.4 MiB
+    # the benchmark's train shape. The arena keeps every block's d1 and output
+    # in float64 and its gate d2 > 0 in one byte, 17 bytes per map element.
+    # Fresh copies of d1, d2 and output per step, two steps of them alive at
+    # once, peaked at 10.4 MiB; three float64 maps in the arena, at 6.93 MiB
     cycles = [sim_cycle(kind, seed=s, duration=215.0, dt=0.1)
               for s, kind in enumerate(("highway", "aggressive", "urban"))]
     dataset = build_hybrid(cycles, fit_normalization(cycles), 100, stride=20, seed=1)
     cfg = TcnConfig(stacks=2, input_window=100, kernel_size=8, filters=8)
     model = build_model(cfg, seed=1)
     config = TrainConfig(batch_size=32, epochs=1, seed=1, early_stop_patience=0)
-    arena = len(model.blocks) * 3 * config.batch_size * cfg.filters * cfg.input_window * 8
+    arena = len(model.blocks) * config.batch_size * cfg.filters * cfg.input_window * 17
     tracemalloc.start()
     try:
         train(model, dataset, config)
