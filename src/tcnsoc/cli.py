@@ -239,9 +239,7 @@ def _cmd_bench(args) -> int:
 
     _check_latency_args(args.warmup, args.iterations)  # before the model is read
     model = deserialize(args.model)
-    sample = np.zeros((1, model.config.input_features, model.config.input_window))
-    stats = measure_latency(model, sample, warmup=args.warmup,
-                            iterations=args.iterations)
+    stats = measure_latency(model, args.warmup, args.iterations)
     print(f"parameters={parameter_count(model.config)}")
     print(f"file_size_bytes={os.path.getsize(args.model)}")
     print(f"latency_ms_mean={stats.mean_s * 1e3:.6f}")
@@ -262,12 +260,10 @@ def _cmd_sweep(args) -> int:
     if args.csv is not None:
         report.to_csv(args.csv)
         _info(f"wrote report to {args.csv}")
-    if report.any_failed:
-        for row in report.rows:
-            if row.failed:
-                _info(f"cell stacks={row.stacks} window={row.window} failed: {row.error}")
-        return 1
-    return 0
+    for row in report.rows:
+        if row.failed:
+            _info(f"cell stacks={row.stacks} window={row.window} failed: {row.error}")
+    return int(report.any_failed)
 
 
 _COMMANDS = {

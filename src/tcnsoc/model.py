@@ -195,9 +195,7 @@ def _block_backward(block: ResidualBlock, grad: ResidualBlock, x: np.ndarray, ma
     ``input_grad``: ``x`` is the data window), each gate read from the arena."""
     d1, out = maps
     g_pre = relu_dropout_backward(grad_y, out)
-    g_a2 = g_pre * gate
-    if p_keep != 1.0:
-        g_a2 /= p_keep
+    g_a2 = relu_dropout_backward(g_pre, gate, p_keep)  # a bool gate is its own > 0 test
     g_d1, grad.conv2.weights[...], grad.conv2.bias[...] = \
         causal_conv_backward(d1, block.conv2, g_a2)
     g_a1 = relu_dropout_backward(g_d1, d1, p_keep)
@@ -240,23 +238,32 @@ def forward(model: TcnModel, window: np.ndarray) -> np.ndarray:
     return linear_head_forward(window, head_weights, float(head_bias[0]))
 
 
-def new_arena(model: TcnModel, batch: int) -> tuple[np.ndarray, np.ndarray]:
-    """One training step's block maps for up to ``batch`` windows (README,
-    "Activation arena"): block i's d1 and output at ``maps[i, 0..1]``, and
-    its gate d2 > 0 at ``gates[i]``. Both are views of one block, which keeps
-    glibc's heap trim threshold (twice the largest block it has unmapped) as
-    high as the arena allows: at the benchmark's train shape, repeated
-    training then keeps its heap instead of trimming it and faulting it back."""
+@dataclass
+class Arena:
+    """One training step's block maps (README, "Activation arena"): block i's d1
+    and output at ``maps[i, 0..1]``, its gate d2 > 0 at ``gates[i]``, and ``rows``,
+    the number of windows the last ``forward_with_cache`` wrote."""
+
+    maps: np.ndarray
+    gates: np.ndarray
+    rows: int = 0
+
+
+def new_arena(model: TcnModel, batch: int) -> Arena:
+    """An arena for up to ``batch`` windows, its arrays views of one block: that keeps
+    glibc's heap trim threshold (twice the largest block it has unmapped) as high as
+    the arena allows, so at the benchmark's train shape repeated training keeps its
+    heap instead of trimming it and faulting it back."""
     shape = (len(model.blocks), batch, model.config.filters, model.config.input_window)
     n = int(np.prod(shape))
     buffer = np.empty(17 * n, dtype=np.uint8)
     maps = buffer[:16 * n].view(np.float64).reshape(shape[0], 2, *shape[1:])
-    return maps, buffer[16 * n:].view(bool).reshape(shape)
+    return Arena(maps, buffer[16 * n:].view(bool).reshape(shape))
 
 
-def _arena_rows(model: TcnModel, arena: tuple[np.ndarray, np.ndarray], rows: int):
+def _arena_rows(model: TcnModel, arena: Arena, rows: int):
     """Per block, its maps and gate for the first ``rows`` windows."""
-    maps, gates = arena
+    maps, gates = arena.maps, arena.gates
     if len(maps) != len(model.blocks) or len(gates) != len(model.blocks):
         raise ValueError(f"arena has maps for {len(maps)} blocks and gates for {len(gates)}, "
                          f"but the model has {len(model.blocks)} blocks")
@@ -266,7 +273,7 @@ def _arena_rows(model: TcnModel, arena: tuple[np.ndarray, np.ndarray], rows: int
 
 
 def forward_with_cache(model: TcnModel, window: np.ndarray, rng: SplitMix64,
-                       arena: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
+                       arena: Arena) -> np.ndarray:
     """``forward`` in training: float64 whatever the window's dtype, dropout drawn
     from ``rng`` at ``config.p_keep``, and block i's maps and gate left in the
     first ``len(window)`` rows of the ``arena`` (``new_arena``) for ``backward``."""
@@ -274,17 +281,20 @@ def forward_with_cache(model: TcnModel, window: np.ndarray, rng: SplitMix64,
     h = window.astype(np.float64, copy=False)
     for block, maps, gate in zip(model.blocks, *_arena_rows(model, arena, len(h))):
         h = _block_train(block, h, model.config.p_keep, rng, maps, gate)
+    arena.rows = len(h)
     return linear_head_forward(h, model.head_weights, float(model.head_bias[0]))
 
 
-def backward(model: TcnModel, window: np.ndarray, arena: tuple[np.ndarray, np.ndarray],
-             grad_y: np.ndarray) -> np.ndarray:
+def backward(model: TcnModel, window: np.ndarray, arena: Arena, grad_y: np.ndarray) -> np.ndarray:
     """Gradient of every parameter, read from the ``arena`` and ``window`` of
-    ``forward_with_cache``: one float64 vector in ``theta``'s layout, each slot
-    written by the layer it belongs to."""
+    the last ``forward_with_cache``: one float64 vector in ``theta``'s layout,
+    each slot written by the layer it belongs to."""
     grad, p_keep = np.empty_like(model.theta), model.config.p_keep
     _, grad_blocks, grad_hw, grad_hb = _views(model.config, grad)
     maps, gates = _arena_rows(model, arena, len(window))
+    if len(window) != arena.rows:
+        raise ValueError(f"backward of {len(window)} windows, but the last forward wrote "
+                         f"{arena.rows}")
     # the last block's output is the head's input
     g_h, grad_hw[...], grad_hb[0] = linear_head_backward(maps[-1, 1], model.head_weights, grad_y)
     for i in reversed(range(len(maps))):  # block 0's input is the data: no gradient

@@ -15,6 +15,7 @@ import tempfile
 import time
 from collections.abc import Iterable
 from dataclasses import dataclass, replace
+from functools import partial
 
 import numpy as np
 
@@ -34,8 +35,6 @@ REPORT_COLUMNS = [
 class LatencyStats:
     mean_s: float
     std_s: float
-    iterations: int
-    warmup: int
 
 
 def _check_latency_args(warmup: int, iterations: int) -> None:
@@ -45,15 +44,15 @@ def _check_latency_args(warmup: int, iterations: int) -> None:
         raise ValueError(f"warmup must be >= 0, got {warmup}")
 
 
-def measure_latency(
-    model: TcnModel, window: np.ndarray, warmup: int = 100, iterations: int = 1000
-) -> LatencyStats:
-    """Wall-clock time of single-window eval-mode predictions.
+def measure_latency(model: TcnModel, warmup: int = 100, iterations: int = 1000) -> LatencyStats:
+    """Wall-clock time of eval-mode ``predict`` on one all-zero float64
+    window of the model's shape, the input ``bench`` and every sweep cell time.
 
     Warm-up passes are run first and excluded; mean and standard deviation
     are over the per-pass timings.
     """
     _check_latency_args(warmup, iterations)
+    window = np.zeros((1, model.config.input_features, model.config.input_window))
     for _ in range(warmup):
         predict(model, window)
     samples = np.empty(iterations)
@@ -61,7 +60,7 @@ def measure_latency(
         t0 = time.perf_counter()
         predict(model, window)
         samples[i] = time.perf_counter() - t0
-    return LatencyStats(float(samples.mean()), float(samples.std()), iterations, warmup)
+    return LatencyStats(float(samples.mean()), float(samples.std()))
 
 
 @dataclass
@@ -75,8 +74,11 @@ class SweepRow:
     latency_ms_std: float = float("nan")
     accuracy_pct: float = float("nan")
     model_path: str = ""
-    failed: bool = False
     error: str = ""
+
+    @property
+    def failed(self) -> bool:
+        return bool(self.error)
 
 
 @dataclass
@@ -115,30 +117,23 @@ class SweepReport:
         return any(r.failed for r in self.rows)
 
 
-def _train_cell(args) -> SweepRow:
-    config, cell_seed, train_cycles, eval_cycles, train_cfg, stride, out_dir = args
+def _train_cell(config: TcnConfig, cell_seed: int, train_cycles, eval_cycles,
+                train_cfg: TrainConfig, stride: int, out_dir: str) -> SweepRow:
     row = SweepRow(stacks=config.stacks, window=config.input_window)
     try:
         row.parameters = parameter_count(config)
         norm = fit_normalization(train_cycles)
         dataset = build_hybrid(train_cycles, norm, config.input_window, stride=stride, seed=cell_seed)
         model = build_model(config, seed=cell_seed)
-        cfg = replace(train_cfg, seed=cell_seed)
-        model, _ = train(model, dataset, cfg)
+        model, _ = train(model, dataset, replace(train_cfg, seed=cell_seed))
 
-        mses, accs = [], []
-        for cycle in eval_cycles:
-            metrics, _ = evaluate(model, cycle, mode="teacher")
-            mses.append(metrics.mse)
-            accs.append(metrics.accuracy_percent)
-        row.mse = float(np.mean(mses))
-        row.accuracy_pct = float(np.mean(accs))
+        scores = [evaluate(model, cycle, mode="teacher")[0] for cycle in eval_cycles]
+        row.mse = float(np.mean([m.mse for m in scores]))
+        row.accuracy_pct = float(np.mean([m.accuracy_percent for m in scores]))
 
         row.model_path = os.path.join(out_dir, f"tcn_s{row.stacks}_w{row.window}.bin")
-        serialize(model, row.model_path)
-        row.file_size_bytes = os.path.getsize(row.model_path)
+        row.file_size_bytes = serialize(model, row.model_path)
     except Exception as exc:  # keep sweeping; the row records the diagnostic
-        row.failed = True
         row.error = f"{type(exc).__name__}: {exc}"
     return row
 
@@ -149,15 +144,13 @@ def run_sweep(
     cycles: Iterable[DriveCycle],
     train_cfg: TrainConfig,
     *,
+    stride: int,
     kernel_size: int = TcnConfig.kernel_size,
     filters: int = TcnConfig.filters,
     p_keep: float = TcnConfig.p_keep,
     protocol: str = "held-out",
-    stride: int = 10,
     out_dir: str | None = None,
     jobs: int = 1,
-    latency_warmup: int = 100,
-    latency_iterations: int = 1000,
 ) -> SweepReport:
     """Train and score one model per (stacks, window) grid cell.
 
@@ -167,8 +160,10 @@ def run_sweep(
     by (window, stacks) ascending. Cells that fail are reported in place
     and the sweep continues. Bad settings, a repeated grid value among them,
     raise before ``cycles`` (any iterable) is read, and too few cycles before
-    any cell trains. Model files go to out_dir, or to a temporary directory
-    removed on return.
+    any cell trains. After training, each cell's model file is read back and
+    timed by ``measure_latency`` at its defaults, one cell after another.
+    Model files go to out_dir; without one they go to a temporary directory
+    removed on return, and every row's ``model_path`` is "".
     """
     if not stack_counts or not window_lengths:
         raise ValueError("stack_counts and window_lengths must be non-empty")
@@ -177,7 +172,6 @@ def run_sweep(
     if jobs < 1:
         raise ValueError(f"jobs must be >= 1, got {jobs}")
     check_stride(stride)
-    _check_latency_args(latency_warmup, latency_iterations)
     configs = [TcnConfig(stacks=s, input_window=w, kernel_size=kernel_size,
                          filters=filters, p_keep=p_keep)
                for w in sorted(window_lengths) for s in sorted(stack_counts)]
@@ -196,28 +190,27 @@ def run_sweep(
     seed_rng = SplitMix64(train_cfg.seed)
     cell_seeds = [int(seed_rng.next_u64()) for _ in configs]
     with (tempfile.TemporaryDirectory(prefix="tcn_sweep_") if out_dir is None
-          else contextlib.nullcontext(out_dir)) as out_dir:
-        os.makedirs(out_dir, exist_ok=True)
-        cell_args = [(config, seed, train_cycles, eval_cycles, train_cfg, stride, out_dir)
-                     for config, seed in zip(configs, cell_seeds)]
+          else contextlib.nullcontext(out_dir)) as directory:
+        os.makedirs(directory, exist_ok=True)
+        cell = partial(_train_cell, train_cycles=train_cycles, eval_cycles=eval_cycles,
+                       train_cfg=train_cfg, stride=stride, out_dir=directory)
         if jobs > 1:
             # imported here: multiprocessing costs every other run memory at import
             from concurrent.futures import ProcessPoolExecutor
 
             with ProcessPoolExecutor(max_workers=jobs) as pool:
-                rows = list(pool.map(_train_cell, cell_args))
+                rows = list(pool.map(cell, configs, cell_seeds))
         else:
-            rows = [_train_cell(a) for a in cell_args]
+            rows = list(map(cell, configs, cell_seeds))
 
         # latency phase: exclusive, sequential, on the serialized artifacts
         for row in rows:
-            if row.failed:
-                continue
-            model = deserialize(row.model_path)
-            sample = np.zeros((1, model.config.input_features, model.config.input_window))
-            stats = measure_latency(model, sample, latency_warmup, latency_iterations)
-            row.latency_ms_mean = stats.mean_s * 1e3
-            row.latency_ms_std = stats.std_s * 1e3
+            if not row.failed:
+                stats = measure_latency(deserialize(row.model_path))
+                row.latency_ms_mean = stats.mean_s * 1e3
+                row.latency_ms_std = stats.std_s * 1e3
+    if out_dir is None:  # the files went with the temporary directory
+        rows = [replace(row, model_path="") for row in rows]
 
     names = cycle_names(cycles)  # numbered over all cycles: held-out eval is the last
     return SweepReport(rows, protocol, names[:len(train_cycles)], names[-len(eval_cycles):])

@@ -359,8 +359,7 @@ def test_criterion_08_sweep_grid_schema_and_latency(tmp_path):
     ]
     report = run_sweep(
         [2, 4, 8], [100, 500], cycles, TrainConfig(epochs=2, seed=7),
-        stride=50, out_dir=str(tmp_path), latency_warmup=20,
-        latency_iterations=200,
+        stride=50, out_dir=str(tmp_path),
     )
     elapsed = time.perf_counter() - t0
 

@@ -1,6 +1,7 @@
 """Tests for the command-line interface (in-process where possible)."""
 
 import argparse
+import inspect
 import subprocess
 import sys
 
@@ -9,11 +10,13 @@ import pytest
 from helpers import written_rows
 
 import tcnsoc.cli
+import tcnsoc.sweep
 import tcnsoc.training
 from tcnsoc.cli import _train_config, build_parser, main
 from tcnsoc.data import DriveCycle, NormalizationParams, load_csv, save_csv
 from tcnsoc.model import TcnConfig, build_model
 from tcnsoc.modelio import deserialize, serialize
+from tcnsoc.sweep import measure_latency
 from tcnsoc.training import TrainConfig
 
 
@@ -272,6 +275,28 @@ def test_sweep_cli_reports_cell_failure(tmp_path, capsys):
     captured = capsys.readouterr()
     assert "FAILED" in captured.out
     assert "failed" in captured.err
+
+
+def test_sweep_cli_passes_every_setting_of_run_sweep(tmp_path, monkeypatch):
+    # a run_sweep setting the CLI never passes is one only tests can set
+    calls = []
+
+    def spy(*args, **kwargs):
+        calls.append(inspect.signature(tcnsoc.sweep.run_sweep).bind(*args, **kwargs))
+        raise ValueError("spied")
+
+    monkeypatch.setattr(tcnsoc.cli, "run_sweep", spy)
+    assert run_cli("sweep", "--data", str(tmp_path / "d.csv")) == 1
+    (bound,) = calls
+    assert list(bound.arguments) == list(inspect.signature(tcnsoc.sweep.run_sweep).parameters)
+
+
+def test_bench_flags_default_to_measure_latency():
+    # a sweep cell is timed as bench times a model by default
+    args = build_parser().parse_args(["bench", "--model", "m.bin"])
+    defaults = inspect.signature(measure_latency).parameters
+    assert (args.warmup, args.iterations) == \
+        (defaults["warmup"].default, defaults["iterations"].default)
 
 
 # ---------------------------------------------------------------- flags

@@ -22,6 +22,7 @@ from helpers import (
 from tcnsoc.data import NormalizationParams, _window_cutter
 from tcnsoc.kernels import _slab_rows
 from tcnsoc.model import (
+    Arena,
     TcnConfig,
     TcnModel,
     backward,
@@ -515,7 +516,8 @@ def test_arena_gives_the_bytes_of_fresh_activations(case, short, train, p_keep):
     rng = SplitMix64(52)
     x = rng.uniform(-1, 1, (rows, 4, cfg.input_window))
     grad_y = rng.uniform(-1, 1, (rows, cfg.input_window))
-    arena = maps, gates = new_arena(m, batch)
+    arena = new_arena(m, batch)
+    maps, gates = arena.maps, arena.gates
     assert maps.shape == (len(m.blocks), 2, batch, cfg.filters, cfg.input_window)
     assert maps.dtype == np.float64
     assert gates.shape == (len(m.blocks), batch, cfg.filters, cfg.input_window)
@@ -554,24 +556,25 @@ def test_backward_reads_the_arena_and_the_window_without_writing_them(case):
     rng = SplitMix64(58)
     x = rng.uniform(-1, 1, (batch - 3, 4, cfg.input_window))
     grad_y = rng.uniform(-1, 1, (len(x), cfg.input_window))
-    arena = maps, gates = new_arena(m, batch)
-    maps.fill(np.nan)
-    gates.fill(True)
+    arena = new_arena(m, batch)
+    arena.maps.fill(np.nan)
+    arena.gates.fill(True)
     forward_with_cache(m, x, SplitMix64(59), arena)
-    before = maps.tobytes(), gates.tobytes(), x.tobytes()
+    before = arena.maps.tobytes(), arena.gates.tobytes(), x.tobytes(), arena.rows
     first = backward(m, x, arena, grad_y)
-    assert (maps.tobytes(), gates.tobytes(), x.tobytes()) == before
+    assert (arena.maps.tobytes(), arena.gates.tobytes(), x.tobytes(), arena.rows) == before
     assert backward(m, x, arena, grad_y).tobytes() == first.tobytes()
 
 
 def test_arena_for_another_block_count_is_refused():
     cfg, batch = BLOCK_CASES["identity-skip"]
     m = build_model(cfg, seed=55)
-    maps, gates = new_arena(m, batch)
+    full = new_arena(m, batch)
+    maps, gates = full.maps, full.gates
     x = np.zeros((batch, 4, cfg.input_window))
-    for arena in ((maps[1:], gates[1:]), (maps, gates[1:]), (maps[1:], gates)):
-        message = (f"arena has maps for {len(arena[0])} blocks and gates for {len(arena[1])}, "
-                   f"but the model has {len(m.blocks)} blocks")
+    for arena in (Arena(maps[1:], gates[1:]), Arena(maps, gates[1:]), Arena(maps[1:], gates)):
+        message = (f"arena has maps for {len(arena.maps)} blocks and gates for "
+                   f"{len(arena.gates)}, but the model has {len(m.blocks)} blocks")
         with pytest.raises(ValueError, match=f"^{message}$"):
             forward_with_cache(m, x, SplitMix64(56), arena)
         with pytest.raises(ValueError, match=f"^{message}$"):
@@ -588,6 +591,28 @@ def test_arena_for_a_smaller_batch_is_refused():
         forward_with_cache(m, x, SplitMix64(56), arena)
     with pytest.raises(ValueError, match=message):
         backward(m, x, arena, np.zeros((batch + 1, cfg.input_window)))
+
+
+def test_backward_of_another_batch_than_the_last_forward_is_refused():
+    # the arena holds 8 windows and the last forward wrote 6: rows 6 and 7 hold
+    # an earlier step's maps, which a backward of 7 windows would read
+    cfg, _ = BLOCK_CASES["identity-skip"]
+    m = build_model(cfg, seed=55)
+    arena = new_arena(m, 8)
+    x = SplitMix64(57).uniform(-1, 1, (8, 4, cfg.input_window))
+
+    def refused(rows, written):
+        with pytest.raises(ValueError, match=f"^backward of {rows} windows, but the last "
+                                             f"forward wrote {written}$"):
+            backward(m, x[:rows], arena, np.ones((rows, cfg.input_window)))
+
+    refused(8, 0)  # a fresh arena has no rows written
+    forward_with_cache(m, x, SplitMix64(56), arena)
+    forward_with_cache(m, x[:6], SplitMix64(56), arena)
+    assert arena.rows == 6
+    refused(7, 6)
+    refused(5, 6)
+    assert np.isfinite(backward(m, x[:6], arena, np.ones((6, cfg.input_window)))).all()
 
 
 def test_backward_builds_no_gradient_for_the_data(monkeypatch):

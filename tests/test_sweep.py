@@ -10,7 +10,7 @@ from helpers import written_rows
 
 import tcnsoc.sweep as sweep_module
 from tcnsoc.data import DEFAULT_CELL, fit_normalization
-from tcnsoc.model import TcnConfig, build_model, parameter_count
+from tcnsoc.model import TcnConfig, build_model, parameter_count, predict
 from tcnsoc.simulate import EcmConfig, generate_profile, simulate_ecm
 from tcnsoc.sweep import REPORT_COLUMNS, measure_latency, run_sweep
 from tcnsoc.training import TrainConfig
@@ -28,10 +28,7 @@ def small_train_cfg(epochs=1, **kw):
 
 def small_sweep(tmp_path, train_config=None, stack_counts=(1,), window_lengths=(20,), **kw):
     cycles = [sim_cycle(seed=0), sim_cycle(seed=1), sim_cycle(seed=2)]
-    defaults = dict(
-        kernel_size=3, filters=3, stride=10, out_dir=str(tmp_path),
-        latency_warmup=2, latency_iterations=20,
-    )
+    defaults = dict(kernel_size=3, filters=3, stride=10, out_dir=str(tmp_path))
     defaults.update(kw)
     return run_sweep(list(stack_counts), list(window_lengths), cycles,
                      train_config or small_train_cfg(), **defaults)
@@ -40,13 +37,17 @@ def small_sweep(tmp_path, train_config=None, stack_counts=(1,), window_lengths=(
 # ---------------------------------------------------------------- latency
 
 
-def test_measure_latency_basic():
+def test_measure_latency_basic(monkeypatch):
     model = build_model(TcnConfig(stacks=1, input_window=20, kernel_size=3,
                                   filters=3), seed=0)
-    window = np.zeros((1, 4, 20))
-    stats = measure_latency(model, window, warmup=2, iterations=30)
-    assert stats.iterations == 30
-    assert stats.warmup == 2
+    windows = []
+    monkeypatch.setattr(sweep_module, "predict",
+                        lambda model, window: windows.append(window) or predict(model, window))
+    stats = measure_latency(model, warmup=2, iterations=30)
+    # one all-zero float64 window of the model's shape, the same for every pass
+    assert len(windows) == 32 and all(w is windows[0] for w in windows)
+    assert windows[0].dtype == np.float64 and windows[0].shape == (1, 4, 20)
+    assert not windows[0].any()
     assert stats.mean_s > 0
     assert stats.std_s >= 0
     assert stats.mean_s < 1.0  # a tiny model predicts in well under a second
@@ -55,11 +56,10 @@ def test_measure_latency_basic():
 def test_measure_latency_validation():
     model = build_model(TcnConfig(stacks=1, input_window=10, kernel_size=2,
                                   filters=2), seed=0)
-    window = np.zeros((1, 4, 10))
     with pytest.raises(ValueError):
-        measure_latency(model, window, iterations=0)
+        measure_latency(model, iterations=0)
     with pytest.raises(ValueError):
-        measure_latency(model, window, warmup=-1)
+        measure_latency(model, warmup=-1)
 
 
 # ---------------------------------------------------------------- sweep
@@ -89,7 +89,6 @@ def test_sweep_rows_sorted_by_window_then_stacks(tmp_path):
     report = run_sweep(
         [2, 1], [30, 20], cycles, small_train_cfg(),
         kernel_size=2, filters=2, stride=10, out_dir=str(tmp_path),
-        latency_warmup=1, latency_iterations=5,
     )
     keys = [(r.window, r.stacks) for r in report.rows]
     assert keys == [(20, 1), (20, 2), (30, 1), (30, 2)]
@@ -119,7 +118,7 @@ def test_sweep_numbers_unnamed_cycles_over_the_whole_list(tmp_path):
     # numbered per list, the held-out cycle took the first training cycle's name
     cycles = [replace(sim_cycle(seed=s), name="") for s in range(3)]
     report = run_sweep([1], [20], cycles, small_train_cfg(), kernel_size=2, filters=2,
-                       stride=10, out_dir=str(tmp_path), latency_warmup=0, latency_iterations=1)
+                       stride=10, out_dir=str(tmp_path))
     assert report.train_cycles == ["cycle0", "cycle1"]
     assert report.eval_cycles == ["cycle2"]
 
@@ -152,7 +151,6 @@ def test_sweep_captures_cell_failures_and_continues(tmp_path):
     report = run_sweep(
         [1], [20, 100_000], cycles, small_train_cfg(),
         kernel_size=2, filters=2, stride=10, out_dir=str(tmp_path),
-        latency_warmup=1, latency_iterations=5,
     )
     ok = [r for r in report.rows if not r.failed]
     bad = [r for r in report.rows if r.failed]
@@ -173,13 +171,13 @@ def test_sweep_parallel_matches_serial(tmp_path):
 def test_sweep_validation():
     cycles = [sim_cycle(seed=0), sim_cycle(seed=1)]
     with pytest.raises(ValueError):
-        run_sweep([], [20], cycles, small_train_cfg())
+        run_sweep([], [20], cycles, small_train_cfg(), stride=10)
     with pytest.raises(ValueError):
-        run_sweep([1], [], cycles, small_train_cfg())
+        run_sweep([1], [], cycles, small_train_cfg(), stride=10)
     with pytest.raises(ValueError):
-        run_sweep([1], [20], cycles, small_train_cfg(), protocol="bogus")
+        run_sweep([1], [20], cycles, small_train_cfg(), stride=10, protocol="bogus")
     with pytest.raises(ValueError):
-        run_sweep([1], [20], [cycles[0]], small_train_cfg(), protocol="held-out")
+        run_sweep([1], [20], [cycles[0]], small_train_cfg(), stride=10, protocol="held-out")
 
 
 def test_sweep_default_out_dir_is_temporary():
@@ -187,16 +185,16 @@ def test_sweep_default_out_dir_is_temporary():
     report = run_sweep(
         [1], [20], cycles, small_train_cfg(),
         kernel_size=2, filters=2, stride=20,
-        latency_warmup=1, latency_iterations=5,
     )
     assert not report.rows[0].failed
-    assert not os.path.exists(report.rows[0].model_path)  # cleaned up
+    assert report.rows[0].model_path == ""  # its file went with the directory
+    assert report.rows[0].file_size_bytes > 0 and report.rows[0].latency_ms_mean > 0
 
 
 @pytest.mark.parametrize("bad, message", [
     (dict(jobs=0), "jobs must be >= 1"),
-    (dict(latency_warmup=-1), "warmup must be >= 0"),
-    (dict(latency_iterations=0), "iterations must be >= 1"),
+    (dict(protocol="bogus"), "protocol must be 'held-out' or 'train-on-all'"),
+    (dict(window_lengths=[]), "must be non-empty"),
     (dict(train=dict(learning_rate=float("nan"))), "learning_rate"),
     (dict(kernel_size=0), "kernel_size"),
     (dict(filters=0), "filters"),
@@ -212,7 +210,7 @@ def test_sweep_rejects_bad_arguments_before_training_a_cell(tmp_path, monkeypatc
     trained = []
     train_cell = sweep_module._train_cell
     monkeypatch.setattr(sweep_module, "_train_cell",
-                        lambda args: trained.append(args) or train_cell(args))
+                        lambda *args, **kw: trained.append(args) or train_cell(*args, **kw))
     kw = dict(bad)
     with pytest.raises(ValueError, match=message):
         small_sweep(tmp_path, small_train_cfg(**kw.pop("train", {})), **kw)
