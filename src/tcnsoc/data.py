@@ -244,6 +244,12 @@ class NormalizationParams:
     def bounds(self, feature: str) -> tuple[float, float]:
         return getattr(self, f"{feature}_min"), getattr(self, f"{feature}_max")
 
+    def scale(self, feature: str, values):
+        """(values - min) / (max - min) for a float or an array, the same IEEE
+        operations on either, so a scaled float equals its array element."""
+        lo, hi = self.bounds(feature)
+        return (values - lo) / (hi - lo)
+
     def as_dict(self) -> dict[str, float]:
         return asdict(self)
 
@@ -269,8 +275,7 @@ def apply_normalization(cycle: DriveCycle, params: NormalizationParams) -> np.nd
     check_labeled(cycle)
     features = np.empty((len(CHANNEL_NAMES), len(cycle)))
     for row, (feature, column) in zip(features, _CHANNEL_COLUMNS.items()):
-        lo, hi = params.bounds(feature)
-        row[:] = (getattr(cycle, column) - lo) / (hi - lo)
+        row[:] = params.scale(feature, getattr(cycle, column))
     return features
 
 

@@ -24,11 +24,10 @@ Splitting draws one raw value from the parent and uses it as the child
 key, so child streams are independent of how much of the parent has been
 consumed afterwards.
 
-The stream is computed two ways, with the same definition and values. A
-scalar draw (``next_u64``, ``spawn``, ``uniform()``) runs mix64 on Python
-integers. An array draw (``_raw``) adds its offset ``k + counter * golden``
-to a table of ``(i + 1) * golden`` built once at import, then mixes that
-fresh array in place.
+Every draw is computed one way, by ``_raw``: it adds its offset
+``k + counter * golden`` to a table of ``(i + 1) * golden`` built once at
+import, then mixes that fresh array in place. A scalar draw (``next_u64``,
+``spawn``, ``uniform()``) is that array at one element.
 """
 
 from __future__ import annotations
@@ -48,12 +47,6 @@ _INV_2_53 = 2.0 ** -53
 # adds its offset to a slice of it; a larger draw computes its own steps
 _STEPS = np.arange(1, 2 ** 16 + 1, dtype=np.uint64) * np.uint64(_GOLDEN)
 _STEPS.setflags(write=False)  # mixing in place must never reach the table
-
-
-def _mix64_int(z: int) -> int:
-    z = ((z ^ (z >> 30)) * _MIX1) & _MASK
-    z = ((z ^ (z >> 27)) * _MIX2) & _MASK
-    return z ^ (z >> 31)
 
 
 def _mix64(z: np.ndarray) -> np.ndarray:
@@ -82,8 +75,7 @@ class SplitMix64:
         return _mix64(steps[:n] + offset)
 
     def next_u64(self) -> int:
-        self.counter += 1
-        return _mix64_int((self.key + self.counter * _GOLDEN) & _MASK)
+        return int(self._raw(1)[0])
 
     def spawn(self) -> "SplitMix64":
         """Independent child stream keyed off the next raw parent value."""
@@ -100,14 +92,13 @@ class SplitMix64:
         return (_mix64(z) >> np.uint64(11)).astype(np.float64) * _INV_2_53
 
     def uniform(self, low: float = 0.0, high: float = 1.0, size=None):
-        """Uniform doubles in [low, high); scalar when size is None, else an
-        array of shape size, against which low and high may broadcast. The
-        scalar is the float the array path gives, in the same order."""
-        if size is None:
-            u = (self.next_u64() >> 11) * _INV_2_53
-            return float(low) + u * float(high - low)
-        u = (self._raw(int(np.prod(size))) >> np.uint64(11)).astype(np.float64) * _INV_2_53
-        return low + u.reshape(size) * (high - low)
+        """Uniform doubles in [low, high): an array of shape size, against
+        which low and high may broadcast, or, when size is None, the one
+        draw of shape () as a Python float."""
+        shape = () if size is None else size
+        u = (self._raw(int(np.prod(shape))) >> np.uint64(11)).astype(np.float64) * _INV_2_53
+        x = low + u.reshape(shape) * (high - low)
+        return x if size is not None else float(x)
 
     def bernoulli(self, p: float, size) -> np.ndarray:
         """Boolean array equal to ``uniform(size=size) < p``, drawn without floats."""

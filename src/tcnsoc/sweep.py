@@ -117,12 +117,11 @@ class SweepReport:
         return any(r.failed for r in self.rows)
 
 
-def _train_cell(config: TcnConfig, cell_seed: int, train_cycles, eval_cycles,
+def _train_cell(config: TcnConfig, cell_seed: int, train_cycles, eval_cycles, norm,
                 train_cfg: TrainConfig, stride: int, out_dir: str) -> SweepRow:
     row = SweepRow(stacks=config.stacks, window=config.input_window)
     try:
         row.parameters = parameter_count(config)
-        norm = fit_normalization(train_cycles)
         dataset = build_hybrid(train_cycles, norm, config.input_window, stride=stride, seed=cell_seed)
         model = build_model(config, seed=cell_seed)
         model, _ = train(model, dataset, replace(train_cfg, seed=cell_seed))
@@ -159,8 +158,9 @@ def run_sweep(
     and averages metrics over evaluations on each of them. Rows are ordered
     by (window, stacks) ascending. Cells that fail are reported in place
     and the sweep continues. Bad settings, a repeated grid value among them,
-    raise before ``cycles`` (any iterable) is read, and too few cycles before
-    any cell trains. After training, each cell's model file is read back and
+    raise before ``cycles`` (any iterable) is read, and too few cycles or
+    unfittable normalization ranges (one fit serves every cell) before any
+    cell trains. After training, each cell's model file is read back and
     timed by ``measure_latency`` at its defaults, one cell after another.
     Model files go to out_dir; without one they go to a temporary directory
     removed on return, and every row's ``model_path`` is "".
@@ -186,6 +186,7 @@ def run_sweep(
         train_cycles, eval_cycles = cycles[:-1], [cycles[-1]]
     else:
         train_cycles = eval_cycles = cycles
+    norm = fit_normalization(train_cycles)
 
     seed_rng = SplitMix64(train_cfg.seed)
     cell_seeds = [int(seed_rng.next_u64()) for _ in configs]
@@ -193,7 +194,7 @@ def run_sweep(
           else contextlib.nullcontext(out_dir)) as directory:
         os.makedirs(directory, exist_ok=True)
         cell = partial(_train_cell, train_cycles=train_cycles, eval_cycles=eval_cycles,
-                       train_cfg=train_cfg, stride=stride, out_dir=directory)
+                       norm=norm, train_cfg=train_cfg, stride=stride, out_dir=directory)
         if jobs > 1:
             # imported here: multiprocessing costs every other run memory at import
             from concurrent.futures import ProcessPoolExecutor

@@ -177,7 +177,6 @@ def evaluate(
         # float32 windows run the model in float32, the precision it is stored in
         preds = _predictions(model, n, _window_cutter(features.astype(np.float32), window))
     else:
-        lo, hi = model.norm.bounds("soc")
         fed = 0  # steps whose prediction is in the features
 
         def diverged(step: int, how: str) -> ValueError:
@@ -190,7 +189,7 @@ def evaluate(
             nonlocal fed
             if not math.isfinite(pred):
                 raise diverged(step, f"to {pred}")
-            features[3, step + window - 1] = (pred - lo) / (hi - lo)
+            features[3, step + window - 1] = model.norm.scale("soc", pred)
             fed = step + 1
 
         # float64: a float32 rounding error would compound through the feedback;

@@ -376,6 +376,11 @@ def test_apply_normalization_maps_to_unit_range():
     assert np.isclose(f.min(), 0.0) and np.isclose(f.max(), 1.0)
     for row in f:
         assert row.min() >= -1e-12 and row.max() <= 1.0 + 1e-12
+    # each row is its channel's scale; a float scales to its array element
+    for row, (name, column) in zip(f, [("voltage", "voltage_v"), ("current", "current_a"),
+                                       ("temperature", "temperature_c"), ("soc", "soc")]):
+        assert row.tobytes() == p.scale(name, getattr(c, column)).tobytes()
+        assert all(p.scale(name, float(x)) == y for x, y in zip(getattr(c, column), row))
 
 
 def test_apply_normalization_does_not_clip():

@@ -70,7 +70,7 @@ def test_scalar_and_vector_draws_agree():
     vec = a.uniform(size=50)
     scalars = np.array([b.uniform() for _ in range(50)])
     assert np.array_equal(vec, scalars)
-    # scalars are computed on Python numbers, arrays in numpy: same floats
+    # int or float bounds: each scalar is a Python float equal to its array draw
     for low, high in ((-2.4, -1.4), (0.0, 2.0 * math.pi), (220.0, 420.0), (1, 4), (-3, 2.5)):
         vec = a.uniform(low, high, size=50)
         scalars = [b.uniform(low, high) for _ in range(50)]

@@ -217,6 +217,22 @@ def test_sweep_rejects_bad_arguments_before_training_a_cell(tmp_path, monkeypatc
     assert trained == []
 
 
+def test_sweep_fits_normalization_once_before_training_a_cell(tmp_path, monkeypatch):
+    # every cell shares the training cycles, so ranges that cannot be fitted
+    # fail the sweep once, not each cell
+    trained = []
+    train_cell = sweep_module._train_cell
+    monkeypatch.setattr(sweep_module, "_train_cell",
+                        lambda *args, **kw: trained.append(args) or train_cell(*args, **kw))
+    cycles = [sim_cycle(seed=s) for s in range(3)]
+    cycles[:2] = [replace(c, temperature_c=np.full_like(c.temperature_c, 25.0))
+                  for c in cycles[:2]]
+    with pytest.raises(ValueError, match="normalization bound temperature_max=25.0 is not above"):
+        run_sweep([1, 2], [20], cycles, small_train_cfg(), kernel_size=2, filters=2,
+                  stride=10, out_dir=str(tmp_path))
+    assert trained == []
+
+
 def test_sweep_removes_its_temporary_directory_on_error(tmp_path, monkeypatch):
     def fail(*args, **kwargs):
         raise RuntimeError("latency failed")
