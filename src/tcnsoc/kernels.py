@@ -6,10 +6,11 @@ All kernels are pure functions of their arguments, except that ``relu`` and
 ``causal_conv_forward`` write into an ``out=`` array when given one,
 training-mode ``dropout`` masks and scales its input in place (a ReLU output
 the model owns), and ``adam_step`` updates the parameter vector and its
-optimizer state in place. Forward kernels compute in the dtype of their input
-(float64, or float32 for inference) and refuse parameters of another dtype
-instead of upcasting; backward kernels run in float64. Sequence tensors are
-rank-3, shaped (batch, channels, time).
+optimizer state in place. The convolution and head kernels compute in the
+dtype of their input (float64, or float32 for inference and for training's
+backward pass) and refuse weights, and in backward an output gradient, of
+another dtype instead of upcasting. Sequence tensors are rank-3, shaped
+(batch, channels, time).
 """
 
 from __future__ import annotations
@@ -62,9 +63,9 @@ class ConvParams:
         return self.weights.shape[2]
 
 
-def _check_dtype(x: np.ndarray, weights: np.ndarray) -> None:
-    if x.dtype != weights.dtype:
-        raise ValueError(f"input dtype {x.dtype} does not match weights dtype {weights.dtype}")
+def _check_dtype(x: np.ndarray, other: np.ndarray, name: str = "weights") -> None:
+    if x.dtype != other.dtype:
+        raise ValueError(f"input dtype {x.dtype} does not match {name} dtype {other.dtype}")
 
 
 def _check_input(x: np.ndarray, params: ConvParams) -> None:
@@ -141,15 +142,15 @@ def causal_conv_backward(
         raise ValueError(
             f"grad_out shape {grad_out.shape} does not match forward output {(b, o, t)}"
         )
+    _check_dtype(x, grad_out, "grad_out")
     k, d = params.kernel_size, params.dilation
     # the sums must not depend on either input's memory layout
     x, grad_out = np.ascontiguousarray(x), np.ascontiguousarray(grad_out)
     grad_bias = grad_out.sum(axis=(0, 2))
     w_t = params.weights.transpose(1, 0, 2).reshape(c, -1)
-    dtype = np.result_type(x, grad_out)
-    rows = _slab_rows(o, k, t, dtype.itemsize)
-    per_row = np.empty((b, o * k, c), dtype)
-    grad_x = np.empty((b, c, t), dtype) if input_grad else None
+    rows = _slab_rows(o, k, t, x.itemsize)
+    per_row = np.empty((b, o * k, c), x.dtype)
+    grad_x = np.empty((b, c, t), x.dtype) if input_grad else None
     for lo in range(0, b, rows):
         s = slice(lo, lo + rows)
         g_taps = _taps(grad_out[s], k, d, causal=False)
@@ -230,6 +231,8 @@ def linear_head_backward(
             f"grad_out shape {grad_out.shape} does not match "
             f"output shape {(x.shape[0], x.shape[2])}"
         )
+    _check_dtype(x, weights)
+    _check_dtype(x, grad_out, "grad_out")
     grad_weights = np.tensordot(grad_out, x, axes=([0, 1], [0, 2]))
     grad_bias = float(grad_out.sum())
     grad_x = weights[None, :, None] * grad_out[:, None, :]

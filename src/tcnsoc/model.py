@@ -192,12 +192,14 @@ def _block_backward(block: ResidualBlock, grad: ResidualBlock, x: np.ndarray, ma
                     input_grad: bool) -> np.ndarray | None:
     """Writes the block's parameter gradients into ``grad``, views into the
     gradient vector, and returns the gradient of its input ``x`` (None without
-    ``input_grad``: ``x`` is the data window), each gate read from the arena."""
+    ``input_grad``: ``x`` is the data window), in ``grad_y``'s dtype, which
+    ``block`` and ``x`` share. Each gate is read from the arena as it is; d1 is
+    cast once for the conv."""
     d1, out = maps
     g_pre = relu_dropout_backward(grad_y, out)
     g_a2 = relu_dropout_backward(g_pre, gate, p_keep)  # a bool gate is its own > 0 test
     g_d1, grad.conv2.weights[...], grad.conv2.bias[...] = \
-        causal_conv_backward(d1, block.conv2, g_a2)
+        causal_conv_backward(d1.astype(grad_y.dtype, copy=False), block.conv2, g_a2)
     g_a1 = relu_dropout_backward(g_d1, d1, p_keep)
     g_x, grad.conv1.weights[...], grad.conv1.bias[...] = \
         causal_conv_backward(x, block.conv1, g_a1, input_grad)
@@ -288,18 +290,31 @@ def forward_with_cache(model: TcnModel, window: np.ndarray, rng: SplitMix64,
 def backward(model: TcnModel, window: np.ndarray, arena: Arena, grad_y: np.ndarray) -> np.ndarray:
     """Gradient of every parameter, read from the ``arena`` and ``window`` of
     the last ``forward_with_cache``: one float64 vector in ``theta``'s layout,
-    each slot written by the layer it belongs to."""
+    each slot written by the layer it belongs to.
+
+    It computes in ``grad_y``'s dtype, as ``forward`` does in its window's: a
+    float32 ``grad_y`` runs through views of one float32 copy of ``theta``,
+    each block's input cast from the float64 arena once; any other runs in
+    float64.
+    """
     grad, p_keep = np.empty_like(model.theta), model.config.p_keep
     _, grad_blocks, grad_hw, grad_hb = _views(model.config, grad)
     maps, gates = _arena_rows(model, arena, len(window))
     if len(window) != arena.rows:
         raise ValueError(f"backward of {len(window)} windows, but the last forward wrote "
                          f"{arena.rows}")
+    if grad_y.dtype == np.float32:
+        _, blocks, head_weights, _ = _views(model.config, model.theta.astype(np.float32))
+    else:
+        grad_y = grad_y.astype(np.float64, copy=False)
+        blocks, head_weights = model.blocks, model.head_weights
+    dtype = grad_y.dtype
     # the last block's output is the head's input
-    g_h, grad_hw[...], grad_hb[0] = linear_head_backward(maps[-1, 1], model.head_weights, grad_y)
+    g_h, grad_hw[...], grad_hb[0] = \
+        linear_head_backward(maps[-1, 1].astype(dtype, copy=False), head_weights, grad_y)
     for i in reversed(range(len(maps))):  # block 0's input is the data: no gradient
-        x = maps[i - 1, 1] if i else window.astype(np.float64, copy=False)
-        g_h = _block_backward(model.blocks[i], grad_blocks[i], x, maps[i], gates[i], g_h,
+        x = (maps[i - 1, 1] if i else window).astype(dtype, copy=False)
+        g_h = _block_backward(blocks[i], grad_blocks[i], x, maps[i], gates[i], g_h,
                               p_keep, i > 0)
     return grad
 

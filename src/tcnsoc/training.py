@@ -79,6 +79,12 @@ def train(
     The dataset is split once (seeded) into train/validation parts. With
     early stopping enabled and a validation split present, the weights of
     the best validation epoch are restored at the end.
+
+    Each step's forward pass and the validation pass run in float64, its
+    backward pass in float32 (a float32 ``grad_y``), and ``theta`` and Adam's
+    moments stay float64 (README, "Precision"). A step that overflows or makes
+    a nan raises a ``ValueError`` naming its epoch and batch, and leaves
+    ``theta`` as the last finite step made it.
     """
     if len(dataset) == 0:
         raise ValueError("dataset is empty")
@@ -114,11 +120,19 @@ def train(
         for i in range(0, len(order), config.batch_size):
             batch = train_idx[order[i:i + config.batch_size]]
             xb, yb = dataset.x[batch], dataset.y[batch]
-            y_full = forward_with_cache(model, xb, dropout_rng, arena)
-            loss, grad_pred = mse_loss(y_full[:, -1], yb)
-            grad_y = np.zeros_like(y_full)
-            grad_y[:, -1] = grad_pred
-            adam_step(model.theta, backward(model, xb, arena, grad_y), state)
+            # an overflow or nan anywhere in the step is divergence; theta keeps the last
+            # finite step, as adam_step writes it last, from an update already computed
+            try:
+                with np.errstate(over="raise", invalid="raise"):
+                    y_full = forward_with_cache(model, xb, dropout_rng, arena)
+                    loss, grad_pred = mse_loss(y_full[:, -1], yb)
+                    # a float32 grad_y runs backward in float32 (README, "Precision")
+                    grad_y = np.zeros(y_full.shape, np.float32)
+                    grad_y[:, -1] = grad_pred
+                    adam_step(model.theta, backward(model, xb, arena, grad_y), state)
+            except FloatingPointError as exc:
+                raise ValueError(f"training diverged in epoch {epoch} at batch "
+                                 f"{i // config.batch_size} ({exc})") from None
             sq_sum += loss * len(batch)
         train_mse = sq_sum / len(train_idx)
 

@@ -2,6 +2,7 @@
 
 import argparse
 import inspect
+import re
 import subprocess
 import sys
 
@@ -162,6 +163,25 @@ def test_train_warns_when_receptive_field_short(tmp_path, capsys):
     )
     assert code == 0  # receptive field 31 < window 250: warn, not fail
     assert "receptive field" in capsys.readouterr().err
+
+
+def test_train_that_diverges_fails_with_no_model_and_no_numpy_warning(tmp_path):
+    # at lr 1e3 the float32 gradients overflow in epoch 0; float64 ones stayed
+    # finite, and the run printed train_mse 1.76e66, wrote the model and exited 0
+    data, model_path = tmp_path / "u.csv", tmp_path / "m.bin"
+    assert run_cli("simulate", "--kind", "urban", "--duration", "120", "--dt", "0.5",
+                   "--seed", "1", "--out", str(data)) == 0
+    proc = subprocess.run(
+        [sys.executable, "-m", "tcnsoc", "train", "--data", str(data), "--out", str(model_path),
+         "--stacks", "1", "--window", "20", "--stride", "2", "--epochs", "3", "--lr", "1e3",
+         "--seed", "1"],
+        capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 1, proc.stderr
+    assert re.search(r"^error: training diverged in epoch 0 at batch 1 "
+                     r"\(overflow encountered in \w+\)$", proc.stderr, re.M), proc.stderr
+    assert "Warning" not in proc.stderr and "epoch   0" not in proc.stderr
+    assert not model_path.exists()
 
 
 # ---------------------------------------------------------------- eval

@@ -155,6 +155,27 @@ def test_forward_rejects_input_of_another_dtype():
         linear_head_forward(x.astype(np.float32), np.ones(2), 0.0)
 
 
+def test_backward_rejects_gradients_and_weights_of_another_dtype():
+    # a mixed pair used to be upcast to float64 without a word
+    x, p64 = random_case(SplitMix64(33), batch=2, in_ch=2, out_ch=3, k=2, d=1, steps=5)
+    p32 = ConvParams(p64.weights.astype(np.float32), p64.bias.astype(np.float32), 1)
+    rng = SplitMix64(34)
+    g, h, w = rng.uniform(-1, 1, (2, 3, 5)), rng.uniform(-1, 1, (2, 5)), np.ones(2)
+    x32, g32, h32, w32 = (a.astype(np.float32) for a in (x, g, h, w))
+    refused = {  # message: the (x, weights, grad_out) of the conv and of the head
+        "float64 does not match grad_out dtype float32": ((x, p64, g32), (x, w, h32)),
+        "float32 does not match grad_out dtype float64": ((x32, p32, g), (x32, w32, h)),
+        "float32 does not match weights dtype float64": ((x32, p64, g32), (x32, w, h32)),
+    }
+    for message, (conv_args, head_args) in refused.items():
+        for kernel, args in ((causal_conv_backward, conv_args), (linear_head_backward, head_args)):
+            with pytest.raises(ValueError, match=f"^input dtype {message}$"):
+                kernel(*args)
+    assert all(a.dtype == np.float32 for a in causal_conv_backward(x32, p32, g32))
+    gx, gw, _ = linear_head_backward(x32, w32, h32)
+    assert gx.dtype == gw.dtype == np.float32
+
+
 def test_forward_rejects_bad_shapes():
     params = init_conv_params(2, 3, 4, 1, SplitMix64(0))
     with pytest.raises(ValueError):
