@@ -226,7 +226,8 @@ def _cmd_eval(args) -> int:
     print(f"mae={metrics.mae!r}")
     print(f"max_error={metrics.max_error!r}")
     print(f"out_of_range={metrics.out_of_range}")
-    print(f"accuracy_pct={metrics.accuracy_percent:.2f}")
+    accuracy = metrics.accuracy_percent  # below 1e15, .2f shows at most a float's 17 digits
+    print(f"accuracy_pct={accuracy:.2f}" if abs(accuracy) < 1e15 else f"accuracy_pct={accuracy!r}")
     if args.trace is not None:
         write_csv(args.trace, ["time_s", "soc_true", "soc_pred"],
                   np.column_stack([trace.time_s, trace.soc_true, trace.soc_pred]).tolist())

@@ -195,13 +195,13 @@ def dropout_backward(
     return grad_out * mask / p_keep
 
 
-def relu_dropout_backward(grad_out: np.ndarray, out: np.ndarray, scale: float = 1.0) -> np.ndarray:
-    """Gradient through ``dropout(relu(a))`` w.r.t. a, read from its output:
-    grad_out * (out > 0) / scale, ``scale`` the p_keep of a drawn mask, else 1.
+def relu_dropout_backward(grad_out: np.ndarray, gate: np.ndarray, scale: float = 1.0) -> np.ndarray:
+    """Gradient through ``out = dropout(relu(a))`` w.r.t. a, from the bool ``gate``
+    out > 0: grad_out * gate / scale, ``scale`` the p_keep of a drawn mask, else 1.
     out > 0 exactly where a > 0 (the subgradient at 0 is 0) and the mask is
     set, as a positive divided by p_keep <= 1 is never 0. The model's backward
     uses it in place of relu_backward and dropout_backward."""
-    grad = grad_out * (out > 0.0)
+    grad = grad_out * gate
     if scale != 1.0:
         grad /= scale
     return grad

@@ -6,8 +6,8 @@ every stack and doubles per block (1, 2, 4, 8 for the default four blocks),
 so every input step stays covered while the receptive field grows
 exponentially with depth. A per-step linear head turns the last block's map
 into the SOC estimate, read at the final step. ``forward`` is inference;
-``forward_with_cache`` trains, with dropout, and keeps nothing per step but
-the arena of block maps and gates that ``backward`` reads with the window.
+``forward_with_cache`` trains, with dropout, and keeps nothing per step but the
+arena of block maps, in the dtype ``backward`` computes in, and bool gates.
 """
 
 from __future__ import annotations
@@ -173,34 +173,35 @@ def _block_forward(block: ResidualBlock, x: np.ndarray) -> np.ndarray:
 
 
 def _block_train(block: ResidualBlock, x: np.ndarray, p_keep: float, rng: SplitMix64,
-                 maps: np.ndarray, gate: np.ndarray) -> np.ndarray:
-    """The block's training output, its maps written into the arena: d1 (the
-    ReLU output masked and scaled in place) and the output in ``maps``. d2,
-    made the same way in the output slot, is kept only as its ``gate`` d2 > 0
-    before the skip is added. Dropout at p_keep 1 is the identity, without a
-    draw."""
-    d1, out = maps
+                 d1: np.ndarray, out: np.ndarray, maps: np.ndarray,
+                 gates: np.ndarray) -> np.ndarray:
+    """The block's training output, computed in the float64 work maps ``d1`` (the
+    ReLU output masked and scaled in place) and ``out``, where d2 is made the same
+    way before the skip is added. ``maps`` keeps d1 and the output in the arena's
+    dtype, ``gates`` d1, d2 and output > 0 read off the float64 values, as a
+    positive float64 can round to float32 0. Dropout at p_keep 1 draws nothing."""
     dropout(relu(kernels.causal_conv_forward(x, block.conv1, out=d1), out=d1), p_keep, rng, True)
     dropout(relu(kernels.causal_conv_forward(d1, block.conv2, out=out), out=out), p_keep, rng, True)
-    np.greater(out, 0.0, out=gate)
+    np.greater(d1, 0.0, out=gates[0])
+    np.greater(out, 0.0, out=gates[1])
     out += x if block.downsample is None else causal_conv_forward(x, block.downsample)
-    return relu(out, out=out)
+    np.greater(relu(out, out=out), 0.0, out=gates[2])
+    maps[0], maps[1] = d1, out
+    return out
 
 
-def _block_backward(block: ResidualBlock, grad: ResidualBlock, x: np.ndarray, maps: np.ndarray,
-                    gate: np.ndarray, grad_y: np.ndarray, p_keep: float,
+def _block_backward(block: ResidualBlock, grad: ResidualBlock, x: np.ndarray, d1: np.ndarray,
+                    gates: np.ndarray, grad_y: np.ndarray, p_keep: float,
                     input_grad: bool) -> np.ndarray | None:
     """Writes the block's parameter gradients into ``grad``, views into the
     gradient vector, and returns the gradient of its input ``x`` (None without
-    ``input_grad``: ``x`` is the data window), in ``grad_y``'s dtype, which
-    ``block`` and ``x`` share. Each gate is read from the arena as it is; d1 is
-    cast once for the conv."""
-    d1, out = maps
-    g_pre = relu_dropout_backward(grad_y, out)
-    g_a2 = relu_dropout_backward(g_pre, gate, p_keep)  # a bool gate is its own > 0 test
+    ``input_grad``: ``x`` is the data window), in the dtype that ``block``,
+    ``x``, ``d1`` and ``grad_y`` share, through the bool ``gates``."""
+    g_pre = relu_dropout_backward(grad_y, gates[2])
+    g_a2 = relu_dropout_backward(g_pre, gates[1], p_keep)
     g_d1, grad.conv2.weights[...], grad.conv2.bias[...] = \
-        causal_conv_backward(d1.astype(grad_y.dtype, copy=False), block.conv2, g_a2)
-    g_a1 = relu_dropout_backward(g_d1, d1, p_keep)
+        causal_conv_backward(d1, block.conv2, g_a2)
+    g_a1 = relu_dropout_backward(g_d1, gates[0], p_keep)
     g_x, grad.conv1.weights[...], grad.conv1.bias[...] = \
         causal_conv_backward(x, block.conv1, g_a1, input_grad)
     g_skip = g_pre
@@ -242,47 +243,53 @@ def forward(model: TcnModel, window: np.ndarray) -> np.ndarray:
 
 @dataclass
 class Arena:
-    """One training step's block maps (README, "Activation arena"): block i's d1
-    and output at ``maps[i, 0..1]``, its gate d2 > 0 at ``gates[i]``, and ``rows``,
-    the number of windows the last ``forward_with_cache`` wrote."""
+    """A training step's maps, views of one allocation (README, "Activation arena"): block
+    i's d1 and output at ``maps[i, 0..1]`` in ``backward``'s dtype, its gates d1, d2, output
+    > 0 at ``gates[i]``, 3 float64 ``work`` maps, and the ``rows`` the last forward wrote."""
 
     maps: np.ndarray
     gates: np.ndarray
+    work: np.ndarray
     rows: int = 0
 
 
-def new_arena(model: TcnModel, batch: int) -> Arena:
-    """An arena for up to ``batch`` windows, its arrays views of one block: that keeps
-    glibc's heap trim threshold (twice the largest block it has unmapped) as high as
-    the arena allows, so at the benchmark's train shape repeated training keeps its
-    heap instead of trimming it and faulting it back."""
-    shape = (len(model.blocks), batch, model.config.filters, model.config.input_window)
-    n = int(np.prod(shape))
-    buffer = np.empty(17 * n, dtype=np.uint8)
-    maps = buffer[:16 * n].view(np.float64).reshape(shape[0], 2, *shape[1:])
-    return Arena(maps, buffer[16 * n:].view(bool).reshape(shape))
+def new_arena(model: TcnModel, batch: int, dtype) -> Arena:
+    """An arena of ``dtype`` maps, float32 or float64, for up to ``batch`` windows, its
+    arrays views of one block: that keeps glibc's heap trim threshold (twice the largest
+    block it has unmapped) as high as the arena allows, so at the benchmark's train shape
+    repeated training keeps its heap instead of trimming it and faulting it back."""
+    if (dtype := np.dtype(dtype)) not in (np.float32, np.float64):
+        raise ValueError(f"arena dtype must be float32 or float64, got {dtype}")
+    shape = (batch, model.config.filters, model.config.input_window)
+    n, blocks = int(np.prod(shape)), len(model.blocks)
+    maps_end = (24 + 2 * dtype.itemsize * blocks) * n  # after 3 float64 work maps
+    buffer = np.empty(maps_end + 3 * blocks * n, dtype=np.uint8)
+    return Arena(buffer[24 * n:maps_end].view(dtype).reshape(blocks, 2, *shape),
+                 buffer[maps_end:].view(bool).reshape(blocks, 3, *shape),
+                 buffer[:24 * n].view(np.float64).reshape(3, *shape))
 
 
 def _arena_rows(model: TcnModel, arena: Arena, rows: int):
-    """Per block, its maps and gate for the first ``rows`` windows."""
+    """Per block, its maps and gates for the first ``rows`` windows, and the work maps."""
     maps, gates = arena.maps, arena.gates
     if len(maps) != len(model.blocks) or len(gates) != len(model.blocks):
         raise ValueError(f"arena has maps for {len(maps)} blocks and gates for {len(gates)}, "
                          f"but the model has {len(model.blocks)} blocks")
     if rows > maps.shape[2]:
         raise ValueError(f"batch of {rows} windows, but the arena holds {maps.shape[2]}")
-    return maps[:, :, :rows], gates[:, :rows]
+    return maps[:, :, :rows], gates[:, :, :rows], arena.work[:, :rows]
 
 
 def forward_with_cache(model: TcnModel, window: np.ndarray, rng: SplitMix64,
                        arena: Arena) -> np.ndarray:
-    """``forward`` in training: float64 whatever the window's dtype, dropout drawn
-    from ``rng`` at ``config.p_keep``, and block i's maps and gate left in the
-    first ``len(window)`` rows of the ``arena`` (``new_arena``) for ``backward``."""
+    """``forward`` in training: float64 whatever the window's dtype, in the arena's work maps
+    (block outputs alternate between two, never over their input), dropout drawn from ``rng``
+    at ``config.p_keep``, and block i's maps and gates left in the ``arena`` for ``backward``."""
     _check_window(model, window)
     h = window.astype(np.float64, copy=False)
-    for block, maps, gate in zip(model.blocks, *_arena_rows(model, arena, len(h))):
-        h = _block_train(block, h, model.config.p_keep, rng, maps, gate)
+    maps, gates, (d1, *outs) = _arena_rows(model, arena, len(h))
+    for i, block in enumerate(model.blocks):
+        h = _block_train(block, h, model.config.p_keep, rng, d1, outs[i % 2], maps[i], gates[i])
     arena.rows = len(h)
     return linear_head_forward(h, model.head_weights, float(model.head_bias[0]))
 
@@ -292,29 +299,22 @@ def backward(model: TcnModel, window: np.ndarray, arena: Arena, grad_y: np.ndarr
     the last ``forward_with_cache``: one float64 vector in ``theta``'s layout,
     each slot written by the layer it belongs to.
 
-    It computes in ``grad_y``'s dtype, as ``forward`` does in its window's: a
-    float32 ``grad_y`` runs through views of one float32 copy of ``theta``,
-    each block's input cast from the float64 arena once; any other runs in
-    float64.
+    It computes in the arena's dtype, reading its maps as they are, through
+    views of ``theta``, the ``window`` and ``grad_y`` cast to it once.
     """
     grad, p_keep = np.empty_like(model.theta), model.config.p_keep
     _, grad_blocks, grad_hw, grad_hb = _views(model.config, grad)
-    maps, gates = _arena_rows(model, arena, len(window))
+    maps, gates, _ = _arena_rows(model, arena, len(window))
     if len(window) != arena.rows:
         raise ValueError(f"backward of {len(window)} windows, but the last forward wrote "
                          f"{arena.rows}")
-    if grad_y.dtype == np.float32:
-        _, blocks, head_weights, _ = _views(model.config, model.theta.astype(np.float32))
-    else:
-        grad_y = grad_y.astype(np.float64, copy=False)
-        blocks, head_weights = model.blocks, model.head_weights
-    dtype = grad_y.dtype
+    _, blocks, head_weights, _ = _views(model.config, model.theta.astype(maps.dtype, copy=False))
     # the last block's output is the head's input
     g_h, grad_hw[...], grad_hb[0] = \
-        linear_head_backward(maps[-1, 1].astype(dtype, copy=False), head_weights, grad_y)
+        linear_head_backward(maps[-1, 1], head_weights, grad_y.astype(maps.dtype, copy=False))
     for i in reversed(range(len(maps))):  # block 0's input is the data: no gradient
-        x = (maps[i - 1, 1] if i else window).astype(dtype, copy=False)
-        g_h = _block_backward(blocks[i], grad_blocks[i], x, maps[i], gates[i], g_h,
+        x = maps[i - 1, 1] if i else window.astype(maps.dtype, copy=False)
+        g_h = _block_backward(blocks[i], grad_blocks[i], x, maps[i, 0], gates[i], g_h,
                               p_keep, i > 0)
     return grad
 

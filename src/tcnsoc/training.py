@@ -81,7 +81,7 @@ def train(
     the best validation epoch are restored at the end.
 
     Each step's forward pass and the validation pass run in float64, its
-    backward pass in float32 (a float32 ``grad_y``), and ``theta`` and Adam's
+    backward pass in float32 (a float32 arena), and ``theta`` and Adam's
     moments stay float64 (README, "Precision"). A step that overflows or makes
     a nan raises a ``ValueError`` naming its epoch and batch, and leaves
     ``theta`` as the last finite step made it.
@@ -107,7 +107,7 @@ def train(
     state = AdamState(np.zeros_like(model.theta), np.zeros_like(model.theta),
                       lr=config.learning_rate)
     dropout_rng = rng.spawn()
-    arena = new_arena(model, min(config.batch_size, len(train_idx)))
+    arena = new_arena(model, min(config.batch_size, len(train_idx)), np.float32)
 
     history: list[EpochStats] = []
     best_val = math.inf
@@ -126,8 +126,7 @@ def train(
                 with np.errstate(over="raise", invalid="raise"):
                     y_full = forward_with_cache(model, xb, dropout_rng, arena)
                     loss, grad_pred = mse_loss(y_full[:, -1], yb)
-                    # a float32 grad_y runs backward in float32 (README, "Precision")
-                    grad_y = np.zeros(y_full.shape, np.float32)
+                    grad_y = np.zeros_like(y_full)
                     grad_y[:, -1] = grad_pred
                     adam_step(model.theta, backward(model, xb, arena, grad_y), state)
             except FloatingPointError as exc:

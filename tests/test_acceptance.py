@@ -110,7 +110,7 @@ def test_criterion_01_gradients_match_finite_differences():
             pytest.fail(f"case {case_no}: no kink-free input found")
         target = rng.uniform(0.0, 1.0, 2)
 
-        arena = new_arena(model, len(x))
+        arena = new_arena(model, len(x), np.float64)
         y = forward_with_cache(model, x, SplitMix64(0), arena)
         _, grad_pred = mse_loss(y[:, -1], target)
         grad_y = np.zeros_like(y)

@@ -232,6 +232,27 @@ def test_eval_closed_loop_mode(tmp_path, capsys):
     assert "accuracy_pct=100.00" in out
 
 
+@pytest.mark.parametrize("accuracy,printed", [
+    (-4.2e266, "-4.2e+266"),  # a closed loop that diverged without overflowing
+    (-123456789012345.67, "-123456789012345.67"),  # 17 digits: still fixed-point
+    (-1234567890123456.8, "-1234567890123456.8"),
+    (99.999, "100.00"),
+])
+def test_eval_prints_no_more_accuracy_digits_than_a_float_has(tmp_path, capsys, monkeypatch,
+                                                              accuracy, printed):
+    model_path, data_path = perfect_model_files(tmp_path)
+    metrics = tcnsoc.training.EvalMetrics(mse=float("inf"), mae=4.2e264,
+                                          accuracy_percent=accuracy, max_error=4.2e264,
+                                          out_of_range=221, n=221)
+    monkeypatch.setattr(tcnsoc.cli, "evaluate", lambda *args, **kwargs: (metrics, None))
+    code = run_cli("eval", "--model", str(model_path), "--data", str(data_path),
+                   "--mode", "closed-loop")
+    assert code == 0
+    lines = dict(line.split("=", 1) for line in capsys.readouterr().out.strip().splitlines())
+    assert lines["accuracy_pct"] == printed
+    assert float(lines["accuracy_pct"]) == pytest.approx(accuracy, rel=1e-16, abs=0.005)
+
+
 def test_eval_corrupt_model_fails(tmp_path, capsys):
     model_path, data_path = perfect_model_files(tmp_path)
     blob = bytearray(model_path.read_bytes())

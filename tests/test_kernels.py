@@ -446,11 +446,11 @@ def test_relu_values():
 
 
 def test_relu_backward_subgradient_zero_at_zero():
-    # the ReLU gradient is the gate read from the ReLU output
+    # the ReLU gradient is the gate out > 0 of the ReLU output
     x = np.array([-1.0, 0.0, 2.0])
     g = np.array([10.0, 10.0, 10.0])
-    assert np.array_equal(relu_dropout_backward(g, relu(x)), [0.0, 0.0, 10.0])
-    assert np.array_equal(relu_dropout_backward(g, relu(x), 0.5), [0.0, 0.0, 20.0])
+    assert np.array_equal(relu_dropout_backward(g, relu(x) > 0), [0.0, 0.0, 10.0])
+    assert np.array_equal(relu_dropout_backward(g, relu(x) > 0, 0.5), [0.0, 0.0, 20.0])
 
 
 def test_relu_backward_finite_difference_away_from_zero():
@@ -462,7 +462,7 @@ def test_relu_backward_finite_difference_away_from_zero():
     def loss():
         return float(np.sum(relu(x) * r))
 
-    assert np.allclose(relu_dropout_backward(r, relu(x)), _fd_grad(loss, x),
+    assert np.allclose(relu_dropout_backward(r, relu(x) > 0), _fd_grad(loss, x),
                        rtol=1e-6, atol=1e-9)
 
 
@@ -482,7 +482,7 @@ def test_dropout_keep_all():
     out = dropout(x, 1.0, SplitMix64(3), train=True)
     assert np.array_equal(out, before)
     g = SplitMix64(4).uniform(-1, 1, (3, 4))
-    assert np.array_equal(relu_dropout_backward(g, out, 1.0), g)
+    assert np.array_equal(relu_dropout_backward(g, out > 0, 1.0), g)
 
 
 def test_dropout_keep_all_draws_no_mask():
@@ -549,15 +549,15 @@ def test_dropout_backward_routes_through_mask():
     out = dropout(x.copy(), 0.6, SplitMix64(9), train=True)
     mask = out != 0
     g = SplitMix64(10).uniform(size=(50, 50))
-    back = relu_dropout_backward(g, out, 0.6)
+    back = relu_dropout_backward(g, out > 0, 0.6)
     assert np.array_equal(back, g * mask / 0.6)
-    assert np.array_equal(relu_dropout_backward(g, x), g)
+    assert np.array_equal(relu_dropout_backward(g, x > 0), g)
 
 
 @pytest.mark.parametrize("p_keep", [0.5, 0.6, 0.9, 1.0])
 @pytest.mark.parametrize("train", [True, False])
 def test_gate_equals_relu_then_dropout_backward(p_keep, train):
-    # the one gate read from the dropout output gives the bytes of the
+    # the one gate d > 0 of the dropout output gives the bytes of the
     # ReLU and dropout gradients applied apart
     rng = SplitMix64(9)
     a = rng.uniform(-1, 1, (32, 8, 100))
@@ -567,7 +567,7 @@ def test_gate_equals_relu_then_dropout_backward(p_keep, train):
     d = dropout(relu(a), p_keep, SplitMix64(13), train)
     assert d.tobytes() == d_want.tobytes()
     want = relu_backward(a, dropout_backward(g, mask, p_keep))
-    got = relu_dropout_backward(g, d, p_keep if train else 1.0)
+    got = relu_dropout_backward(g, d > 0, p_keep if train else 1.0)
     assert np.array_equal(got, want)
     assert got.tobytes() == np.where(want == 0.0, g * 0.0, want).tobytes()
 

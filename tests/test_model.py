@@ -264,7 +264,7 @@ def test_forward_eval_deterministic_and_train_seeded():
     assert np.array_equal(forward(m, x), forward(m, x))
 
     def train_pass(seed):
-        return forward_with_cache(m, x, SplitMix64(seed), new_arena(m, len(x)))
+        return forward_with_cache(m, x, SplitMix64(seed), new_arena(m, len(x), np.float64))
 
     t1, t2, t3 = train_pass(11), train_pass(11), train_pass(12)
     assert np.array_equal(t1, t2)
@@ -288,7 +288,7 @@ def test_inference_draws_no_dropout(monkeypatch):
         forward(m, window)
         predict(m, window)
     assert calls == []
-    forward_with_cache(m, x, SplitMix64(10), new_arena(m, len(x)))
+    forward_with_cache(m, x, SplitMix64(10), new_arena(m, len(x), np.float64))
     assert len(calls) == 2 * len(m.blocks)
 
 
@@ -399,7 +399,7 @@ def test_model_gradients_match_finite_differences():
         p = forward(m, x)[:, -1]
         return float(np.mean((p - target) ** 2))
 
-    arena = new_arena(m, len(x))
+    arena = new_arena(m, len(x), np.float64)
     y = forward_with_cache(m, x, SplitMix64(15), arena)
     diff = y[:, -1] - target
     grad_y = np.zeros_like(y)
@@ -418,7 +418,7 @@ def test_gradients_with_train_mode_dropout_mask():
     x = SplitMix64(22).uniform(-1, 1, (2, 4, 8))
     target = np.array([0.3, 0.6])
 
-    arena = new_arena(m, len(x))
+    arena = new_arena(m, len(x), np.float64)
     y = forward_with_cache(m, x, SplitMix64(23), arena)
     diff = y[:, -1] - target
     grad_y = np.zeros_like(y)
@@ -427,7 +427,7 @@ def test_gradients_with_train_mode_dropout_mask():
 
     # replaying the identical mask stream reproduces the same loss surface
     def loss() -> float:
-        p = forward_with_cache(m, x, SplitMix64(23), new_arena(m, len(x)))[:, -1]
+        p = forward_with_cache(m, x, SplitMix64(23), new_arena(m, len(x), np.float64))[:, -1]
         return float(np.mean((p - target) ** 2))
 
     assert _finite_difference_check(m, grad, loss) == parameter_count(cfg)
@@ -437,7 +437,7 @@ def test_zero_grad_output_gives_zero_param_grads():
     cfg = tiny_config()
     m = build_model(cfg, seed=1)
     x = SplitMix64(2).uniform(-1, 1, (2, 4, cfg.input_window))
-    arena = new_arena(m, len(x))
+    arena = new_arena(m, len(x), np.float64)
     y = forward_with_cache(m, x, SplitMix64(3), arena)
     grad = backward(m, x, arena, np.zeros_like(y))
     assert grad.shape == m.theta.shape and not grad.any()
@@ -492,7 +492,7 @@ def test_gradients_equal_those_of_the_composed_block(case, train, p_keep):
     rng = SplitMix64(34)
     x = rng.uniform(-1, 1, (batch, 4, cfg.input_window))
     grad_y = rng.uniform(-1, 1, (batch, cfg.input_window))
-    arena = new_arena(m, batch)
+    arena = new_arena(m, batch, np.float64)
     y = forward_with_cache(m, x, _stream(train, 35), arena)
     want_y, want_cache = model_forward_composed(m, x, train, _stream(train, 35))
     assert np.array_equal(y, want_y)
@@ -503,23 +503,32 @@ def test_gradients_equal_those_of_the_composed_block(case, train, p_keep):
     assert got.tobytes() == want.tobytes()
 
 
+def _float32_and_float64_gradients(m, x, grad_y, stream):
+    """The gradient of a float32 arena and of a float64 one, each filled by a
+    forward pass of the same dropout ``stream``, and the two arenas."""
+    arenas = [new_arena(m, len(x), dtype) for dtype in (np.float32, np.float64)]
+    for arena in arenas:
+        forward_with_cache(m, x, stream(), arena)
+    return [backward(m, x, arena, grad_y) for arena in arenas], arenas
+
+
 @pytest.mark.parametrize("case,train,p_keep", GRADIENT_CASES)
 def test_float32_gradients_are_within_rounding_of_the_float64_ones(case, train, p_keep):
-    """A float32 grad_y runs backward in float32 against the float64 arena and
-    still returns a float64 vector, against the float64 backward of the same
-    values. Over 20 seeds per case the largest deviation was 1.4e-6 of the
-    largest float64 gradient; the bound is 2e-5."""
+    """A float32 arena runs backward in float32 and still returns a float64
+    vector, against the float64 arena of the same forward pass. Its maps are
+    the float64 ones rounded once, and its gates are the same. Over 20 seeds
+    per case the largest deviation was 1.4e-6 of the largest float64
+    gradient; the bound is 2e-5."""
     cfg, batch = BLOCK_CASES[case]
     m = build_model(replace(cfg, p_keep=p_keep), seed=33)
     rng = SplitMix64(34)
     x = rng.uniform(-1, 1, (batch, 4, cfg.input_window))
-    grad_y = rng.uniform(-1, 1, (batch, cfg.input_window)).astype(np.float32)
-    arena = new_arena(m, batch)
-    forward_with_cache(m, x, _stream(train, 35), arena)
-    before = arena.maps.tobytes(), arena.gates.tobytes()
-    want = backward(m, x, arena, grad_y.astype(np.float64))
-    got = backward(m, x, arena, grad_y)
-    assert (arena.maps.tobytes(), arena.gates.tobytes()) == before
+    grad_y = rng.uniform(-1, 1, (batch, cfg.input_window))
+    (got, want), (arena, arena64) = \
+        _float32_and_float64_gradients(m, x, grad_y, lambda: _stream(train, 35))
+    assert arena.maps.dtype == np.float32 and arena.work.dtype == np.float64
+    assert arena.maps.tobytes() == arena64.maps.astype(np.float32).tobytes()
+    assert arena.gates.tobytes() == arena64.gates.tobytes()
     assert got.dtype == np.float64 and got.shape == m.theta.shape
     # the blocks ran in float32, not on an upcast grad_y (the head is the last F + 1)
     blocks = slice(0, -cfg.filters - 1)
@@ -527,10 +536,33 @@ def test_float32_gradients_are_within_rounding_of_the_float64_ones(case, train, 
     assert np.abs(got - want).max() <= 2e-5 * np.abs(want).max()
 
 
+def test_gates_are_read_off_float64_values_not_float32_maps():
+    """Block 0's d1 is 1e-46 everywhere: positive in float64, 0 in float32.
+    The float32 arena's map reads 0 there, but its d1 > 0 gate is open, so
+    conv1 still gets its gradient, within the float32 bound of the float64
+    arena's. A gate read off the float32 map would give conv1 none."""
+    cfg, batch = BLOCK_CASES["identity-skip"]
+    m = build_model(replace(cfg, p_keep=1.0), seed=33)
+    m.blocks[0].conv1.weights[...] = 0.0
+    m.blocks[0].conv1.bias[...] = 1e-46
+    rng = SplitMix64(34)
+    x = rng.uniform(-1, 1, (batch, 4, cfg.input_window))
+    grad_y = rng.uniform(-1, 1, (batch, cfg.input_window))
+    (got, want), (arena, arena64) = \
+        _float32_and_float64_gradients(m, x, grad_y, lambda: None)
+    assert (arena64.maps[0, 0] == 1e-46).all()
+    assert (arena.maps[0, 0] == 0.0).all()
+    assert arena.gates[0, 0].all()
+    conv1 = slice(0, m.blocks[0].conv1.weights.size + m.blocks[0].conv1.bias.size)
+    assert np.abs(got[conv1]).min() > 0.0
+    assert np.abs(got - want).max() <= 2e-5 * np.abs(want).max()
+
+
 def test_train_runs_backward_in_float32_and_the_rest_in_float64(monkeypatch):
     """At the train benchmark shape every conv backward gets float32 input,
-    gradient and weights, k=8 taps in slabs of 20 rows (10 in float64), while
-    the training forward, its arena and the validation forward stay float64."""
+    gradient and weights, k=8 taps in slabs of 20 rows (10 in float64), from a
+    float32 arena, while the training forward computes in the arena's float64
+    work maps and the validation forward stays float64."""
     cfg, batch = BLOCK_CASES["train-shape"]
     cycle = simulate_ecm(generate_profile("urban", 60.0, 0.1, seed=61), EcmConfig(),
                          DEFAULT_CELL, 0.9, 0.1)
@@ -550,7 +582,7 @@ def test_train_runs_backward_in_float32_and_the_rest_in_float64(monkeypatch):
         return taps(x, k, d, causal)
 
     def spy_train_forward(model, window, rng, arena):
-        seen["train"].add((window.dtype, arena.maps.dtype))
+        seen["train"].add((window.dtype, arena.maps.dtype, arena.work.dtype))
         return train_forward(model, window, rng, arena)
 
     def spy_val_forward(model, window):
@@ -566,7 +598,7 @@ def test_train_runs_backward_in_float32_and_the_rest_in_float64(monkeypatch):
     assert seen["backward"] == {(np.dtype(np.float32),) * 3}
     assert _slab_rows(cfg.filters, cfg.kernel_size, cfg.input_window, 4) == 20
     assert seen["slabs"] == {20, 12, 14}  # 32 rows as 20 + 12, and the batch of 14
-    assert seen["train"] == {(np.dtype(np.float64),) * 2}
+    assert seen["train"] == {(np.dtype(np.float64), np.dtype(np.float32), np.dtype(np.float64))}
     assert seen["validation"] == {np.dtype(np.float64)}
 
 
@@ -582,8 +614,9 @@ ARENA_CASES = [
 
 @pytest.mark.parametrize("case,short,train,p_keep", ARENA_CASES)
 def test_arena_gives_the_bytes_of_fresh_activations(case, short, train, p_keep):
-    """The arena keeps the dropout output d1 and the output of the composed
-    block, and d2 only as its gate d2 > 0, whatever an earlier step left in it."""
+    """A float64 arena keeps the dropout output d1 and the output of the
+    composed block, and the gates d1 > 0, d2 > 0 and output > 0, whatever an
+    earlier step left in it or in the work maps."""
     cfg, batch = BLOCK_CASES[case]
     cfg = replace(cfg, p_keep=p_keep)
     m = build_model(cfg, seed=51)
@@ -591,16 +624,19 @@ def test_arena_gives_the_bytes_of_fresh_activations(case, short, train, p_keep):
     rng = SplitMix64(52)
     x = rng.uniform(-1, 1, (rows, 4, cfg.input_window))
     grad_y = rng.uniform(-1, 1, (rows, cfg.input_window))
-    arena = new_arena(m, batch)
-    maps, gates = arena.maps, arena.gates
+    arena = new_arena(m, batch, np.float64)
+    maps, gates, work = arena.maps, arena.gates, arena.work
     assert maps.shape == (len(m.blocks), 2, batch, cfg.filters, cfg.input_window)
     assert maps.dtype == np.float64
-    assert gates.shape == (len(m.blocks), batch, cfg.filters, cfg.input_window)
+    assert gates.shape == (len(m.blocks), 3, batch, cfg.filters, cfg.input_window)
     assert gates.dtype == np.bool_
+    assert work.shape == (3, batch, cfg.filters, cfg.input_window)
+    assert work.dtype == np.float64
     # one allocation, so that repeated training keeps its heap (README, "Activation arena")
-    assert maps.base is not None and maps.base is gates.base
+    assert maps.base is not None and maps.base is gates.base is work.base
     maps.fill(np.nan)
     gates.fill(True)
+    work.fill(np.nan)
     # a previous full step leaves its maps and gates in every slot
     forward_with_cache(m, rng.uniform(-1, 1, (batch, 4, cfg.input_window)), _stream(train, 54),
                        arena)
@@ -608,8 +644,9 @@ def test_arena_gives_the_bytes_of_fresh_activations(case, short, train, p_keep):
     want_y, (want_caches, head_input) = model_forward_composed(m, x, train, _stream(train, 53))
     assert y.tobytes() == want_y.tobytes()
     assert maps[-1, 1, :rows].tobytes() == head_input.tobytes()
-    # block i reads the window or block i-1's output slot, its own d1 slot and its gate
-    for i, want in enumerate(want_caches):
+    # block i reads the window or block i-1's output slot, its own d1 slot and its gates
+    outputs = [want.x for want in want_caches[1:]] + [head_input]
+    for i, (want, output) in enumerate(zip(want_caches, outputs)):
         block_input = maps[i - 1, 1, :rows] if i else x
         assert block_input.tobytes() == want.x.tobytes(), i
         assert maps[i, 0, :rows].tobytes() == want.d1.tobytes(), i
@@ -617,7 +654,9 @@ def test_arena_gives_the_bytes_of_fresh_activations(case, short, train, p_keep):
         if want.mask2 is not None:
             want_gate &= want.mask2
         assert (want.mask2 is None) == (not train or p_keep == 1.0)
-        assert np.array_equal(gates[i, :rows], want_gate), i
+        assert np.array_equal(gates[i, 0, :rows], want.d1 > 0.0), i
+        assert np.array_equal(gates[i, 1, :rows], want_gate), i
+        assert np.array_equal(gates[i, 2, :rows], output > 0.0), i
     got = backward(m, x, arena, grad_y)
     want = model_backward_composed(m, (want_caches, head_input), grad_y)
     assert got.tobytes() == np.concatenate([g.ravel() for g in want]).tobytes()
@@ -631,23 +670,25 @@ def test_backward_reads_the_arena_and_the_window_without_writing_them(case):
     rng = SplitMix64(58)
     x = rng.uniform(-1, 1, (batch - 3, 4, cfg.input_window))
     grad_y = rng.uniform(-1, 1, (len(x), cfg.input_window))
-    arena = new_arena(m, batch)
-    arena.maps.fill(np.nan)
-    arena.gates.fill(True)
-    forward_with_cache(m, x, SplitMix64(59), arena)
-    before = arena.maps.tobytes(), arena.gates.tobytes(), x.tobytes(), arena.rows
-    first = backward(m, x, arena, grad_y)
-    assert (arena.maps.tobytes(), arena.gates.tobytes(), x.tobytes(), arena.rows) == before
-    assert backward(m, x, arena, grad_y).tobytes() == first.tobytes()
+    for dtype in (np.float32, np.float64):
+        arena = new_arena(m, batch, dtype)
+        arena.maps.fill(np.nan)
+        arena.gates.fill(True)
+        forward_with_cache(m, x, SplitMix64(59), arena)
+        before = arena.maps.tobytes(), arena.gates.tobytes(), x.tobytes(), arena.rows
+        first = backward(m, x, arena, grad_y)
+        assert (arena.maps.tobytes(), arena.gates.tobytes(), x.tobytes(), arena.rows) == before
+        assert backward(m, x, arena, grad_y).tobytes() == first.tobytes()
 
 
 def test_arena_for_another_block_count_is_refused():
     cfg, batch = BLOCK_CASES["identity-skip"]
     m = build_model(cfg, seed=55)
-    full = new_arena(m, batch)
-    maps, gates = full.maps, full.gates
+    full = new_arena(m, batch, np.float32)
+    maps, gates, work = full.maps, full.gates, full.work
     x = np.zeros((batch, 4, cfg.input_window))
-    for arena in (Arena(maps[1:], gates[1:]), Arena(maps, gates[1:]), Arena(maps[1:], gates)):
+    for arena in (Arena(maps[1:], gates[1:], work), Arena(maps, gates[1:], work),
+                  Arena(maps[1:], gates, work)):
         message = (f"arena has maps for {len(arena.maps)} blocks and gates for "
                    f"{len(arena.gates)}, but the model has {len(m.blocks)} blocks")
         with pytest.raises(ValueError, match=f"^{message}$"):
@@ -659,7 +700,7 @@ def test_arena_for_another_block_count_is_refused():
 def test_arena_for_a_smaller_batch_is_refused():
     cfg, batch = BLOCK_CASES["identity-skip"]
     m = build_model(cfg, seed=55)
-    arena = new_arena(m, batch)
+    arena = new_arena(m, batch, np.float32)
     x = np.zeros((batch + 1, 4, cfg.input_window))
     message = f"^batch of {batch + 1} windows, but the arena holds {batch}$"
     with pytest.raises(ValueError, match=message):
@@ -668,12 +709,20 @@ def test_arena_for_a_smaller_batch_is_refused():
         backward(m, x, arena, np.zeros((batch + 1, cfg.input_window)))
 
 
+def test_arena_of_another_dtype_is_refused():
+    m = build_model(BLOCK_CASES["identity-skip"][0], seed=55)
+    for dtype in (np.float16, np.int64, bool):
+        with pytest.raises(ValueError, match=f"^arena dtype must be float32 or float64, "
+                                             f"got {np.dtype(dtype)}$"):
+            new_arena(m, 4, dtype)
+
+
 def test_backward_of_another_batch_than_the_last_forward_is_refused():
     # the arena holds 8 windows and the last forward wrote 6: rows 6 and 7 hold
     # an earlier step's maps, which a backward of 7 windows would read
     cfg, _ = BLOCK_CASES["identity-skip"]
     m = build_model(cfg, seed=55)
-    arena = new_arena(m, 8)
+    arena = new_arena(m, 8, np.float32)
     x = SplitMix64(57).uniform(-1, 1, (8, 4, cfg.input_window))
 
     def refused(rows, written):
@@ -697,7 +746,7 @@ def test_backward_builds_no_gradient_for_the_data(monkeypatch):
     cfg, batch = BLOCK_CASES["train-shape"]
     m = build_model(cfg, seed=36)
     x = SplitMix64(37).uniform(-1, 1, (batch, 4, cfg.input_window))
-    arena = new_arena(m, batch)
+    arena = new_arena(m, batch, np.float64)
     y = forward_with_cache(m, x, SplitMix64(38), arena)
     grad_y = SplitMix64(39).uniform(-1, 1, y.shape)
     want = backward(m, x, arena, grad_y)
@@ -743,7 +792,7 @@ def test_model_leaves_the_window_unchanged_and_takes_a_read_only_one():
         y = forward(m, x)
         assert y.tobytes() == forward(m, np.array(x)).tobytes()
         assert np.array_equal(predict(m, x), y[:, -1])
-        arena = new_arena(m, len(x))
+        arena = new_arena(m, len(x), np.float64)
         out = forward_with_cache(m, x, SplitMix64(44), arena)
         backward(m, x, arena, np.ones_like(out))
         assert x.tobytes() == before

@@ -20,7 +20,7 @@ from tcnsoc.data import (
     make_windows,
 )
 from tcnsoc.kernels import _slab_rows
-from tcnsoc.model import TcnConfig, build_model, predict
+from tcnsoc.model import TcnConfig, build_model, new_arena, predict
 from tcnsoc.modelio import serialize
 from tcnsoc.rng import SplitMix64
 from tcnsoc.simulate import EcmConfig, generate_profile, simulate_ecm
@@ -147,19 +147,20 @@ def test_keep_all_dropout_run_keeps_history_and_model_bytes(monkeypatch, tmp_pat
 
 def test_train_memory_is_one_activation_arena_plus_a_step():
     # the benchmark's train shape. The arena keeps every block's d1 and output
-    # in float64 and its gate d2 > 0 in one byte, 17 bytes per map element.
-    # Fresh copies of d1, d2 and output per step, two steps of them alive at
-    # once, peaked at 10.4 MiB; three float64 maps in the arena, at 6.93 MiB.
-    # Above the arena, a step's transient measured 2.24 MiB with a float64
-    # backward and 1.71 MiB with the float32 one, whose slabs and gradient
-    # maps take half the bytes
+    # in float32 and its gates d1 > 0, d2 > 0 and output > 0 in one byte each,
+    # 11 bytes per map element, plus three float64 work maps of one block:
+    # 2.74 MiB. A float64 arena of d1 and output and one gate, with no work
+    # maps, took 17 bytes per element, 3.32 MiB, and one train() call peaked at
+    # 5.03 MiB, over this bound. Above the arena, a step's transient measured
+    # 1.71 MiB with the float32 backward, whose slabs and gradient maps take
+    # half the bytes of a float64 one
     cycles = [sim_cycle(kind, seed=s, duration=215.0, dt=0.1)
               for s, kind in enumerate(("highway", "aggressive", "urban"))]
     dataset = build_hybrid(cycles, fit_normalization(cycles), 100, stride=20, seed=1)
     cfg = TcnConfig(stacks=2, input_window=100, kernel_size=8, filters=8)
     model = build_model(cfg, seed=1)
     config = TrainConfig(batch_size=32, epochs=1, seed=1, early_stop_patience=0)
-    arena = len(model.blocks) * config.batch_size * cfg.filters * cfg.input_window * 17
+    arena = new_arena(model, config.batch_size, np.float32).maps.base.nbytes
     tracemalloc.start()
     try:
         train(model, dataset, config)
