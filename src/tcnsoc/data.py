@@ -51,9 +51,9 @@ def check_initial_soc(initial_soc: float) -> None:
 
 
 def check_stride(stride: int) -> None:
-    """Refuses a window stride below one sample."""
-    if stride < 1:
-        raise ValueError(f"stride must be >= 1, got {stride}")
+    """Refuses a window stride that is not an integer of at least one sample."""
+    if not is_int(stride) or stride < 1:
+        raise ValueError(f"stride must be an integer >= 1, got {stride!r}")
 
 
 def check_labeled(cycle: DriveCycle) -> None:
@@ -301,16 +301,16 @@ def _window_cutter(features: np.ndarray, window: int):
 
 
 def _window_starts(cycle: DriveCycle, window: int, stride: int) -> np.ndarray:
-    """Start index of every window ``make_windows`` cuts from the cycle."""
-    if window < 1:
-        raise ValueError(f"window must be >= 1, got {window}")
+    """Start index of every window ``make_windows`` indexes in the cycle."""
+    if not is_int(window) or window < 1:
+        raise ValueError(f"window must be an integer >= 1, got {window!r}")
     check_stride(stride)
     n = len(cycle)
     if n < window:
         raise ValueError(
             f"cycle {cycle.name!r} has {n} samples, shorter than window {window}"
         )
-    return np.arange(0, n - window + 1, stride)
+    return np.arange(0, n - window + 1, stride, dtype=np.int64)
 
 
 def cycle_names(cycles: list[DriveCycle]) -> list[str]:
@@ -320,27 +320,44 @@ def cycle_names(cycles: list[DriveCycle]) -> list[str]:
 
 @dataclass
 class WindowedDataset:
-    """Normalized sliding windows with raw-SOC targets at each window's end.
+    """Sliding windows over labeled cycles, cut and normalized when read.
 
-    x: (n, 4, window) with channels (voltage, current, temperature, past SOC);
-    the past-SOC channel is the label shifted one step (teacher forcing).
-    y: (n,) raw SOC fraction at the final step. source/start record each
-    window's origin cycle and start index for provenance audits.
+    Row i is the window of ``window`` samples from ``start[i]`` of
+    ``cycles[source[i]]``, and ``y[i]`` the raw SOC fraction at its final
+    step. The cycles are the caller's, held by reference and not copied: a
+    cycle must not change while a dataset built from it is in use.
     """
 
-    x: np.ndarray
+    cycles: list[DriveCycle]
+    norm: NormalizationParams
+    window: int
     y: np.ndarray
     source: np.ndarray
     start: np.ndarray
-    cycle_names: list[str]
-    norm: NormalizationParams
 
     def __len__(self) -> int:
-        return self.x.shape[0]
+        return len(self.y)
+
+    def windows(self, rows) -> np.ndarray:
+        """The windows of the index array ``rows``, in its order, as a fresh
+        (len(rows), 4, window) float64 array cut as ``_window_cutter`` cuts
+        them: each channel ``norm.scale``d, past SOC the label shifted one step."""
+        source, start = self.source[rows], self.start[rows]
+        x = np.empty((len(start), len(CHANNEL_NAMES), self.window))
+        taps = np.arange(self.window)
+        past = np.maximum(taps - 1, 0)
+        for i, cycle in enumerate(self.cycles):
+            mine = np.flatnonzero(source == i)
+            at, before = start[mine, None] + taps, start[mine, None] + past
+            for channel, (feature, column) in enumerate(_CHANNEL_COLUMNS.items()):
+                samples = before if feature == "soc" else at
+                x[mine, channel] = self.norm.scale(feature, getattr(cycle, column)[samples])
+        return x
 
     @property
-    def window(self) -> int:
-        return self.x.shape[2]
+    def x(self) -> np.ndarray:
+        """Every window, cut afresh on each read: 32 * window bytes a row."""
+        return self.windows(np.arange(len(self)))
 
 
 def make_windows(
@@ -349,19 +366,11 @@ def make_windows(
     window: int,
     stride: int = 1,
 ) -> WindowedDataset:
-    """Slice one cycle into normalized windows starting at 0, stride, 2*stride..."""
+    """Index one cycle's windows, starting at 0, stride, 2*stride..."""
     starts = _window_starts(cycle, window, stride)
-    x = _window_cutter(apply_normalization(cycle, params), window)(slice(0, None, stride))
-
-    y = cycle.soc[starts + window - 1].copy()
-    return WindowedDataset(
-        x=x,
-        y=y,
-        source=np.zeros(len(starts), dtype=np.int64),
-        start=starts.astype(np.int64),
-        cycle_names=cycle_names([cycle]),
-        norm=params,
-    )
+    check_labeled(cycle)
+    return WindowedDataset([cycle], params, window, y=cycle.soc[starts + window - 1],
+                           source=np.zeros(len(starts), dtype=np.int64), start=starts)
 
 
 def build_hybrid(
@@ -371,34 +380,17 @@ def build_hybrid(
     stride: int = 1,
     seed: int = 0,
 ) -> WindowedDataset:
-    """Concatenate per-cycle windows and shuffle deterministically.
+    """Index every cycle's windows and shuffle them deterministically.
 
-    Windows never span cycle boundaries; each sample keeps its source tag
-    and start index. Each cycle's windows are written straight into their
-    shuffled rows, so only one cycle's windows exist besides the result.
+    Windows never span cycle boundaries; each keeps its source tag and
+    start index.
     """
     if not cycles:
         raise ValueError("build_hybrid needs at least one cycle")
-    counts = [len(_window_starts(c, window, stride)) for c in cycles]
+    parts = [make_windows(cycle, params, window, stride) for cycle in cycles]
+    counts = [len(part) for part in parts]
     perm = SplitMix64(seed).permutation(sum(counts))
-    rows = np.empty_like(perm)  # the shuffled row of each window, in cycle order
-    rows[perm] = np.arange(len(perm))
-    x = np.empty((len(perm), 4, window))
-    y = np.empty(len(perm))
-    source = np.empty(len(perm), dtype=np.int64)
-    start = np.empty(len(perm), dtype=np.int64)
-    end = 0
-    for i, (cycle, count) in enumerate(zip(cycles, counts)):
-        part = make_windows(cycle, params, window, stride)
-        dest = rows[end:end + count]
-        x[dest], y[dest], source[dest], start[dest] = part.x, part.y, i, part.start
-        del part  # freed before the next cycle's windows are cut
-        end += count
-    return WindowedDataset(
-        x=x,
-        y=y,
-        source=source,
-        start=start,
-        cycle_names=cycle_names(cycles),
-        norm=params,
-    )
+    return WindowedDataset(list(cycles), params, window,
+                           y=np.concatenate([part.y for part in parts])[perm],
+                           source=np.repeat(np.arange(len(parts)), counts)[perm],
+                           start=np.concatenate([part.start for part in parts])[perm])

@@ -76,6 +76,8 @@ def _parse_header(text: str, path: Path) -> tuple[TcnConfig, NormalizationParams
         key, sep, value = line.partition("=")
         if not sep:
             raise ModelFormatError(f"{path}: malformed header line {line!r}")
+        if key in fields:  # the CRC does not cover the header: no later line overrides
+            raise ModelFormatError(f"{path}: header key {key!r} appears twice")
         fields[key] = value
     try:
         ints = {name: int(fields[name]) for name in CONFIG_INT_FIELDS}

@@ -119,7 +119,7 @@ def train(
         sq_sum = 0.0
         for i in range(0, len(order), config.batch_size):
             batch = train_idx[order[i:i + config.batch_size]]
-            xb, yb = dataset.x[batch], dataset.y[batch]
+            xb, yb = dataset.windows(batch), dataset.y[batch]
             # an overflow or nan anywhere in the step is divergence; theta keeps the last
             # finite step, as adam_step writes it last, from an update already computed
             try:
@@ -137,7 +137,7 @@ def train(
 
         val_mse = math.nan
         if n_val:
-            val_pred = _predictions(model, n_val, lambda rows: dataset.x[val_idx[rows]])
+            val_pred = _predictions(model, n_val, lambda rows: dataset.windows(val_idx[rows]))
             val_mse = float(np.mean((val_pred - y_val) ** 2))
         history.append(EpochStats(epoch, train_mse, val_mse))
 

@@ -1,7 +1,6 @@
 """Tests for CSV I/O, coulomb counting, normalization, and windowing."""
 
 import math
-import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -418,7 +417,7 @@ def test_make_windows_slicing_oracle():
         assert ds.x[w, 3, 0] == feats[3, start]
         assert np.array_equal(ds.x[w, 3, 1:], feats[3, start:start + window - 1])
         assert ds.y[w] == c.soc[start + window - 1]
-    assert np.all(ds.source == 0) and ds.cycle_names == [c.name]
+    assert np.all(ds.source == 0) and len(ds.cycles) == 1 and ds.cycles[0] is c
     assert np.array_equal(ds.start, [0, 3, 6])
 
 
@@ -471,6 +470,20 @@ def test_make_windows_errors():
         make_windows(c, p, window=5, stride=0)
 
 
+@pytest.mark.parametrize("window, stride, named", [
+    (5, True, "stride"), (5, 2.5, "stride"), (5, 2.0, "stride"), (5, "2", "stride"),
+    (2.5, 1, "window"), (True, 1, "window"), (5.0, 1, "window"),
+])
+def test_window_and_stride_must_be_integers(window, stride, named):
+    # stride=True ran as stride 1, and a float window or stride was a numpy TypeError
+    c = toy_cycle(n=10)
+    p = fit_normalization([c])
+    for build in (lambda: make_windows(c, p, window, stride),
+                  lambda: build_hybrid([c], p, window, stride)):
+        with pytest.raises(ValueError, match=f"^{named} must be an integer >= 1, got "):
+            build()
+
+
 def test_build_hybrid_preserves_all_windows():
     cycles = [toy_cycle(n=30, name="a"), toy_cycle(n=24, name="b"),
               toy_cycle(n=40, name="c")]
@@ -481,7 +494,7 @@ def test_build_hybrid_preserves_all_windows():
     pairs = sorted(zip(ds.source.tolist(), ds.start.tolist()))
     want = [(i, s * 4) for i, n in enumerate(per) for s in range(n)]
     assert pairs == want
-    assert ds.cycle_names == ["a", "b", "c"]
+    assert [c.name for c in ds.cycles] == ["a", "b", "c"]
 
 
 def test_build_hybrid_windows_match_their_source():
@@ -515,30 +528,40 @@ def test_build_hybrid_equals_concatenate_then_permute():
     p = fit_normalization(cycles)
     ds = build_hybrid(cycles, p, window=7, stride=2, seed=5)
     parts = [make_windows(c, p, 7, 2) for c in cycles]
+    windows = [part.x for part in parts]  # before retagging: a part holds its cycle as 0
     for i, part in enumerate(parts):
         part.source[:] = i  # the tag build_hybrid gives each cycle's windows
     perm = SplitMix64(5).permutation(len(ds))
     for field in ("x", "y", "source", "start"):
-        want = np.concatenate([getattr(part, field) for part in parts])[perm]
+        want = np.concatenate(windows if field == "x" else
+                              [getattr(part, field) for part in parts])[perm]
         got = getattr(ds, field)
         assert got.dtype == want.dtype and np.array_equal(got, want), field
 
 
-def test_build_hybrid_memory_is_one_dataset_plus_one_cycle():
-    cycles = []
-    for i in range(3):
-        c = toy_cycle(n=2000, name=f"c{i}")
-        c.current_a[:] = c.current_a * (1.0 + 0.1 * i)
-        cycles.append(c)
+@pytest.mark.parametrize("rows", [[5, 0, 17, 3], [4, 4, 9, 4], [], [11]],
+                         ids=["out-of-order", "repeated", "empty", "single"])
+def test_windows_of_rows_equal_those_rows_of_x(rows):
+    cycles = [toy_cycle(n=30, name="a"), toy_cycle(n=24, name="b"),
+              toy_cycle(n=41, name="c")]
+    cycles[1].current_a[:] = cycles[1].current_a * 1.7
+    ds = build_hybrid(cycles, fit_normalization(cycles), window=7, stride=2, seed=5)
+    rows = np.array(rows, dtype=np.int64)
+    assert len(set(ds.source.tolist())) == 3  # rows come from several cycles
+    got = ds.windows(rows)
+    assert got.shape == (len(rows), 4, 7) and got.dtype == np.float64
+    assert got.tobytes() == ds.x[rows].tobytes()
+
+
+def test_dataset_holds_the_cycles_not_their_windows():
+    cycles = [toy_cycle(n=30, name="a"), toy_cycle(n=24, name="b")]
     p = fit_normalization(cycles)
-    tracemalloc.start()
-    try:
-        ds = build_hybrid(cycles, p, window=50, stride=1, seed=3)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    # the result plus one cycle's windows is 4/3 of it; three copies was 3x
-    assert peak < 1.5 * ds.x.nbytes
+    ds = build_hybrid(cycles, p, window=7, stride=1, seed=5)
+    assert all(held is given for held, given in zip(ds.cycles, cycles))
+    assert "x" not in vars(ds)
+    with pytest.raises(AttributeError):
+        ds.x = np.zeros((len(ds), 4, 7))  # x is cut on each read, not stored
+    assert ds.x is not ds.x and np.array_equal(ds.x, ds.x)
 
 
 def test_build_hybrid_needs_cycles():

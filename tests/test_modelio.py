@@ -410,3 +410,23 @@ def test_one_byte_soc_bound_edit_rejected(tmp_path):
     with pytest.raises(ModelFormatError, match=r"m\.bin: bad header value \(normalization "
                        r"bound soc_max=2\.95 is outside the SOC label band"):
         deserialize(path)
+
+
+@pytest.mark.parametrize("line, added", [
+    ("p_keep=0.9\n", "p_keep=0.5\n"),  # loaded with p_keep 0.5: the last value won
+    ("seed=0\n", "seed=0\n"),  # refused even when both values agree
+    ("norm_soc_max=1.0\n", "norm_soc_max=0.9\n"),
+    ("writer=tcn-soc 0.1.0\n", "writer=other\n"),
+])
+def test_repeated_header_key_rejected(tmp_path, line, added):
+    path = tmp_path / "m.bin"
+    serialize(small_model(), path)
+    blob = path.read_bytes()
+    header_len = struct.unpack_from("<I", blob, 8)[0]
+    header = blob[12:12 + header_len].decode()
+    assert header.count(line) == 1
+    bad = header.replace(line, line + added).encode()
+    path.write_bytes(blob[:8] + struct.pack("<I", len(bad)) + bad + blob[12 + header_len:])
+    key = added.partition("=")[0]
+    with pytest.raises(ModelFormatError, match=f"m\\.bin: header key '{key}' appears twice"):
+        deserialize(path)

@@ -3,6 +3,7 @@
 import math
 import re
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -88,10 +89,7 @@ def test_training_seed_changes_result():
 
 def test_training_fits_constant_target():
     _, _, dataset, cfg = tiny_setup()
-    flat = WindowedDataset(
-        x=dataset.x, y=np.full(len(dataset), 0.5), source=dataset.source,
-        start=dataset.start, cycle_names=dataset.cycle_names, norm=dataset.norm,
-    )
+    flat = replace(dataset, y=np.full(len(dataset), 0.5))
     model = build_model(cfg, seed=1)
     _, history = train(
         model,
@@ -170,6 +168,41 @@ def test_train_memory_is_one_activation_arena_plus_a_step():
     assert peak < arena + 2 * 2**20, (peak, arena)
 
 
+def test_build_hybrid_and_an_epoch_hold_no_window_tensor():
+    # three 300 s cycles at stride 1: 8,703 windows, whose (n, 4, 100) float64
+    # tensor is 27.8 MB. Stored in the dataset, it and one cycle's windows
+    # peaked at 37.6 MB. Cut when read, the peak measured 3.4 MiB: the 0.8 MiB
+    # arena, the index, and a validation batch of 163 windows with its forward
+    cycles = [sim_cycle(kind, seed=s, duration=300.0, dt=0.1)
+              for s, kind in enumerate(("highway", "aggressive", "urban"))]
+    model = build_model(TcnConfig(stacks=1, input_window=100), seed=1)
+    config = TrainConfig(batch_size=32, epochs=1, seed=1, early_stop_patience=0)
+    arena = new_arena(model, config.batch_size, np.float32).maps.base.nbytes
+    tracemalloc.start()
+    try:
+        dataset = build_hybrid(cycles, fit_normalization(cycles), 100, stride=1, seed=3)
+        train(model, dataset, config)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(dataset) == 8703
+    assert peak < arena + 4 * 2**20, (peak, arena)
+
+
+def test_train_cuts_its_batches_and_never_reads_the_whole_tensor(monkeypatch):
+    _, _, dataset, cfg = tiny_setup()
+    want = build_model(cfg, seed=4)
+    train(want, dataset, TrainConfig(epochs=2, seed=3))
+
+    def whole_tensor(_):
+        raise AssertionError("train read WindowedDataset.x")
+
+    monkeypatch.setattr(WindowedDataset, "x", property(whole_tensor))
+    model = build_model(cfg, seed=4)
+    train(model, dataset, TrainConfig(epochs=2, seed=3))
+    assert model.theta.tobytes() == want.theta.tobytes()
+
+
 def test_a_diverging_step_stops_training_and_keeps_the_last_finite_weights(monkeypatch):
     # lr 1e3 on one 120 s cycle: a float32 gradient overflows in epoch 0's second
     # step. No numpy warning escapes: pytest turns RuntimeWarning into an error
@@ -230,11 +263,9 @@ def test_train_rejects_window_mismatch():
 
 
 def test_train_rejects_empty_dataset():
-    _, norm, dataset, cfg = tiny_setup()
-    empty = WindowedDataset(
-        x=dataset.x[:0], y=dataset.y[:0], source=dataset.source[:0],
-        start=dataset.start[:0], cycle_names=[], norm=norm,
-    )
+    _, _, dataset, cfg = tiny_setup()
+    empty = replace(dataset, y=dataset.y[:0], source=dataset.source[:0],
+                    start=dataset.start[:0])
     with pytest.raises(ValueError, match="empty"):
         train(build_model(cfg, seed=0), empty, TrainConfig(epochs=1))
 
