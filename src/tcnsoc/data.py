@@ -15,7 +15,6 @@ from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .rng import SplitMix64
 
@@ -279,27 +278,6 @@ def apply_normalization(cycle: DriveCycle, params: NormalizationParams) -> np.nd
     return features
 
 
-def _window_cutter(features: np.ndarray, window: int):
-    """Cut model inputs from a strided view of the (4, n) features: the
-    returned function maps a slice of window starts to a fresh (B, 4, window)
-    array in the dtype of ``features``. Channels 0-2 are copied as they are;
-    past SOC is the label shifted one step, its first element padded with
-    the window's own first value.
-    The view reads ``features``, so feedback written there shows in every
-    window cut afterwards."""
-    view = sliding_window_view(features, window, axis=1)  # (4, n - window + 1, window)
-
-    def cut(starts: slice) -> np.ndarray:
-        part = view[:, starts]
-        x = np.empty((part.shape[1], 4, window), dtype=features.dtype)
-        x[:, :3] = part[:3].transpose(1, 0, 2)
-        x[:, 3, 0] = part[3, :, 0]
-        x[:, 3, 1:] = part[3, :, :-1]
-        return x
-
-    return cut
-
-
 def _window_starts(cycle: DriveCycle, window: int, stride: int) -> np.ndarray:
     """Start index of every window ``make_windows`` indexes in the cycle."""
     if not is_int(window) or window < 1:
@@ -340,8 +318,10 @@ class WindowedDataset:
 
     def windows(self, rows) -> np.ndarray:
         """The windows of the index array ``rows``, in its order, as a fresh
-        (len(rows), 4, window) float64 array cut as ``_window_cutter`` cuts
-        them: each channel ``norm.scale``d, past SOC the label shifted one step."""
+        (len(rows), 4, window) float64 array: each channel ``norm.scale``d from
+        its column, past SOC the label shifted one step, its first element
+        padded with the window's own first label. The cycles are read when the
+        rows are cut, so a label written before a cut shows in it."""
         source, start = self.source[rows], self.start[rows]
         x = np.empty((len(start), len(CHANNEL_NAMES), self.window))
         taps = np.arange(self.window)

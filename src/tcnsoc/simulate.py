@@ -84,8 +84,10 @@ class EcmConfig:
         self.ocv_soc = np.asarray(self.ocv_soc, dtype=np.float64)
         self.ocv_volts = np.asarray(self.ocv_volts, dtype=np.float64)
         for name in ("r0", "r1", "c1", "cooling_tau_s"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be positive, got {getattr(self, name)}")
+            _check_positive(name, getattr(self, name))
+        for name in ("ambient_c", "heat_coeff", "ocv_soc", "ocv_volts"):
+            if not np.isfinite(getattr(self, name)).all():
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)!r}")
         if self.ocv_soc.shape != self.ocv_volts.shape or self.ocv_soc.ndim != 1:
             raise ValueError("ocv_soc and ocv_volts must be 1-D and equal length")
         if np.any(np.diff(self.ocv_soc) <= 0) or np.any(np.diff(self.ocv_volts) <= 0):
@@ -96,7 +98,7 @@ class EcmConfig:
 
 
 def _check_positive(name: str, value: float) -> None:
-    """Refuses a time span (a duration or a step) that is not a finite number > 0."""
+    """Refuses a time span or circuit constant that is not a finite number > 0."""
     if not 0 < value < math.inf:  # refuses NaN too
         raise ValueError(f"{name} must be a finite number > 0, got {value!r}")
 

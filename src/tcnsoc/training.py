@@ -5,17 +5,18 @@ prediction, deterministic for a given seed under single-threaded execution.
 Evaluation slides the model across a labeled cycle at stride 1, either
 teacher-forced (true past SOC in the input, computed in float32) or
 closed-loop (predictions fed back after the first window, in float64).
+Both read their windows through ``WindowedDataset.windows``, as training does.
 """
 
 from __future__ import annotations
 
+import copy
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .data import (DriveCycle, WindowedDataset, _window_cutter, _window_starts,
-                   apply_normalization, is_int, is_real)
+from .data import DriveCycle, WindowedDataset, is_int, is_real, make_windows
 from .kernels import AdamState, _slab_rows, adam_step, mse_loss
 from .model import TcnModel, backward, forward, forward_with_cache, new_arena
 from .rng import SplitMix64
@@ -54,18 +55,19 @@ class EpochStats:
     val_mse: float  # NaN when there is no validation split
 
 
-def _predictions(model: TcnModel, n: int, cut, feed_back=None) -> np.ndarray:
-    """Final-step predictions for n windows, ``cut(rows)`` giving the windows
-    of the slice ``rows``: in batches whose widest activation map, in the
-    windows' dtype, fits one tap slab (README, "Batch slabs"), or one at a
-    time when ``feed_back(step, prediction)`` must run before the next cut."""
-    preds = np.empty(n)
+def _predictions(model: TcnModel, dataset: WindowedDataset, rows: np.ndarray, dtype,
+                 feed_back=None) -> np.ndarray:
+    """Final-step predictions for the windows of ``dataset``'s index array
+    ``rows``, each cut run in ``dtype``: in batches whose widest activation map,
+    in that dtype, fits one tap slab (README, "Batch slabs"), or one at a time
+    when ``feed_back(step, prediction)`` must run before the next cut."""
+    preds = np.empty(len(rows))
     cfg = model.config
     batch = 1 if feed_back is not None else _slab_rows(
-        max(cfg.input_features, cfg.filters), 1, cfg.input_window, cut(slice(0)).itemsize)
-    for i in range(0, n, batch):
-        rows = slice(i, i + batch)
-        preds[rows] = forward(model, cut(rows))[:, -1]
+        max(cfg.input_features, cfg.filters), 1, cfg.input_window, np.dtype(dtype).itemsize)
+    for i in range(0, len(rows), batch):
+        x = dataset.windows(rows[i:i + batch]).astype(dtype, copy=False)
+        preds[i:i + batch] = forward(model, x)[:, -1]
         if feed_back is not None:
             feed_back(i, float(preds[i]))
     return preds
@@ -137,7 +139,7 @@ def train(
 
         val_mse = math.nan
         if n_val:
-            val_pred = _predictions(model, n_val, lambda rows: dataset.windows(val_idx[rows]))
+            val_pred = _predictions(model, dataset, val_idx, np.float64)
             val_mse = float(np.mean((val_pred - y_val) ** 2))
         history.append(EpochStats(epoch, train_mse, val_mse))
 
@@ -178,19 +180,26 @@ class PredictionTrace:
 def evaluate(
     model: TcnModel, cycle: DriveCycle, mode: str = "teacher"
 ) -> tuple[EvalMetrics, PredictionTrace]:
-    """Slide the model over a labeled cycle at stride 1 and score it."""
+    """Slide the model over a labeled cycle at stride 1, cutting its windows
+    through ``WindowedDataset.windows``, and score it. The caller's cycle is only
+    read: the closed loop writes its estimates into a private copy of the labels."""
     if mode not in ("teacher", "closed-loop"):
         raise ValueError(f"mode must be 'teacher' or 'closed-loop', got {mode!r}")
     if model.norm is None:
         raise ValueError("model has no normalization parameters; train it first")
     window = model.config.input_window
-    n = len(_window_starts(cycle, window, 1))  # refuses a cycle shorter than the window
-    features = apply_normalization(cycle, model.norm)
+    dataset = make_windows(cycle, model.norm, window)  # refuses a short or unlabeled cycle
+    rows = np.arange(len(dataset))
     if mode == "teacher":
         # float32 windows run the model in float32, the precision it is stored in
-        preds = _predictions(model, n, _window_cutter(features.astype(np.float32), window))
+        preds = _predictions(model, dataset, rows, np.float32)
     else:
-        fed = 0  # steps whose prediction is in the features
+        # copied, not replaced, so the labels are not checked again: past the
+        # first window the loop reads only the estimates it writes over them
+        own = copy.copy(cycle)
+        own.soc = cycle.soc.copy()
+        dataset.cycles = [own]
+        fed = 0  # steps whose prediction is in the labels
 
         def diverged(step: int, how: str) -> ValueError:
             return ValueError(
@@ -202,20 +211,19 @@ def evaluate(
             nonlocal fed
             if not math.isfinite(pred):
                 raise diverged(step, f"to {pred}")
-            features[3, step + window - 1] = model.norm.scale("soc", pred)
+            own.soc[step + window - 1] = pred  # scaled when the next window is cut
             fed = step + 1
 
         # float64: a float32 rounding error would compound through the feedback;
         # an overflow or nan inside the network is divergence at the step computed
         try:
             with np.errstate(over="raise", invalid="raise"):
-                preds = _predictions(model, n, _window_cutter(features, window), feed_back)
+                preds = _predictions(model, dataset, rows, np.float64, feed_back)
         except FloatingPointError as exc:
             raise diverged(fed, f"({exc})") from None
 
-    truth = cycle.soc[window - 1:]
-    trace = PredictionTrace(cycle.time_s[window - 1:].copy(), truth.copy(), preds)
-    return compute_metrics(preds, truth), trace
+    trace = PredictionTrace(cycle.time_s[window - 1:].copy(), dataset.y, preds)
+    return compute_metrics(preds, dataset.y), trace
 
 
 def compute_metrics(pred: np.ndarray, truth: np.ndarray) -> EvalMetrics:

@@ -23,7 +23,6 @@ from helpers import (
 from tcnsoc.data import (
     DEFAULT_CELL,
     NormalizationParams,
-    _window_cutter,
     fit_normalization,
     make_windows,
 )
@@ -781,12 +780,13 @@ def test_model_leaves_the_window_unchanged_and_takes_a_read_only_one():
     m = build_model(cfg, seed=41)
     assert m.blocks[0].downsample is None  # block 0 adds the window itself
     features = SplitMix64(42).uniform(0, 1, (4, 120))
-    cut = _window_cutter(features, 40)(slice(0, None, 9))
-    frozen = cut.copy()
-    frozen.setflags(write=False)
-    # the read-only strided view that _window_cutter cuts its windows from
+    # every ninth window of a read-only strided view, and a fresh copy of it
     strided = sliding_window_view(features, 40, axis=1).transpose(1, 0, 2)[::9]
     assert not strided.flags.writeable and not strided.flags.c_contiguous
+    cut = np.ascontiguousarray(strided)
+    assert cut.flags.writeable and cut.flags.c_contiguous
+    frozen = cut.copy()
+    frozen.setflags(write=False)
     for x in (cut, cut.astype(np.float32), frozen, strided):
         before = x.tobytes()
         y = forward(m, x)

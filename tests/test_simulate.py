@@ -180,6 +180,26 @@ def test_simulate_input_validation():
         simulate_ecm(np.array([1.0, np.nan]), ecm, DEFAULT_CELL, 0.5, dt=0.1)
     with pytest.raises(ValueError):
         simulate_ecm(np.ones((2, 5)), ecm, DEFAULT_CELL, 0.5, dt=0.1)
+    # a non-finite circuit constant is refused by name, not later as bad telemetry
+    nan, inf = float("nan"), float("inf")
+    for name in ("r0", "r1", "c1", "cooling_tau_s"):
+        for value in (nan, inf):
+            with pytest.raises(ValueError, match=f"{name} must be a finite number > 0, "
+                                                 f"got {value}"):
+                EcmConfig(**{name: value})
+    for name, value in (("ambient_c", nan), ("ambient_c", -inf),
+                        ("heat_coeff", inf), ("heat_coeff", nan)):
+        with pytest.raises(ValueError, match=f"{name} must be finite, got {value}"):
+            EcmConfig(**{name: value})
+    for name in ("ocv_soc", "ocv_volts"):
+        table = getattr(ecm, name).copy()
+        table[5] = nan
+        with pytest.raises(ValueError, match=f"{name} must be finite"):
+            EcmConfig(**{name: table})
+    top = ecm.ocv_soc.copy()
+    top[-1] = inf  # still strictly increasing
+    with pytest.raises(ValueError, match="ocv_soc must be finite"):
+        EcmConfig(ocv_soc=top)
 
 
 def test_ocv_table_shape_and_interp():

@@ -433,6 +433,22 @@ def test_evaluate_closed_loop_matches_a_step_by_step_loop():
     assert np.array_equal(trace.soc_pred, want)
 
 
+@pytest.mark.parametrize("mode", ["teacher", "closed-loop"])
+def test_evaluate_leaves_the_callers_cycle_unchanged(mode):
+    model = untrained_model([sim_cycle(seed=0), sim_cycle(seed=1)])
+    probe = sim_cycle(seed=3)
+    columns = ("time_s", "voltage_v", "current_a", "temperature_c", "soc")
+    before = [getattr(probe, column).tobytes() for column in columns]
+    _, trace = evaluate(model, probe, mode=mode)
+    assert [getattr(probe, column).tobytes() for column in columns] == before
+    assert trace.soc_true.tobytes() == probe.soc[19:].tobytes()
+    assert not np.shares_memory(trace.soc_true, probe.soc)
+    # the estimates differ from the labels, so writing them there would show
+    assert not np.array_equal(trace.soc_pred, trace.soc_true)
+    _, again = evaluate(model, probe, mode=mode)
+    assert again.soc_pred.tobytes() == trace.soc_pred.tobytes()
+
+
 def test_evaluate_teacher_memory_grows_with_the_batch_not_the_cycle():
     model = untrained_model([sim_cycle(seed=0), sim_cycle(seed=1)], window=200)
     n, window = 16000, 200
