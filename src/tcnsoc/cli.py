@@ -24,7 +24,7 @@ from .data import (
     BatterySpec,
     build_hybrid,
     check_initial_soc,
-    check_stride,
+    check_int,
     coulomb_count,
     fit_normalization,
     load_csv,
@@ -190,7 +190,7 @@ def _cmd_train(args) -> int:
                        kernel_size=args.kernel, filters=args.filters,
                        p_keep=args.p_keep)
     train_config = _train_config(args)  # both configs check themselves when built
-    check_stride(args.stride)  # before any file is read or a model fact printed
+    check_int("stride", args.stride, 1)  # before any file is read or a model fact printed
     cycles = list(_load_labeled(args, args.data))
     _info(f"model: {parameter_count(config)} parameters, "
           f"receptive field {receptive_field(config)} samples, "

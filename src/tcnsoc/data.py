@@ -32,9 +32,12 @@ SOC_LABEL_BAND = (-0.01, 1.01)
 _FLOAT_MAX = sys.float_info.max  # every finite float lies within +-_FLOAT_MAX
 
 
-def is_int(value) -> bool:
-    """The rule of integer settings: a bool is an int, but not a count."""
-    return isinstance(value, int) and not isinstance(value, bool)
+def check_int(name: str, value, low: int | None = None) -> None:
+    """The rule of every integer setting: an ``int`` (a bool is one, but not a
+    count; a numpy integer is not one), and at least ``low`` when given."""
+    if isinstance(value, bool) or not isinstance(value, int) or (low is not None and value < low):
+        bound = "" if low is None else f" >= {low}"
+        raise ValueError(f"{name} must be an integer{bound}, got {value!r}")
 
 
 def is_real(value) -> bool:
@@ -44,15 +47,9 @@ def is_real(value) -> bool:
 
 
 def check_initial_soc(initial_soc: float) -> None:
-    """Refuses a starting charge fraction outside [0, 1], NaN included."""
-    if not 0.0 <= initial_soc <= 1.0:
+    """Refuses a starting charge fraction outside [0, 1], NaN and bools included."""
+    if isinstance(initial_soc, (bool, np.bool_)) or not 0.0 <= initial_soc <= 1.0:
         raise ValueError(f"initial_soc must be in [0, 1], got {initial_soc}")
-
-
-def check_stride(stride: int) -> None:
-    """Refuses a window stride that is not an integer of at least one sample."""
-    if not is_int(stride) or stride < 1:
-        raise ValueError(f"stride must be an integer >= 1, got {stride!r}")
 
 
 def check_labeled(cycle: DriveCycle) -> None:
@@ -280,9 +277,8 @@ def apply_normalization(cycle: DriveCycle, params: NormalizationParams) -> np.nd
 
 def _window_starts(cycle: DriveCycle, window: int, stride: int) -> np.ndarray:
     """Start index of every window ``make_windows`` indexes in the cycle."""
-    if not is_int(window) or window < 1:
-        raise ValueError(f"window must be an integer >= 1, got {window!r}")
-    check_stride(stride)
+    check_int("window", window, 1)
+    check_int("stride", stride, 1)
     n = len(cycle)
     if n < window:
         raise ValueError(

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field, fields
 import numpy as np
 
 from . import kernels
-from .data import NormalizationParams, is_int, is_real
+from .data import NormalizationParams, check_int, is_real
 from .kernels import (
     ConvParams,
     causal_conv_backward,
@@ -50,9 +50,7 @@ class TcnConfig:
 
     def __post_init__(self):
         for name in CONFIG_INT_FIELDS:
-            value = getattr(self, name)
-            if not is_int(value) or value < 1:
-                raise ValueError(f"config field {name} must be a positive integer, got {value!r}")
+            check_int(f"config field {name}", getattr(self, name), 1)
         if not is_real(self.p_keep) or not 0.0 < self.p_keep <= 1.0:
             raise ValueError(f"config field p_keep must be a number in (0, 1], got {self.p_keep!r}")
 
@@ -133,6 +131,10 @@ class TcnModel:
     head_bias: np.ndarray = field(init=False, repr=False)  # shape (1,)
 
     def __post_init__(self):
+        # TCN1 stores str(seed): only an int or a numpy integer reads back as itself
+        if isinstance(self.seed, bool) or not isinstance(self.seed, (int, np.integer)):
+            raise ValueError(f"seed must be an int or a numpy integer, not a bool, "
+                             f"got {self.seed!r}")
         theta = self.theta
         if theta.dtype != np.float64 or theta.shape != (parameter_count(self.config),):
             raise ValueError(f"theta is {theta.dtype} {theta.shape}, expected float64 "

@@ -99,7 +99,7 @@ class EcmConfig:
 
 def _check_positive(name: str, value: float) -> None:
     """Refuses a time span or circuit constant that is not a finite number > 0."""
-    if not 0 < value < math.inf:  # refuses NaN too
+    if isinstance(value, (bool, np.bool_)) or not 0 < value < math.inf:  # refuses NaN too
         raise ValueError(f"{name} must be a finite number > 0, got {value!r}")
 
 

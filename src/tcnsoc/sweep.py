@@ -19,7 +19,7 @@ from functools import partial
 
 import numpy as np
 
-from .data import DriveCycle, build_hybrid, check_stride, cycle_names, fit_normalization, write_csv
+from .data import DriveCycle, build_hybrid, check_int, cycle_names, fit_normalization, write_csv
 from .model import TcnConfig, TcnModel, build_model, parameter_count, predict
 from .modelio import deserialize, serialize
 from .rng import SplitMix64
@@ -38,10 +38,8 @@ class LatencyStats:
 
 
 def _check_latency_args(warmup: int, iterations: int) -> None:
-    if iterations < 1:
-        raise ValueError(f"iterations must be >= 1, got {iterations}")
-    if warmup < 0:
-        raise ValueError(f"warmup must be >= 0, got {warmup}")
+    check_int("iterations", iterations, 1)
+    check_int("warmup", warmup, 0)
 
 
 def measure_latency(model: TcnModel, warmup: int = 100, iterations: int = 1000) -> LatencyStats:
@@ -169,9 +167,8 @@ def run_sweep(
         raise ValueError("stack_counts and window_lengths must be non-empty")
     if protocol not in ("held-out", "train-on-all"):
         raise ValueError(f"protocol must be 'held-out' or 'train-on-all', got {protocol!r}")
-    if jobs < 1:
-        raise ValueError(f"jobs must be >= 1, got {jobs}")
-    check_stride(stride)
+    check_int("jobs", jobs, 1)
+    check_int("stride", stride, 1)
     configs = [TcnConfig(stacks=s, input_window=w, kernel_size=kernel_size,
                          filters=filters, p_keep=p_keep)
                for w in sorted(window_lengths) for s in sorted(stack_counts)]

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import DriveCycle, WindowedDataset, is_int, is_real, make_windows
+from .data import DriveCycle, WindowedDataset, check_int, is_real, make_windows
 from .kernels import AdamState, _slab_rows, adam_step, mse_loss
 from .model import TcnModel, backward, forward, forward_with_cache, new_arena
 from .rng import SplitMix64
@@ -37,12 +37,9 @@ class TrainConfig:
         if not is_real(self.learning_rate) or self.learning_rate <= 0:
             raise ValueError(f"learning_rate must be a finite number > 0, "
                              f"got {self.learning_rate!r}")
-        for name, low in (("batch_size", 1), ("epochs", 0), ("early_stop_patience", 0)):
-            value = getattr(self, name)
-            if not is_int(value) or value < low:
-                raise ValueError(f"{name} must be an integer >= {low}, got {value!r}")
-        if not is_int(self.seed):
-            raise ValueError(f"seed must be an integer, got {self.seed!r}")
+        for name, low in (("batch_size", 1), ("epochs", 0), ("early_stop_patience", 0),
+                          ("seed", None)):
+            check_int(name, getattr(self, name), low)
         if not is_real(self.validation_fraction) or not 0.0 <= self.validation_fraction <= 0.5:
             raise ValueError(f"validation_fraction must be a number in [0, 0.5], "
                              f"got {self.validation_fraction!r}")

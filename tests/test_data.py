@@ -1,7 +1,9 @@
 """Tests for CSV I/O, coulomb counting, normalization, and windowing."""
 
+import inspect
 import math
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -15,6 +17,7 @@ from tcnsoc.data import (
     NormalizationParams,
     apply_normalization,
     build_hybrid,
+    check_int,
     coulomb_count,
     fit_normalization,
     load_csv,
@@ -290,8 +293,10 @@ def test_coulomb_rejects_out_of_range():
                                          r"at time_s 36\d\d\.0 is outside \[-0\.01, 1\.01\]: "
                                          r"inconsistent capacity or initial SOC$"):
         coulomb_count(cycle, DEFAULT_CELL, initial_soc=1.0)
-    with pytest.raises(ValueError):
-        coulomb_count(cycle, DEFAULT_CELL, initial_soc=1.5)
+    # initial_soc=True counted from 1.0
+    for value in (1.5, True):
+        with pytest.raises(ValueError, match=rf"^initial_soc must be in \[0, 1\], got {value}$"):
+            coulomb_count(cycle, DEFAULT_CELL, initial_soc=value)
 
 
 def test_coulomb_keeps_input_untouched():
@@ -482,6 +487,16 @@ def test_window_and_stride_must_be_integers(window, stride, named):
                   lambda: build_hybrid([c], p, window, stride)):
         with pytest.raises(ValueError, match=f"^{named} must be an integer >= 1, got "):
             build()
+
+
+def test_the_integer_rule_is_spelled_out_once():
+    # it was written by hand in data, model, training and sweep, and skipped
+    # by jobs, warmup and iterations
+    words = "must be an integer"
+    package = Path(inspect.getfile(check_int)).parent
+    found = {path.name: path.read_text().count(words) for path in package.glob("*.py")}
+    assert {name: n for name, n in found.items() if n} == {"data.py": 1}
+    assert words in inspect.getsource(check_int)
 
 
 def test_build_hybrid_preserves_all_windows():

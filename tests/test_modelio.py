@@ -74,6 +74,27 @@ def test_round_trip_preserves_metadata(tmp_path):
     assert m2.norm == m.norm
 
 
+@pytest.mark.parametrize("seed", [0, -1, 2**64 - 1, np.uint64(2**63 + 5)], ids=str)
+def test_seed_round_trips(tmp_path, seed):
+    path = tmp_path / "m.bin"
+    serialize(small_model(seed=seed), path)
+    assert deserialize(path).seed == seed
+
+
+def test_seed_that_would_not_read_back_is_refused_before_a_file_is_written(tmp_path):
+    # seed=True wrote "seed=True", and deserialize refused the file it wrote
+    path = tmp_path / "m.bin"
+    cfg = TcnConfig(stacks=1, input_window=10, kernel_size=2)
+    theta = build_model(cfg, seed=0).theta
+    message = "^seed must be an int or a numpy integer, not a bool, got "
+    with pytest.raises(ValueError, match=message + "True$"):
+        serialize(build_model(cfg, seed=True), path)
+    for seed in (True, np.True_, 1.5, "1"):
+        with pytest.raises(ValueError, match=message):
+            serialize(TcnModel(cfg, theta.copy(), seed=seed), path)
+    assert not path.exists()
+
+
 def test_none_norm_round_trips_as_untrained(tmp_path):
     m = build_model(TcnConfig(stacks=1, input_window=10, kernel_size=2), seed=0)
     assert m.norm is None

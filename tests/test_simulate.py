@@ -174,6 +174,17 @@ def test_simulate_input_validation():
     assert generate_profile("urban", np.float64(6.0), dt=np.float64(0.1)).size == 60
     with pytest.raises(ValueError):
         simulate_ecm(np.ones(10), ecm, DEFAULT_CELL, 1.5, dt=0.1)
+    # a bool is not a number: dt=True ran at 1 s steps, initial_soc=True at 1.0
+    for value in (True, np.True_):
+        with pytest.raises(ValueError, match=f"dt must be a finite number > 0, got {value!r}"):
+            simulate_ecm(np.ones(10), ecm, DEFAULT_CELL, 0.5, dt=value)
+        with pytest.raises(ValueError, match=f"initial_soc must be in \\[0, 1\\], got {value}"):
+            simulate_ecm(np.ones(10), ecm, DEFAULT_CELL, value, dt=0.1)
+        for name in ("duration", "dt"):
+            with pytest.raises(ValueError, match=f"{name} must be a finite number > 0, got "):
+                generate_profile("urban", **{"duration": 30.0, "dt": 1.0, name: value})
+        with pytest.raises(ValueError, match=f"r0 must be a finite number > 0, got {value!r}"):
+            EcmConfig(r0=value)
     with pytest.raises(ValueError):
         simulate_ecm(np.ones(0), ecm, DEFAULT_CELL, 0.5, dt=0.1)
     with pytest.raises(ValueError):

@@ -26,8 +26,10 @@ def small_train_cfg(epochs=1, **kw):
     return TrainConfig(epochs=epochs, batch_size=16, seed=5, **kw)
 
 
-def small_sweep(tmp_path, train_config=None, stack_counts=(1,), window_lengths=(20,), **kw):
-    cycles = [sim_cycle(seed=0), sim_cycle(seed=1), sim_cycle(seed=2)]
+def small_sweep(tmp_path, train_config=None, stack_counts=(1,), window_lengths=(20,),
+                cycles=None, **kw):
+    if cycles is None:
+        cycles = [sim_cycle(seed=0), sim_cycle(seed=1), sim_cycle(seed=2)]
     defaults = dict(kernel_size=3, filters=3, stride=10, out_dir=str(tmp_path))
     defaults.update(kw)
     return run_sweep(list(stack_counts), list(window_lengths), cycles,
@@ -56,10 +58,14 @@ def test_measure_latency_basic(monkeypatch):
 def test_measure_latency_validation():
     model = build_model(TcnConfig(stacks=1, input_window=10, kernel_size=2,
                                   filters=2), seed=0)
-    with pytest.raises(ValueError):
-        measure_latency(model, iterations=0)
-    with pytest.raises(ValueError):
-        measure_latency(model, warmup=-1)
+    for name, value, low in [("iterations", 0, 1), ("warmup", -1, 0)]:
+        with pytest.raises(ValueError, match=f"^{name} must be an integer >= {low}, got "):
+            measure_latency(model, **{name: value})
+    # True ran as 1, a float raised a bare TypeError, and np.int64 was timed
+    for name in ("warmup", "iterations"):
+        for value in (True, 1.5, np.int64(3)):
+            with pytest.raises(ValueError, match=f"^{name} must be an integer"):
+                measure_latency(model, **{name: value})
 
 
 # ---------------------------------------------------------------- sweep
@@ -192,7 +198,7 @@ def test_sweep_default_out_dir_is_temporary():
 
 
 @pytest.mark.parametrize("bad, message", [
-    (dict(jobs=0), "jobs must be >= 1"),
+    (dict(jobs=0), "jobs must be an integer >= 1"),
     (dict(protocol="bogus"), "protocol must be 'held-out' or 'train-on-all'"),
     (dict(window_lengths=[]), "must be non-empty"),
     (dict(train=dict(learning_rate=float("nan"))), "learning_rate"),
@@ -204,6 +210,9 @@ def test_sweep_default_out_dir_is_temporary():
     (dict(window_lengths=[20, 0]), "input_window"),
     (dict(stack_counts=[1, 2, 1]), "stacks=1 window=20 is listed twice"),
     (dict(stack_counts=[2], window_lengths=[20, 20]), "stacks=2 window=20 is listed twice"),
+    # jobs=True ran one worker; jobs=1.5 read every cycle, then raised a TypeError
+    (dict(jobs=True), "jobs must be an integer >= 1, got True"),
+    (dict(jobs=1.5), "jobs must be an integer >= 1, got 1.5"),
 ])
 def test_sweep_rejects_bad_arguments_before_training_a_cell(tmp_path, monkeypatch,
                                                             bad, message):
@@ -212,9 +221,11 @@ def test_sweep_rejects_bad_arguments_before_training_a_cell(tmp_path, monkeypatc
     monkeypatch.setattr(sweep_module, "_train_cell",
                         lambda *args, **kw: trained.append(args) or train_cell(*args, **kw))
     kw = dict(bad)
+    read = []
+    cycles = (read.append(c) or c for c in [sim_cycle(seed=0), sim_cycle(seed=1)])
     with pytest.raises(ValueError, match=message):
-        small_sweep(tmp_path, small_train_cfg(**kw.pop("train", {})), **kw)
-    assert trained == []
+        small_sweep(tmp_path, small_train_cfg(**kw.pop("train", {})), cycles=cycles, **kw)
+    assert trained == [] and read == []
 
 
 def test_sweep_fits_normalization_once_before_training_a_cell(tmp_path, monkeypatch):
