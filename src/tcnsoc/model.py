@@ -17,7 +17,7 @@ from dataclasses import dataclass, field, fields
 import numpy as np
 
 from . import kernels
-from .data import NormalizationParams, check_int, is_real
+from .data import CHANNEL_NAMES, NormalizationParams, check_int, is_real
 from .kernels import (
     ConvParams,
     causal_conv_backward,
@@ -28,7 +28,7 @@ from .kernels import (
     relu,
     relu_dropout_backward,
 )
-from .rng import SplitMix64
+from .rng import SplitMix64, check_seed
 
 
 @dataclass(frozen=True)
@@ -44,7 +44,7 @@ class TcnConfig:
     input_window: int
     kernel_size: int = 8
     filters: int = 4
-    input_features: int = 4
+    input_features: int = len(CHANNEL_NAMES)
     blocks_per_stack: int = 4
     p_keep: float = 0.9
 
@@ -131,10 +131,7 @@ class TcnModel:
     head_bias: np.ndarray = field(init=False, repr=False)  # shape (1,)
 
     def __post_init__(self):
-        # TCN1 stores str(seed): only an int or a numpy integer reads back as itself
-        if isinstance(self.seed, bool) or not isinstance(self.seed, (int, np.integer)):
-            raise ValueError(f"seed must be an int or a numpy integer, not a bool, "
-                             f"got {self.seed!r}")
+        check_seed(self.seed)  # TCN1 stores str(seed)
         theta = self.theta
         if theta.dtype != np.float64 or theta.shape != (parameter_count(self.config),):
             raise ValueError(f"theta is {theta.dtype} {theta.shape}, expected float64 "

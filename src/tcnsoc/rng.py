@@ -33,7 +33,6 @@ import, then mixes that fresh array in place. A scalar draw (``next_u64``,
 from __future__ import annotations
 
 import math
-import operator
 
 import numpy as np
 
@@ -59,11 +58,18 @@ def _mix64(z: np.ndarray) -> np.ndarray:
     return z
 
 
+def check_seed(seed) -> None:
+    """The rule of every seed: an int or a numpy integer (its str reads back), not a bool."""
+    if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)):
+        raise ValueError(f"seed must be an int or a numpy integer, not a bool, got {seed!r}")
+
+
 class SplitMix64:
     """Counter-based SplitMix64 stream with a documented wire format."""
 
     def __init__(self, seed: int):
-        self.key = operator.index(seed) & _MASK
+        check_seed(seed)
+        self.key = int(seed) & _MASK
         self.counter = 0
 
     def _raw(self, n: int) -> np.ndarray:

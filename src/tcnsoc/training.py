@@ -5,7 +5,8 @@ prediction, deterministic for a given seed under single-threaded execution.
 Evaluation slides the model across a labeled cycle at stride 1, either
 teacher-forced (true past SOC in the input, computed in float32) or
 closed-loop (predictions fed back after the first window, in float64).
-Both read their windows through ``WindowedDataset.windows``, as training does.
+Validation and teacher-forced evaluation predict in batches, the closed loop one
+window per step; all cut their windows through ``WindowedDataset.windows``.
 """
 
 from __future__ import annotations
@@ -52,21 +53,17 @@ class EpochStats:
     val_mse: float  # NaN when there is no validation split
 
 
-def _predictions(model: TcnModel, dataset: WindowedDataset, rows: np.ndarray, dtype,
-                 feed_back=None) -> np.ndarray:
+def _predictions(model: TcnModel, dataset: WindowedDataset, rows: np.ndarray, dtype) -> np.ndarray:
     """Final-step predictions for the windows of ``dataset``'s index array
-    ``rows``, each cut run in ``dtype``: in batches whose widest activation map,
-    in that dtype, fits one tap slab (README, "Batch slabs"), or one at a time
-    when ``feed_back(step, prediction)`` must run before the next cut."""
+    ``rows``, each cut run in ``dtype``, in batches whose widest activation map,
+    in that dtype, fits one tap slab (README, "Batch slabs")."""
     preds = np.empty(len(rows))
     cfg = model.config
-    batch = 1 if feed_back is not None else _slab_rows(
-        max(cfg.input_features, cfg.filters), 1, cfg.input_window, np.dtype(dtype).itemsize)
+    batch = _slab_rows(max(cfg.input_features, cfg.filters), 1, cfg.input_window,
+                       np.dtype(dtype).itemsize)
     for i in range(0, len(rows), batch):
         x = dataset.windows(rows[i:i + batch]).astype(dtype, copy=False)
         preds[i:i + batch] = forward(model, x)[:, -1]
-        if feed_back is not None:
-            feed_back(i, float(preds[i]))
     return preds
 
 
@@ -177,47 +174,45 @@ class PredictionTrace:
 def evaluate(
     model: TcnModel, cycle: DriveCycle, mode: str = "teacher"
 ) -> tuple[EvalMetrics, PredictionTrace]:
-    """Slide the model over a labeled cycle at stride 1, cutting its windows
-    through ``WindowedDataset.windows``, and score it. The caller's cycle is only
-    read: the closed loop writes its estimates into a private copy of the labels."""
+    """Slide the model over a labeled cycle at stride 1 and score it: teacher-forced
+    in float32 batches, or closed-loop one window per step in float64, each estimate
+    written over the label the next window reads as past SOC. The caller's cycle is
+    only read: the closed loop writes into a private copy of the labels."""
     if mode not in ("teacher", "closed-loop"):
         raise ValueError(f"mode must be 'teacher' or 'closed-loop', got {mode!r}")
     if model.norm is None:
         raise ValueError("model has no normalization parameters; train it first")
     window = model.config.input_window
-    dataset = make_windows(cycle, model.norm, window)  # refuses a short or unlabeled cycle
+    own = cycle
+    if mode == "closed-loop" and cycle.soc is not None:
+        # copied, not replaced, so the labels are not checked again: past the
+        # first window the loop reads only the estimates it writes over them
+        own = copy.copy(cycle)
+        own.soc = cycle.soc.copy()
+    dataset = make_windows(own, model.norm, window)  # refuses a short or unlabeled cycle
     rows = np.arange(len(dataset))
     if mode == "teacher":
         # float32 windows run the model in float32, the precision it is stored in
         preds = _predictions(model, dataset, rows, np.float32)
     else:
-        # copied, not replaced, so the labels are not checked again: past the
-        # first window the loop reads only the estimates it writes over them
-        own = copy.copy(cycle)
-        own.soc = cycle.soc.copy()
-        dataset.cycles = [own]
-        fed = 0  # steps whose prediction is in the labels
-
-        def diverged(step: int, how: str) -> ValueError:
-            return ValueError(
-                f"closed-loop prediction diverged {how} at step {step} "
-                f"(t={cycle.time_s[step + window - 1]:g} s) of cycle {cycle.name!r}")
-
-        def feed_back(step: int, pred: float) -> None:
-            # past SOC after the first window is the fed-back prediction, never the label
-            nonlocal fed
-            if not math.isfinite(pred):
-                raise diverged(step, f"to {pred}")
-            own.soc[step + window - 1] = pred  # scaled when the next window is cut
-            fed = step + 1
-
         # float64: a float32 rounding error would compound through the feedback;
-        # an overflow or nan inside the network is divergence at the step computed
+        # an overflow or nan in the cut or the network is divergence at that step
+        preds = np.empty(len(rows))
+        how = None
         try:
             with np.errstate(over="raise", invalid="raise"):
-                preds = _predictions(model, dataset, rows, np.float64, feed_back)
+                for step in rows:
+                    preds[step] = forward(model, dataset.windows(rows[step:step + 1]))[0, -1]
+                    if not math.isfinite(preds[step]):
+                        how = f"to {preds[step]}"
+                        break
+                    own.soc[step + window - 1] = preds[step]  # scaled when the next window is cut
         except FloatingPointError as exc:
-            raise diverged(fed, f"({exc})") from None
+            how = f"({exc})"
+        if how is not None:
+            raise ValueError(
+                f"closed-loop prediction diverged {how} at step {step} "
+                f"(t={cycle.time_s[step + window - 1]:g} s) of cycle {cycle.name!r}")
 
     trace = PredictionTrace(cycle.time_s[window - 1:].copy(), dataset.y, preds)
     return compute_metrics(preds, dataset.y), trace

@@ -7,7 +7,10 @@ import numpy as np
 import pytest
 from helpers import below, permutation_oracle
 
+from tcnsoc.data import DEFAULT_CELL, build_hybrid, fit_normalization
+from tcnsoc.model import TcnConfig, build_model
 from tcnsoc.rng import SplitMix64
+from tcnsoc.simulate import EcmConfig, generate_profile, simulate_ecm
 
 _MASK = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
@@ -260,3 +263,23 @@ def test_uint64_wraparound_seed():
     a = [SplitMix64(2**64 + 3).next_u64() for _ in range(4)]
     b = [SplitMix64(3).next_u64() for _ in range(4)]
     assert a == b
+
+
+def test_every_seed_keeps_one_rule():
+    # SplitMix64(True) ran as seed 1, and a float seed raised a bare TypeError
+    message = "^seed must be an int or a numpy integer, not a bool, got "
+    for seed in (True, np.True_, 1.5, "1", None):
+        with pytest.raises(ValueError, match=message):
+            SplitMix64(seed)
+    with pytest.raises(ValueError, match=message + "True$"):
+        generate_profile("urban", 30.0, seed=True)
+    with pytest.raises(ValueError, match=message + "1.5$"):
+        build_model(TcnConfig(stacks=1, input_window=10, kernel_size=2), seed=1.5)
+    cycle = simulate_ecm(generate_profile("urban", 30.0, seed=1), EcmConfig(), DEFAULT_CELL,
+                         0.9, dt=0.1)
+    with pytest.raises(ValueError, match=message + "True$"):
+        build_hybrid([cycle], fit_normalization([cycle]), 10, seed=True)
+    # negative, full-width and numpy seeds run as their value mod 2**64
+    for seed in (-1, 2**64 - 1, np.uint64(2**63 + 5), np.int64(-7)):
+        assert SplitMix64(seed).key == int(seed) & _MASK
+    assert SplitMix64(-1).next_u64() == SplitMix64(2**64 - 1).next_u64()

@@ -533,20 +533,27 @@ def test_evaluate_teacher_float32_within_tolerance_on_criterion_7_model():
     assert abs(metrics.mae - compute_metrics(want, trace.soc_true).mae) <= tol
 
 
-def test_evaluate_closed_loop_divergence_raises_at_first_non_finite_step():
+@pytest.mark.parametrize("gain, where", [
+    # the estimate overflows when the next window's past SOC is scaled
+    pytest.param(3.0, "(overflow encountered in divide) at step 177 (t=98 s)", id="cut"),
+    # the window is cut, and the estimate overflows inside the network
+    pytest.param(10.0, "(overflow encountered in matmul) at step 136 (t=77.5 s)",
+                 id="network"),
+])
+def test_evaluate_closed_loop_divergence_raises_at_first_non_finite_step(gain, where):
     cycles = [sim_cycle(seed=0), sim_cycle(seed=1)]
     cfg = TcnConfig(stacks=1, input_window=20, kernel_size=3, filters=3,
                     blocks_per_stack=2)
     model = build_model(cfg, seed=2)
     model.norm = fit_normalization(cycles)
     make_positive(model)
-    model.head_weights *= 10.0  # every fed-back estimate grows the next one
+    model.head_weights *= gain  # every fed-back estimate grows the next one
     probe = sim_cycle(seed=3)
-    with pytest.raises(ValueError, match="diverged") as info:
+    with pytest.raises(ValueError) as info:
         evaluate(model, probe, mode="closed-loop")
+    assert str(info.value) == f"closed-loop prediction diverged {where} of cycle 'urban3'"
     step = int(re.search(r"step (\d+)", str(info.value)).group(1))
     assert f"t={probe.time_s[step + 19]:g} s" in str(info.value)
-    assert "urban3" in str(info.value)
 
     # every earlier step is finite: the cycle cut just before it runs through
     cut = type(probe)(*(a[:step + 19] for a in (
@@ -555,6 +562,18 @@ def test_evaluate_closed_loop_divergence_raises_at_first_non_finite_step():
     _, trace = evaluate(model, cut, mode="closed-loop")
     assert len(trace.soc_pred) == step
     assert np.isfinite(trace.soc_pred).all()
+
+
+@pytest.mark.parametrize("bias", [math.inf, math.nan], ids=str)
+def test_evaluate_closed_loop_refuses_a_non_finite_estimate(bias):
+    # with an infinite head bias no float operation overflows, yet the estimate is not finite
+    model = untrained_model([sim_cycle(seed=0), sim_cycle(seed=1)])
+    model.head_bias[0] = bias
+    probe = sim_cycle(seed=3)
+    with pytest.raises(ValueError) as info:
+        evaluate(model, probe, mode="closed-loop")
+    assert str(info.value) == (f"closed-loop prediction diverged to {bias} at step 0 "
+                               f"(t={probe.time_s[19]:g} s) of cycle 'urban3'")
 
 
 def test_evaluate_errors():
