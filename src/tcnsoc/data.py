@@ -47,9 +47,14 @@ def is_real(value) -> bool:
 
 
 def check_initial_soc(initial_soc: float) -> None:
-    """Refuses a starting charge fraction outside [0, 1], NaN and bools included."""
-    if isinstance(initial_soc, (bool, np.bool_)) or not 0.0 <= initial_soc <= 1.0:
-        raise ValueError(f"initial_soc must be in [0, 1], got {initial_soc}")
+    """Refuses a starting charge fraction outside [0, 1], NaN and bools
+    included, and a value that is no number (a str, shown quoted, or None)."""
+    try:
+        if not isinstance(initial_soc, (bool, np.bool_)) and 0.0 <= initial_soc <= 1.0:
+            return
+    except TypeError:  # it does not compare with a number
+        initial_soc = repr(initial_soc)
+    raise ValueError(f"initial_soc must be in [0, 1], got {initial_soc}")
 
 
 def check_labeled(cycle: DriveCycle) -> None:

@@ -11,14 +11,21 @@ dtype of their input (float64, or float32 for inference and for training's
 backward pass) and refuse weights, and in backward an output gradient, of
 another dtype instead of upcasting. Sequence tensors are rank-3, shaped
 (batch, channels, time).
+
+A convolution is one matrix product per batch slab: its layer's (out,
+in*kernel) weight matrix, a view built with the ``ConvParams``, times a tap
+matrix cut from one padded copy of the input. That copy is allocated zeroed,
+which is its pad's only zero pass; the bias column, also a view, is added
+after.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
+from .data import check_int
 from .rng import SplitMix64
 
 
@@ -27,16 +34,22 @@ class ConvParams:
     """Weights of one dilated causal convolution layer.
 
     weights: (out_channels, in_channels, kernel_size), bias: (out_channels,).
-    float32 arrays stay float32; anything else is stored as float64.
+    float32 arrays stay float32; anything else is stored as float64, and
+    weights C-contiguous. ``w2d`` (out_channels, in_channels*kernel_size) and
+    ``bias_col`` (out_channels, 1) are the operands ``causal_conv_forward``
+    multiplies and adds, built once here as views of ``weights`` and ``bias``,
+    so an in-place write to either reaches them.
     """
 
     weights: np.ndarray
     bias: np.ndarray
     dilation: int = 1
+    w2d: np.ndarray = field(init=False, repr=False, compare=False)
+    bias_col: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         dtype = np.float32 if np.asarray(self.weights).dtype == np.float32 else np.float64
-        self.weights = np.asarray(self.weights, dtype=dtype)
+        self.weights = np.ascontiguousarray(self.weights, dtype=dtype)
         self.bias = np.asarray(self.bias, dtype=dtype)
         if self.weights.ndim != 3:
             raise ValueError(f"weights must be rank 3, got shape {self.weights.shape}")
@@ -47,8 +60,9 @@ class ConvParams:
             )
         if self.kernel_size < 1:
             raise ValueError(f"kernel_size must be >= 1, got {self.kernel_size}")
-        if self.dilation < 1:
-            raise ValueError(f"dilation must be >= 1, got {self.dilation}")
+        check_int("dilation", self.dilation, 1)
+        self.w2d = self.weights.reshape(self.out_channels, -1)
+        self.bias_col = self.bias[:, None]
 
     @property
     def out_channels(self) -> int:
@@ -80,16 +94,16 @@ def _check_input(x: np.ndarray, params: ConvParams) -> None:
 
 
 def _taps(x: np.ndarray, kernel_size: int, dilation: int, causal: bool = True) -> np.ndarray:
-    """Tap matrix (batch, channels*kernel, time), rows in the order of
-    ``weights.reshape(out_channels, -1)``: row c*k + j at time t holds
+    """Tap matrix (batch, channels*kernel, time), rows in the order of the
+    columns of ``ConvParams.w2d``: row c*k + j at time t holds
     x[c, t - (k-1-j)*d] (causal) or x[c, t + (k-1-j)*d], and 0 off the ends:
-    one strided view of a fresh copy of x zero-padded in front (causal) or
-    behind, plus one reshape copy."""
+    one strided view of a copy of x padded in front (causal) or behind, plus
+    one reshape copy. The pad's one zero pass is the zeroed allocation, which
+    at batch 1 costs less than an empty one plus a fill of the pad."""
     b, c, t = x.shape
     pad = (kernel_size - 1) * dilation
     front = pad if causal else 0
-    buf = np.empty((b, c, pad + t), dtype=x.dtype)
-    buf[:, :, :front] = buf[:, :, front + t:] = 0.0
+    buf = np.zeros((b, c, pad + t), dtype=x.dtype)
     buf[:, :, front:front + t] = x
     sb, sc, st = buf.strides
     view = np.ndarray((b, c, kernel_size, t), x.dtype, buf, (pad - front) * st,
@@ -112,7 +126,7 @@ def causal_conv_forward(x: np.ndarray, params: ConvParams,
     """y[b,o,t] = bias[o] + sum_{c,j} w[o,c,j] * x[b,c,t-(k-1-j)*d], into ``out`` if given."""
     _check_input(x, params)
     k, d = params.kernel_size, params.dilation
-    w2d = params.weights.reshape(params.out_channels, -1)
+    w2d = params.w2d
     if x.nbytes * k <= _SLAB_BYTES:  # one slab; a cheap test, as every B=1 predict makes it
         taps = _taps(x, k, d)
         out = w2d @ taps if out is None else np.matmul(w2d, taps, out=out)
@@ -124,7 +138,7 @@ def causal_conv_forward(x: np.ndarray, params: ConvParams,
         for lo in range(0, b, rows):
             s = slice(lo, lo + rows)
             np.matmul(w2d, _taps(x[s], k, d), out=out[s])
-    out += params.bias[:, None]
+    out += params.bias_col
     return out
 
 

@@ -86,7 +86,11 @@ class EcmConfig:
         for name in ("r0", "r1", "c1", "cooling_tau_s"):
             _check_positive(name, getattr(self, name))
         for name in ("ambient_c", "heat_coeff", "ocv_soc", "ocv_volts"):
-            if not np.isfinite(getattr(self, name)).all():
+            try:
+                finite = np.isfinite(getattr(self, name)).all()
+            except TypeError:  # a str or None is no number
+                finite = False
+            if not finite:
                 raise ValueError(f"{name} must be finite, got {getattr(self, name)!r}")
         if self.ocv_soc.shape != self.ocv_volts.shape or self.ocv_soc.ndim != 1:
             raise ValueError("ocv_soc and ocv_volts must be 1-D and equal length")
@@ -99,8 +103,12 @@ class EcmConfig:
 
 def _check_positive(name: str, value: float) -> None:
     """Refuses a time span or circuit constant that is not a finite number > 0."""
-    if isinstance(value, (bool, np.bool_)) or not 0 < value < math.inf:  # refuses NaN too
-        raise ValueError(f"{name} must be a finite number > 0, got {value!r}")
+    try:
+        if not isinstance(value, (bool, np.bool_)) and 0 < value < math.inf:  # refuses NaN too
+            return
+    except TypeError:  # a str or None does not compare with a number
+        pass
+    raise ValueError(f"{name} must be a finite number > 0, got {value!r}")
 
 
 def simulate_ecm(

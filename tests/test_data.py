@@ -293,10 +293,15 @@ def test_coulomb_rejects_out_of_range():
                                          r"at time_s 36\d\d\.0 is outside \[-0\.01, 1\.01\]: "
                                          r"inconsistent capacity or initial SOC$"):
         coulomb_count(cycle, DEFAULT_CELL, initial_soc=1.0)
-    # initial_soc=True counted from 1.0
-    for value in (1.5, True):
-        with pytest.raises(ValueError, match=rf"^initial_soc must be in \[0, 1\], got {value}$"):
-            coulomb_count(cycle, DEFAULT_CELL, initial_soc=value)
+
+
+# True counted from 1.0; "0.9" and None raised a bare TypeError
+@pytest.mark.parametrize("value, shown", [(1.5, "1.5"), (True, "True"), ("0.9", "'0.9'"),
+                                          (None, "None")])
+def test_coulomb_refuses_an_initial_soc_outside_the_range(value, shown):
+    cycle = toy_cycle(soc=False)
+    with pytest.raises(ValueError, match=rf"^initial_soc must be in \[0, 1\], got {shown}$"):
+        coulomb_count(cycle, DEFAULT_CELL, initial_soc=value)
 
 
 def test_coulomb_keeps_input_untouched():

@@ -433,8 +433,10 @@ def test_conv_params_validation():
         ConvParams(np.zeros((2, 2)), np.zeros(2))
     with pytest.raises(ValueError):
         ConvParams(np.zeros((2, 2, 3)), np.zeros(3))
-    with pytest.raises(ValueError):
-        ConvParams(np.zeros((2, 2, 3)), np.zeros(2), dilation=0)
+    # 2.0 passed here and failed in the first forward; True ran as dilation 1
+    for dilation in (0, 2.0, True):
+        with pytest.raises(ValueError, match=rf"^dilation must be an integer >= 1, got {dilation}"):
+            ConvParams(np.zeros((2, 2, 3)), np.zeros(2), dilation=dilation)
 
 
 # ---------------------------------------------------------------- relu

@@ -1,5 +1,6 @@
 """Tests for the network assembly: blocks, forward/backward, receptive field."""
 
+import hashlib
 import math
 from dataclasses import FrozenInstanceError, replace
 
@@ -26,7 +27,7 @@ from tcnsoc.data import (
     fit_normalization,
     make_windows,
 )
-from tcnsoc.kernels import _slab_rows
+from tcnsoc.kernels import AdamState, ConvParams, _slab_rows, adam_step, causal_conv_forward
 from tcnsoc.model import (
     Arena,
     TcnConfig,
@@ -222,6 +223,49 @@ def test_predict_is_last_step_of_forward():
     m = build_model(cfg, seed=9)
     x = SplitMix64(1).uniform(-1, 1, (3, 4, cfg.input_window))
     assert np.array_equal(predict(m, x), forward(m, x)[:, -1])
+
+
+# sha256 of forward's output bytes per (stacks, window, filters): one float64
+# window, then a float32 batch of 16 (at W=500 it runs the slab loop)
+INFERENCE_DIGESTS = {
+    (2, 100, 8): ("d83729ba75d7ad5ec6da0f6324f4055891f372a36d143334f2c7149d50d6fb0c",
+                  "63be65a0007c4f20ea3005eac53eed046593f5bf76fd27ffb88e29fb202d927f"),
+    (1, 500, 4): ("a43b967460108bedf960ad935300728ad1a8402b4d633c50d36d134133e3f08a",
+                  "ed190059063de4c87490557bfbb537c150ecbdb8e843120d895350c57978f19a"),
+}
+
+
+@pytest.mark.parametrize("stacks, window, filters", INFERENCE_DIGESTS)
+def test_inference_bytes_are_pinned(stacks, window, filters):
+    m = build_model(TcnConfig(stacks=stacks, input_window=window, filters=filters), seed=stacks)
+    x = SplitMix64(window).uniform(-1, 1, (16, 4, window))
+    digests = INFERENCE_DIGESTS[stacks, window, filters]
+    for xd, digest in zip((x[:1], x.astype(np.float32)), digests):
+        y = forward(m, xd)
+        assert y.dtype == xd.dtype and y.shape == (len(xd), window)
+        assert hashlib.sha256(y.astype(y.dtype.newbyteorder("<")).tobytes()).hexdigest() == digest
+        assert predict(m, xd).tobytes() == y[:, -1].tobytes()
+
+
+def test_layer_operands_follow_in_place_writes():
+    # each ConvParams multiplies by w2d and adds bias_col, views built with the layer:
+    # an Adam step on theta and a write to one bias must reach the next forward
+    cfg = TcnConfig(stacks=2, input_window=100, filters=8)
+    m = build_model(cfg, seed=2)
+    x = SplitMix64(3).uniform(-1, 1, (1, 4, cfg.input_window))
+    before = forward(m, x)
+    state = AdamState(np.zeros_like(m.theta), np.zeros_like(m.theta), lr=0.05)
+    adam_step(m.theta, SplitMix64(4).uniform(-1, 1, m.theta.shape), state)
+    after = forward(m, x)
+    assert not np.array_equal(after, before)
+    assert np.array_equal(after, forward(TcnModel(cfg, m.theta.copy()), x))
+    conv = m.blocks[0].conv1
+    y = causal_conv_forward(x, conv)
+    conv.bias[0] += 1.0
+    fresh = ConvParams(conv.weights.copy(), conv.bias.copy(), conv.dilation)
+    got = causal_conv_forward(x, conv)
+    assert not np.array_equal(got, y) and np.array_equal(got, causal_conv_forward(x, fresh))
+    assert np.array_equal(forward(m, x), forward(TcnModel(cfg, m.theta.copy()), x))
 
 
 def test_forward_float32_window_returns_float32():

@@ -174,17 +174,6 @@ def test_simulate_input_validation():
     assert generate_profile("urban", np.float64(6.0), dt=np.float64(0.1)).size == 60
     with pytest.raises(ValueError):
         simulate_ecm(np.ones(10), ecm, DEFAULT_CELL, 1.5, dt=0.1)
-    # a bool is not a number: dt=True ran at 1 s steps, initial_soc=True at 1.0
-    for value in (True, np.True_):
-        with pytest.raises(ValueError, match=f"dt must be a finite number > 0, got {value!r}"):
-            simulate_ecm(np.ones(10), ecm, DEFAULT_CELL, 0.5, dt=value)
-        with pytest.raises(ValueError, match=f"initial_soc must be in \\[0, 1\\], got {value}"):
-            simulate_ecm(np.ones(10), ecm, DEFAULT_CELL, value, dt=0.1)
-        for name in ("duration", "dt"):
-            with pytest.raises(ValueError, match=f"{name} must be a finite number > 0, got "):
-                generate_profile("urban", **{"duration": 30.0, "dt": 1.0, name: value})
-        with pytest.raises(ValueError, match=f"r0 must be a finite number > 0, got {value!r}"):
-            EcmConfig(r0=value)
     with pytest.raises(ValueError):
         simulate_ecm(np.ones(0), ecm, DEFAULT_CELL, 0.5, dt=0.1)
     with pytest.raises(ValueError):
@@ -198,9 +187,10 @@ def test_simulate_input_validation():
             with pytest.raises(ValueError, match=f"{name} must be a finite number > 0, "
                                                  f"got {value}"):
                 EcmConfig(**{name: value})
-    for name, value in (("ambient_c", nan), ("ambient_c", -inf),
-                        ("heat_coeff", inf), ("heat_coeff", nan)):
-        with pytest.raises(ValueError, match=f"{name} must be finite, got {value}"):
+    # a str or None failed inside np.isfinite with a bare TypeError
+    for name, value in (("ambient_c", nan), ("ambient_c", -inf), ("ambient_c", "25"),
+                        ("heat_coeff", inf), ("heat_coeff", nan), ("heat_coeff", None)):
+        with pytest.raises(ValueError, match=f"{name} must be finite, got {value!r}"):
             EcmConfig(**{name: value})
     for name in ("ocv_soc", "ocv_volts"):
         table = getattr(ecm, name).copy()
@@ -211,6 +201,26 @@ def test_simulate_input_validation():
     top[-1] = inf  # still strictly increasing
     with pytest.raises(ValueError, match="ocv_soc must be finite"):
         EcmConfig(ocv_soc=top)
+
+
+# a bool is not a number: dt=True ran at 1 s steps, initial_soc=True at 1.0;
+# a str or None raised a bare TypeError from a comparison
+@pytest.mark.parametrize("value", [True, np.True_, "0.9", None], ids=repr)
+def test_a_value_that_is_no_number_is_refused_by_name(value):
+    ecm = EcmConfig()
+    with pytest.raises(ValueError, match=rf"^dt must be a finite number > 0, got {value!r}$"):
+        simulate_ecm(np.ones(10), ecm, DEFAULT_CELL, 0.5, dt=value)
+    shown = repr(value) if isinstance(value, str) else value
+    with pytest.raises(ValueError, match=rf"^initial_soc must be in \[0, 1\], got {shown}$"):
+        simulate_ecm(np.ones(10), ecm, DEFAULT_CELL, value, dt=0.1)
+    for name in ("duration", "dt"):
+        message = rf"^{name} must be a finite number > 0, got {value!r}$"
+        with pytest.raises(ValueError, match=message):
+            generate_profile("urban", **{"duration": 30.0, "dt": 1.0, name: value})
+    for name in ("r0", "r1", "c1", "cooling_tau_s"):
+        message = rf"^{name} must be a finite number > 0, got {value!r}$"
+        with pytest.raises(ValueError, match=message):
+            EcmConfig(**{name: value})
 
 
 def test_ocv_table_shape_and_interp():
