@@ -6,11 +6,10 @@ All kernels are pure functions of their arguments, except that ``relu`` and
 ``causal_conv_forward`` write into an ``out=`` array when given one,
 training-mode ``dropout`` masks and scales its input in place (a ReLU output
 the model owns), and ``adam_step`` updates the parameter vector and its
-optimizer state in place. The convolution and head kernels compute in the
-dtype of their input (float64, or float32 for inference and for training's
-backward pass) and refuse weights, and in backward an output gradient, of
-another dtype instead of upcasting. Sequence tensors are rank-3, shaped
-(batch, channels, time).
+optimizer state in place. The convolution and head kernels compute in their
+input's dtype, float64 or float32, rounding weights and bias of the other to
+it; they refuse any other input dtype, and in backward an output gradient of
+another dtype. Sequence tensors are rank-3, shaped (batch, channels, time).
 
 A convolution is one matrix product per batch slab: its layer's (out,
 in*kernel) weight matrix, a view built with the ``ConvParams``, times a tap
@@ -38,7 +37,7 @@ class ConvParams:
     weights C-contiguous. ``w2d`` (out_channels, in_channels*kernel_size) and
     ``bias_col`` (out_channels, 1) are the operands ``causal_conv_forward``
     multiplies and adds, built once here as views of ``weights`` and ``bias``,
-    so an in-place write to either reaches them.
+    so an in-place write to either reaches them; no kernel keeps a rounded copy.
     """
 
     weights: np.ndarray
@@ -77,15 +76,21 @@ class ConvParams:
         return self.weights.shape[2]
 
 
-def _check_dtype(x: np.ndarray, other: np.ndarray, name: str = "weights") -> None:
-    if x.dtype != other.dtype:
-        raise ValueError(f"input dtype {x.dtype} does not match {name} dtype {other.dtype}")
+def _check_grad_dtype(x: np.ndarray, grad_out: np.ndarray) -> None:
+    if x.dtype != grad_out.dtype:
+        raise ValueError(f"input dtype {x.dtype} does not match grad_out dtype {grad_out.dtype}")
+
+
+def _in_dtype_of(x: np.ndarray, a: np.ndarray) -> np.ndarray:
+    """``a`` rounded to the input's dtype where they differ; it must then be float32 or float64."""
+    if a.dtype != x.dtype and x.dtype not in (np.float32, np.float64):
+        raise ValueError(f"input dtype {x.dtype} is neither float32 nor float64")
+    return a if a.dtype == x.dtype else a.astype(x.dtype)
 
 
 def _check_input(x: np.ndarray, params: ConvParams) -> None:
     if x.ndim != 3:
         raise ValueError(f"input must be (batch, channels, time), got shape {x.shape}")
-    _check_dtype(x, params.weights)
     if x.shape[1] != params.in_channels:
         raise ValueError(
             f"input shape {x.shape} has {x.shape[1]} channels but weights "
@@ -100,6 +105,8 @@ def _taps(x: np.ndarray, kernel_size: int, dilation: int, causal: bool = True) -
     one strided view of a copy of x padded in front (causal) or behind, plus
     one reshape copy. The pad's one zero pass is the zeroed allocation, which
     at batch 1 costs less than an empty one plus a fill of the pad."""
+    if kernel_size == 1:  # a 1x1 convolution's tap matrix is x itself, in C order
+        return np.ascontiguousarray(x)
     b, c, t = x.shape
     pad = (kernel_size - 1) * dilation
     front = pad if causal else 0
@@ -126,7 +133,9 @@ def causal_conv_forward(x: np.ndarray, params: ConvParams,
     """y[b,o,t] = bias[o] + sum_{c,j} w[o,c,j] * x[b,c,t-(k-1-j)*d], into ``out`` if given."""
     _check_input(x, params)
     k, d = params.kernel_size, params.dilation
-    w2d = params.w2d
+    w2d, bias_col = params.w2d, params.bias_col
+    if w2d.dtype != x.dtype:  # the bias too, before it is added; float64 predict skips this
+        w2d, bias_col = _in_dtype_of(x, w2d), _in_dtype_of(x, bias_col)
     if x.nbytes * k <= _SLAB_BYTES:  # one slab; a cheap test, as every B=1 predict makes it
         taps = _taps(x, k, d)
         out = w2d @ taps if out is None else np.matmul(w2d, taps, out=out)
@@ -138,7 +147,7 @@ def causal_conv_forward(x: np.ndarray, params: ConvParams,
         for lo in range(0, b, rows):
             s = slice(lo, lo + rows)
             np.matmul(w2d, _taps(x[s], k, d), out=out[s])
-    out += params.bias_col
+    out += bias_col
     return out
 
 
@@ -156,12 +165,12 @@ def causal_conv_backward(
         raise ValueError(
             f"grad_out shape {grad_out.shape} does not match forward output {(b, o, t)}"
         )
-    _check_dtype(x, grad_out, "grad_out")
+    _check_grad_dtype(x, grad_out)
     k, d = params.kernel_size, params.dilation
     # the sums must not depend on either input's memory layout
     x, grad_out = np.ascontiguousarray(x), np.ascontiguousarray(grad_out)
     grad_bias = grad_out.sum(axis=(0, 2))
-    w_t = params.weights.transpose(1, 0, 2).reshape(c, -1)
+    w_t = _in_dtype_of(x, params.weights).transpose(1, 0, 2).reshape(c, -1)
     rows = _slab_rows(o, k, t, x.itemsize)
     per_row = np.empty((b, o * k, c), x.dtype)
     grad_x = np.empty((b, c, t), x.dtype) if input_grad else None
@@ -232,8 +241,7 @@ def linear_head_forward(
             f"head weights shape {weights.shape} does not match "
             f"{x.shape[1]} input channels"
         )
-    _check_dtype(x, weights)
-    return weights @ x + bias
+    return _in_dtype_of(x, weights) @ x + bias  # a Python float bias takes x's dtype
 
 
 def linear_head_backward(
@@ -245,8 +253,8 @@ def linear_head_backward(
             f"grad_out shape {grad_out.shape} does not match "
             f"output shape {(x.shape[0], x.shape[2])}"
         )
-    _check_dtype(x, weights)
-    _check_dtype(x, grad_out, "grad_out")
+    weights = _in_dtype_of(x, weights)
+    _check_grad_dtype(x, grad_out)
     grad_weights = np.tensordot(grad_out, x, axes=([0, 1], [0, 2]))
     grad_bias = float(grad_out.sum())
     grad_x = weights[None, :, None] * grad_out[:, None, :]

@@ -93,9 +93,9 @@ class ResidualBlock:
 
 
 def _views(config: TcnConfig, theta: np.ndarray):
-    """Layer views into a vector in ``theta``'s layout (the parameters or
-    their gradient), in its dtype: every convolution in parameter order (the
-    head last), the residual blocks, and the head's weights and bias."""
+    """Layer views into a float64 vector in ``theta``'s layout (the parameters
+    or their gradient): every convolution in parameter order (the head last),
+    the residual blocks, and the head's weights and bias."""
     groups, pos = [], 0
     for shapes in _layout(config):
         group = []
@@ -192,10 +192,10 @@ def _block_train(block: ResidualBlock, x: np.ndarray, p_keep: float, rng: SplitM
 def _block_backward(block: ResidualBlock, grad: ResidualBlock, x: np.ndarray, d1: np.ndarray,
                     gates: np.ndarray, grad_y: np.ndarray, p_keep: float,
                     input_grad: bool) -> np.ndarray | None:
-    """Writes the block's parameter gradients into ``grad``, views into the
-    gradient vector, and returns the gradient of its input ``x`` (None without
-    ``input_grad``: ``x`` is the data window), in the dtype that ``block``,
-    ``x``, ``d1`` and ``grad_y`` share, through the bool ``gates``."""
+    """Writes the block's parameter gradients into ``grad``, views into the gradient
+    vector, and returns the gradient of its input ``x`` (None without ``input_grad``:
+    ``x`` is the data window) in the dtype of ``x``, ``d1`` and ``grad_y``, through
+    the bool ``gates``."""
     g_pre = relu_dropout_backward(grad_y, gates[2])
     g_a2 = relu_dropout_backward(g_pre, gates[1], p_keep)
     g_d1, grad.conv2.weights[...], grad.conv2.bias[...] = \
@@ -223,21 +223,14 @@ def _check_window(model: TcnModel, window: np.ndarray) -> None:
 
 
 def forward(model: TcnModel, window: np.ndarray) -> np.ndarray:
-    """Per-step regression output (batch, time) at inference.
-
-    A float32 window runs in float32 throughout, through views of one
-    float32 copy of ``theta``, and gives float32 output; any other window
-    runs in float64.
-    """
+    """Per-step regression output (batch, time) at inference, float32 throughout
+    for a float32 window (the kernels round the layers to it), else float64."""
     _check_window(model, window)
-    if window.dtype == np.float32:
-        _, blocks, head_weights, head_bias = _views(model.config, model.theta.astype(np.float32))
-    else:
+    if window.dtype != np.float32:
         window = window.astype(np.float64, copy=False)
-        blocks, head_weights, head_bias = model.blocks, model.head_weights, model.head_bias
-    for block in blocks:
+    for block in model.blocks:
         window = _block_forward(block, window)
-    return linear_head_forward(window, head_weights, float(head_bias[0]))
+    return linear_head_forward(window, model.head_weights, float(model.head_bias[0]))
 
 
 @dataclass
@@ -298,8 +291,8 @@ def backward(model: TcnModel, window: np.ndarray, arena: Arena, grad_y: np.ndarr
     the last ``forward_with_cache``: one float64 vector in ``theta``'s layout,
     each slot written by the layer it belongs to.
 
-    It computes in the arena's dtype, reading its maps as they are, through
-    views of ``theta``, the ``window`` and ``grad_y`` cast to it once.
+    It computes in the arena's dtype, reading its maps as they are, with the
+    ``window`` and ``grad_y`` cast to it once (the kernels round the layers).
     """
     grad, p_keep = np.empty_like(model.theta), model.config.p_keep
     _, grad_blocks, grad_hw, grad_hb = _views(model.config, grad)
@@ -307,13 +300,12 @@ def backward(model: TcnModel, window: np.ndarray, arena: Arena, grad_y: np.ndarr
     if len(window) != arena.rows:
         raise ValueError(f"backward of {len(window)} windows, but the last forward wrote "
                          f"{arena.rows}")
-    _, blocks, head_weights, _ = _views(model.config, model.theta.astype(maps.dtype, copy=False))
     # the last block's output is the head's input
     g_h, grad_hw[...], grad_hb[0] = \
-        linear_head_backward(maps[-1, 1], head_weights, grad_y.astype(maps.dtype, copy=False))
+        linear_head_backward(maps[-1, 1], model.head_weights, grad_y.astype(maps.dtype, copy=False))
     for i in reversed(range(len(maps))):  # block 0's input is the data: no gradient
         x = maps[i - 1, 1] if i else window.astype(maps.dtype, copy=False)
-        g_h = _block_backward(blocks[i], grad_blocks[i], x, maps[i, 0], gates[i], g_h,
+        g_h = _block_backward(model.blocks[i], grad_blocks[i], x, maps[i, 0], gates[i], g_h,
                               p_keep, i > 0)
     return grad
 

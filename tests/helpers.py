@@ -222,7 +222,8 @@ def block_backward_composed(block, cache, grad_y, p_keep):
 
 def model_forward_composed(model, x, train=False, rng=None):
     """The network through ``block_forward_composed``: a float32 window runs
-    on float32 views of ``theta``, as ``model.forward`` does. Returns
+    on views of a float32 copy of ``theta``, rounded once up front, which
+    ``model.forward``'s kernels must match by rounding per call. Returns
     (output, cache)."""
     if x.dtype == np.float32:
         _, blocks, head_weights, head_bias = _views(model.config,

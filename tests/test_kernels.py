@@ -148,15 +148,18 @@ def test_conv_params_stores_other_dtypes_as_float64():
 
 
 def test_forward_rejects_input_of_another_dtype():
+    # the kernels compute in their input's dtype, which must be float64 or float32
     x, params = random_case(SplitMix64(32), batch=1, in_ch=2, out_ch=3, k=2, d=1, steps=5)
-    with pytest.raises(ValueError, match="dtype float32 does not match weights dtype float64"):
-        causal_conv_forward(x.astype(np.float32), params)
-    with pytest.raises(ValueError, match="dtype"):
-        linear_head_forward(x.astype(np.float32), np.ones(2), 0.0)
+    for name in ("int64", "float16"):
+        xd = x.astype(name)
+        for kernel, args in ((causal_conv_forward, (xd, params)),
+                             (linear_head_forward, (xd, np.ones(2), 0.0))):
+            with pytest.raises(ValueError,
+                               match=f"^input dtype {name} is neither float32 nor float64$"):
+                kernel(*args)
 
 
-def test_backward_rejects_gradients_and_weights_of_another_dtype():
-    # a mixed pair used to be upcast to float64 without a word
+def test_backward_rejects_gradients_and_inputs_of_another_dtype():
     x, p64 = random_case(SplitMix64(33), batch=2, in_ch=2, out_ch=3, k=2, d=1, steps=5)
     p32 = ConvParams(p64.weights.astype(np.float32), p64.bias.astype(np.float32), 1)
     rng = SplitMix64(34)
@@ -165,15 +168,44 @@ def test_backward_rejects_gradients_and_weights_of_another_dtype():
     refused = {  # message: the (x, weights, grad_out) of the conv and of the head
         "float64 does not match grad_out dtype float32": ((x, p64, g32), (x, w, h32)),
         "float32 does not match grad_out dtype float64": ((x32, p32, g), (x32, w32, h)),
-        "float32 does not match weights dtype float64": ((x32, p64, g32), (x32, w, h32)),
     }
+    for name in ("int64", "float16"):
+        xd, gd, hd = (a.astype(name) for a in (x, g, h))
+        refused[f"{name} is neither float32 nor float64"] = ((xd, p64, gd), (xd, w, hd))
     for message, (conv_args, head_args) in refused.items():
         for kernel, args in ((causal_conv_backward, conv_args), (linear_head_backward, head_args)):
             with pytest.raises(ValueError, match=f"^input dtype {message}$"):
                 kernel(*args)
-    assert all(a.dtype == np.float32 for a in causal_conv_backward(x32, p32, g32))
-    gx, gw, _ = linear_head_backward(x32, w32, h32)
-    assert gx.dtype == gw.dtype == np.float32
+
+
+# each conv and head kernel as (x, conv, head weights, conv grad_out, head grad_out) -> arrays
+KERNEL_CALLS = {
+    "conv-forward": lambda x, conv, head, g, h: [causal_conv_forward(x, conv)],
+    "conv-backward": lambda x, conv, head, g, h: causal_conv_backward(x, conv, g),
+    "head-forward": lambda x, conv, head, g, h: [linear_head_forward(x, head, 0.3)],
+    "head-backward": lambda x, conv, head, g, h: linear_head_backward(x, head, h)[:2],
+}
+
+
+@pytest.mark.parametrize("kernel", KERNEL_CALLS)
+def test_kernels_compute_in_their_input_dtype(kernel):
+    # a mixed pair used to be refused; now the weights and bias are rounded to the
+    # input's dtype first, so every sum has the bytes of the same call on rounded weights
+    def rounded(conv, head, dtype):
+        return ConvParams(conv.weights.astype(dtype), conv.bias.astype(dtype), 2), \
+            head.astype(dtype)
+
+    call, rng = KERNEL_CALLS[kernel], SplitMix64(35)
+    x, p64 = random_case(rng, batch=3, in_ch=4, out_ch=8, k=3, d=2, steps=40)
+    h64 = rng.uniform(-1.0, 1.0, 4)
+    g, h = rng.uniform(-1.0, 1.0, (3, 8, 40)), rng.uniform(-1.0, 1.0, (3, 40))
+    p32, h32 = rounded(p64, h64, np.float32)
+    for dtype, conv, head in ((np.float32, p64, h64), (np.float64, p32, h32)):
+        xd, gd, hd = (a.astype(dtype) for a in (x, g, h))
+        got = call(xd, conv, head, gd, hd)
+        want = call(xd, *rounded(conv, head, dtype), gd, hd)
+        assert [a.dtype for a in got] == [np.dtype(dtype)] * len(want)
+        assert [a.tobytes() for a in got] == [a.tobytes() for a in want]
 
 
 def test_forward_rejects_bad_shapes():

@@ -248,24 +248,43 @@ def test_inference_bytes_are_pinned(stacks, window, filters):
 
 
 def test_layer_operands_follow_in_place_writes():
-    # each ConvParams multiplies by w2d and adds bias_col, views built with the layer:
-    # an Adam step on theta and a write to one bias must reach the next forward
+    # each ConvParams multiplies by w2d and adds bias_col, views built with the layer, which a
+    # float32 input rounds per call: an Adam step on theta and a write to one bias must reach
+    # the next forward in either dtype, as no float32 copy is kept to go stale
     cfg = TcnConfig(stacks=2, input_window=100, filters=8)
-    m = build_model(cfg, seed=2)
-    x = SplitMix64(3).uniform(-1, 1, (1, 4, cfg.input_window))
-    before = forward(m, x)
-    state = AdamState(np.zeros_like(m.theta), np.zeros_like(m.theta), lr=0.05)
-    adam_step(m.theta, SplitMix64(4).uniform(-1, 1, m.theta.shape), state)
-    after = forward(m, x)
-    assert not np.array_equal(after, before)
-    assert np.array_equal(after, forward(TcnModel(cfg, m.theta.copy()), x))
-    conv = m.blocks[0].conv1
-    y = causal_conv_forward(x, conv)
-    conv.bias[0] += 1.0
-    fresh = ConvParams(conv.weights.copy(), conv.bias.copy(), conv.dilation)
-    got = causal_conv_forward(x, conv)
-    assert not np.array_equal(got, y) and np.array_equal(got, causal_conv_forward(x, fresh))
-    assert np.array_equal(forward(m, x), forward(TcnModel(cfg, m.theta.copy()), x))
+    for dtype in (np.float64, np.float32):
+        m = build_model(cfg, seed=2)
+        x = SplitMix64(3).uniform(-1, 1, (1, 4, cfg.input_window)).astype(dtype)
+        before = forward(m, x)
+        state = AdamState(np.zeros_like(m.theta), np.zeros_like(m.theta), lr=0.05)
+        adam_step(m.theta, SplitMix64(4).uniform(-1, 1, m.theta.shape), state)
+        after = forward(m, x)
+        assert not np.array_equal(after, before)
+        assert np.array_equal(after, forward(TcnModel(cfg, m.theta.copy()), x))
+        conv = m.blocks[0].conv1
+        y = causal_conv_forward(x, conv)
+        conv.bias[0] += 1.0
+        fresh = ConvParams(conv.weights.copy(), conv.bias.copy(), conv.dilation)
+        got = causal_conv_forward(x, conv)
+        assert not np.array_equal(got, y) and np.array_equal(got, causal_conv_forward(x, fresh))
+        assert np.array_equal(forward(m, x), forward(TcnModel(cfg, m.theta.copy()), x))
+
+
+def test_float32_passes_build_no_second_layer_set(monkeypatch):
+    # the kernels round the model's own float64 layers to a float32 input, so a float32
+    # forward builds no ConvParams and a float32-arena backward only the gradient's views
+    cfg, batch = BLOCK_CASES["train-shape"]
+    m = build_model(cfg, seed=64)
+    x = SplitMix64(65).uniform(-1, 1, (batch, 4, cfg.input_window))
+    arena = new_arena(m, batch, np.float32)
+    grad_y = SplitMix64(66).uniform(-1, 1, forward_with_cache(m, x, SplitMix64(67), arena).shape)
+    built, post_init = [], ConvParams.__post_init__
+    monkeypatch.setattr(ConvParams, "__post_init__", lambda p: built.append(p) or post_init(p))
+    assert forward(m, x.astype(np.float32)).dtype == np.float32
+    assert built == []
+    grad = backward(m, x, arena, grad_y)
+    assert len(built) == len(m.layers) == 18
+    assert all(np.shares_memory(p.weights, grad) for p in built)
 
 
 def test_forward_float32_window_returns_float32():
@@ -602,10 +621,11 @@ def test_gates_are_read_off_float64_values_not_float32_maps():
 
 
 def test_train_runs_backward_in_float32_and_the_rest_in_float64(monkeypatch):
-    """At the train benchmark shape every conv backward gets float32 input,
-    gradient and weights, k=8 taps in slabs of 20 rows (10 in float64), from a
-    float32 arena, while the training forward computes in the arena's float64
-    work maps and the validation forward stays float64."""
+    """At the train benchmark shape every conv backward gets float32 input and
+    output gradient and returns float32 gradients (the model's float64 weights
+    are rounded in the kernel), k=8 taps in slabs of 20 rows (10 in float64),
+    from a float32 arena, while the training forward computes in the arena's
+    float64 work maps and the validation forward stays float64."""
     cfg, batch = BLOCK_CASES["train-shape"]
     cycle = simulate_ecm(generate_profile("urban", 60.0, 0.1, seed=61), EcmConfig(),
                          DEFAULT_CELL, 0.9, 0.1)
@@ -616,8 +636,9 @@ def test_train_runs_backward_in_float32_and_the_rest_in_float64(monkeypatch):
     seen = {"backward": set(), "slabs": set(), "train": set(), "validation": set()}
 
     def spy_backward(x, params, grad_out, *args):
-        seen["backward"].add((x.dtype, grad_out.dtype, params.weights.dtype))
-        return conv_backward(x, params, grad_out, *args)
+        grads = conv_backward(x, params, grad_out, *args)
+        seen["backward"].add((x.dtype, grad_out.dtype, *(g.dtype for g in grads if g is not None)))
+        return grads
 
     def spy_taps(x, k, d, causal=True):
         if not causal and k == cfg.kernel_size:
@@ -638,7 +659,8 @@ def test_train_runs_backward_in_float32_and_the_rest_in_float64(monkeypatch):
     monkeypatch.setattr(tcnsoc.training, "forward", spy_val_forward)
     model = build_model(cfg, seed=62)
     tcnsoc.training.train(model, dataset, TrainConfig(batch_size=batch, epochs=1, seed=63))
-    assert seen["backward"] == {(np.dtype(np.float32),) * 3}
+    # block 0's input is the data: its convs return no input gradient
+    assert seen["backward"] == {(np.dtype(np.float32),) * 5, (np.dtype(np.float32),) * 4}
     assert _slab_rows(cfg.filters, cfg.kernel_size, cfg.input_window, 4) == 20
     assert seen["slabs"] == {20, 12, 14}  # 32 rows as 20 + 12, and the batch of 14
     assert seen["train"] == {(np.dtype(np.float64), np.dtype(np.float32), np.dtype(np.float64))}
